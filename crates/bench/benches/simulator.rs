@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ichannels_pdn::guardband::{CdynTable, GuardbandModel};
 use ichannels_pdn::regulator::VrModel;
-use ichannels_pmu::central::{CentralPmu, PmuConfig};
+use ichannels_pmu::central::{CentralPmu, PmuConfig, VrRail, MAX_SEGMENTS};
 use ichannels_soc::config::{PlatformSpec, SocConfig};
 use ichannels_soc::program::Script;
 use ichannels_soc::sim::Soc;
@@ -77,6 +77,31 @@ fn bench_pmu(c: &mut Criterion) {
                 pmu.process_decays(t);
             }
             pmu.package_setpoint_mv()
+        })
+    });
+    // `pmu_license_request` cannot see the cost of a full rail: it
+    // rebuilds the PMU every iteration and schedules only ~200 ramps,
+    // far below the `MAX_SEGMENTS` history window. A long trial (the
+    // 60-s §6.3 run schedules ~170k ramps) spends almost all its
+    // transitions on a rail whose history is full, so that path gets
+    // its own bench. One iteration is 1,000 `schedule` calls on a rail
+    // already holding `MAX_SEGMENTS` ramps; divide by 1,000 for the
+    // per-call cost.
+    c.bench_function("pmu_rail_schedule_saturated", |b| {
+        let mut rail = VrRail::new(VrModel::mbvr(), 760.0);
+        let mut t = SimTime::ZERO;
+        let mut step = |rail: &mut VrRail, i: usize| {
+            let target = if i.is_multiple_of(2) { 790.0 } else { 760.0 };
+            t = rail.schedule(t, target).1 + SimTime::from_us(1.0);
+        };
+        for i in 0..MAX_SEGMENTS {
+            step(&mut rail, i);
+        }
+        b.iter(|| {
+            for i in 0..1_000 {
+                step(&mut rail, i);
+            }
+            rail.setpoint_mv()
         })
     });
 }

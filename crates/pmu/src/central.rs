@@ -18,6 +18,7 @@ use ichannels_pdn::guardband::GuardbandModel;
 use ichannels_pdn::regulator::VrModel;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::{Freq, SimTime};
+use std::collections::VecDeque;
 
 /// One scheduled linear ramp of a voltage rail.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,18 +29,23 @@ struct Segment {
     to_mv: f64,
 }
 
-/// Maximum retained ramp history per rail; older segments are pruned
-/// (their final voltage is folded into the floor value).
-const MAX_SEGMENTS: usize = 4096;
+/// Maximum retained ramp history per rail. Once a rail holds this many
+/// ramps, each new ramp evicts the oldest; a query older than every
+/// retained ramp reads the oldest ramp's starting voltage.
+pub const MAX_SEGMENTS: usize = 4096;
 
 /// A voltage rail: a VR plus its serializing command interface, with the
-/// full piecewise-linear voltage timeline retained for tracing.
-#[derive(Debug, Clone)]
+/// last [`MAX_SEGMENTS`] voltage ramps it scheduled.
+///
+/// Only [`Self::voltage_at`] reads that history, to answer for instants
+/// before `free_at`. It is a ring: scheduling on a full rail evicts the
+/// oldest ramp in O(1), and the buffer never grows past `MAX_SEGMENTS`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VrRail {
     model: VrModel,
     free_at: SimTime,
     setpoint_mv: f64,
-    segments: Vec<Segment>,
+    segments: VecDeque<Segment>,
 }
 
 impl VrRail {
@@ -49,8 +55,14 @@ impl VrRail {
             model,
             free_at: SimTime::ZERO,
             setpoint_mv: initial_mv,
-            segments: Vec::new(),
+            segments: VecDeque::new(),
         }
+    }
+
+    /// Number of voltage ramps currently retained (at most
+    /// [`MAX_SEGMENTS`]).
+    pub fn retained_ramps(&self) -> usize {
+        self.segments.len()
     }
 
     /// The VR's electrical model.
@@ -91,16 +103,15 @@ impl VrRail {
         let delta = (target_mv - from).abs();
         let ramp_start = start + self.model.cmd_latency;
         let end = ramp_start + self.model.ramp_time(delta);
-        self.segments.push(Segment {
+        if self.segments.len() == MAX_SEGMENTS {
+            self.segments.pop_front();
+        }
+        self.segments.push_back(Segment {
             ramp_start,
             end,
             from_mv: from,
             to_mv: target_mv,
         });
-        if self.segments.len() > MAX_SEGMENTS {
-            let drop = self.segments.len() - MAX_SEGMENTS;
-            self.segments.drain(..drop);
-        }
         self.setpoint_mv = target_mv;
         self.free_at = end;
         (start, end)
@@ -117,7 +128,7 @@ impl VrRail {
         // Find the last segment whose ramp has begun by `t`.
         let idx = self.segments.partition_point(|s| s.ramp_start <= t);
         if idx == 0 {
-            return match self.segments.first() {
+            return match self.segments.front() {
                 // Before any retained ramp: the pre-history voltage.
                 Some(s) => s.from_mv,
                 None => self.setpoint_mv,
@@ -590,6 +601,108 @@ mod tests {
         let (s2, e2) = rail.schedule(SimTime::from_us(2.0), 700.0);
         assert_eq!(s2, e);
         assert_eq!(rail.voltage_at(e2), 700.0);
+    }
+
+    /// The rail history as it was kept before the ring: every ramp in a
+    /// plain `Vec`, trimmed from the front with `drain` once it exceeds
+    /// `MAX_SEGMENTS`, with the same voltage lookup.
+    struct DrainRail {
+        setpoint_mv: f64,
+        free_at: SimTime,
+        segments: Vec<Segment>,
+    }
+
+    impl DrainRail {
+        fn push(&mut self, s: Segment) {
+            self.segments.push(s);
+            if self.segments.len() > MAX_SEGMENTS {
+                let drop = self.segments.len() - MAX_SEGMENTS;
+                self.segments.drain(..drop);
+            }
+            self.setpoint_mv = s.to_mv;
+            self.free_at = s.end;
+        }
+
+        fn voltage_at(&self, t: SimTime) -> f64 {
+            if t >= self.free_at {
+                return self.setpoint_mv;
+            }
+            let idx = self.segments.partition_point(|s| s.ramp_start <= t);
+            if idx == 0 {
+                return self
+                    .segments
+                    .first()
+                    .map_or(self.setpoint_mv, |s| s.from_mv);
+            }
+            let s = &self.segments[idx - 1];
+            if t >= s.end {
+                s.to_mv
+            } else {
+                let frac = (t - s.ramp_start) / (s.end - s.ramp_start);
+                s.from_mv + (s.to_mv - s.from_mv) * frac
+            }
+        }
+    }
+
+    /// Schedules `n` transitions on `rail`: targets in 700–760 mV,
+    /// requests spaced 0–22.5 µs apart, so some queue behind an in-flight
+    /// ramp and some find the rail settled.
+    fn drive_rail(rail: &mut VrRail, n: usize, mut each: impl FnMut(&VrRail)) {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut now = SimTime::ZERO;
+        for _ in 0..n {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let target = 700.0 + (x >> 40) as f64 / (1u64 << 24) as f64 * 60.0;
+            now += SimTime::from_us((x >> 60) as f64 * 1.5);
+            rail.schedule(now, target);
+            each(rail);
+        }
+    }
+
+    #[test]
+    fn rail_ring_answers_like_the_drained_vec() {
+        let mut rail = VrRail::new(VrModel::mbvr(), 730.0);
+        let mut reference = DrainRail {
+            setpoint_mv: 730.0,
+            free_at: SimTime::ZERO,
+            segments: Vec::new(),
+        };
+        let mut scheduled = 0;
+        drive_rail(&mut rail, 3 * MAX_SEGMENTS, |rail| {
+            reference.push(*rail.segments.back().unwrap());
+            scheduled += 1;
+            assert!(rail.retained_ramps() <= MAX_SEGMENTS);
+            assert!(rail.segments.capacity() <= MAX_SEGMENTS);
+            if scheduled % (MAX_SEGMENTS / 4) != 0 {
+                return;
+            }
+            assert!(rail.segments.iter().eq(reference.segments.iter()));
+            let mut probes = vec![SimTime::ZERO, rail.free_at()];
+            for s in &rail.segments {
+                probes.push(s.ramp_start);
+                probes.push(s.ramp_start + (s.end - s.ramp_start).scale(0.5));
+                probes.push(s.end);
+            }
+            for t in probes {
+                assert_eq!(
+                    rail.voltage_at(t).to_bits(),
+                    reference.voltage_at(t).to_bits(),
+                    "t = {t:?} after {scheduled} transitions"
+                );
+            }
+        });
+        assert_eq!(rail.retained_ramps(), MAX_SEGMENTS);
+    }
+
+    #[test]
+    fn reset_of_a_wrapped_rail_equals_a_fresh_rail() {
+        let mut rail = VrRail::new(VrModel::mbvr(), 730.0);
+        drive_rail(&mut rail, MAX_SEGMENTS + 17, |_| {});
+        assert_eq!(rail.retained_ramps(), MAX_SEGMENTS);
+        rail.reset(745.0);
+        assert_eq!(rail, VrRail::new(VrModel::mbvr(), 745.0));
     }
 
     #[test]

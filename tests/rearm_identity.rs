@@ -8,9 +8,13 @@
 //! (different workload, different stop time) through `rearm()` and
 //! replays the same schedule on a fresh twin, across platform × seed ×
 //! noise, comparing every observable surface: the sampled trace,
-//! retired instruction counts, the final instant, and the electrical
-//! state (frequency, rail voltage, package current, temperature).
+//! retired instruction counts, the final instant, the electrical state
+//! (frequency, rail voltage, package current, temperature), and core
+//! 0's retained rail ramps. One dirty workload makes more voltage
+//! transitions than the rail's ramp history holds, so the re-arm must
+//! also clear a history that has wrapped.
 
+use ichannels_repro::ichannels_pmu::central::{VrRail, MAX_SEGMENTS};
 use ichannels_repro::ichannels_soc::config::{PlatformSpec, SocConfig, TraceConfig};
 use ichannels_repro::ichannels_soc::noise::NoiseConfig;
 use ichannels_repro::ichannels_soc::program::{Action, Script};
@@ -46,6 +50,19 @@ fn noise(idx: usize) -> NoiseConfig {
     n
 }
 
+/// A traced SoC pinned near 2 GHz on one platform × noise point.
+fn soc_config(platform_idx: usize, noise_idx: usize, seed: u64) -> SocConfig {
+    let spec = platform(platform_idx);
+    let freq = spec.pstates.highest_not_above(Freq::from_ghz(2.0));
+    let mut cfg = SocConfig::pinned(spec, freq);
+    cfg.noise = noise(noise_idx);
+    cfg.seed = seed;
+    cfg.trace = TraceConfig {
+        sample_period: Some(SimTime::from_us(10.0)),
+    };
+    cfg
+}
+
 /// Everything a run exposes; compared with exact (bitwise) `f64`
 /// equality — "close" is not the contract, identical is.
 #[derive(Debug, PartialEq)]
@@ -58,6 +75,8 @@ struct Observed {
     vcc_mv: f64,
     icc_a: f64,
     temp_c: f64,
+    /// Core 0's rail, retained ramp history included.
+    rail: VrRail,
 }
 
 /// The reference schedule: a license-raising PHI burst with a sleep in
@@ -97,7 +116,27 @@ fn drive(soc: &mut Soc) -> Observed {
         vcc_mv: soc.vcc_mv(),
         icc_a: soc.icc_a(),
         temp_c: soc.temp_c(),
+        rail: soc.pmu().rail(0).clone(),
     }
+}
+
+/// Dirty work that fills core 0's rail history and keeps scheduling:
+/// short 512b-Heavy bursts spaced past the 650 µs license reset-time,
+/// so each burst raises the rail and its decay lowers it again — two
+/// ramps per burst, 128 ramps past `MAX_SEGMENTS` in total.
+fn wrap_rail_history(soc: &mut Soc) {
+    let bursts = MAX_SEGMENTS / 2 + 64;
+    let mut actions = Vec::with_capacity(2 * bursts + 1);
+    for _ in 0..bursts {
+        actions.push(Action::Run {
+            class: InstClass::Heavy512,
+            instructions: 2_000,
+        });
+        actions.push(Action::SleepFor(SimTime::from_us(700.0)));
+    }
+    actions.push(Action::Halt);
+    soc.spawn(0, 0, Box::new(Script::new(actions, "wrap")));
+    soc.run_until_idle(SimTime::from_secs(3.0));
 }
 
 proptest! {
@@ -112,15 +151,7 @@ proptest! {
         seed in any::<u64>(),
         dirty_insts in 1_000u64..60_000,
     ) {
-        let spec = platform(platform_idx);
-        let freq = spec.pstates.highest_not_above(Freq::from_ghz(2.0));
-        let mut cfg = SocConfig::pinned(spec, freq);
-        cfg.noise = noise(noise_idx);
-        cfg.seed = seed;
-        cfg.trace = TraceConfig {
-            sample_period: Some(SimTime::from_us(10.0)),
-        };
-
+        let cfg = soc_config(platform_idx, noise_idx, seed);
         let mut fresh = Soc::new(cfg.clone());
         let want = drive(&mut fresh);
 
@@ -133,6 +164,31 @@ proptest! {
             Box::new(Script::run_loop(InstClass::Light256, dirty_insts)),
         );
         reused.run_until_idle(SimTime::from_us(900.0));
+        reused.rearm();
+        let got = drive(&mut reused);
+
+        prop_assert_eq!(want, got);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Re-arming after the rail's ramp history has filled and wrapped
+    /// still yields a simulator bitwise-equal to a fresh twin.
+    #[test]
+    fn rearm_after_rail_history_wraps_is_bit_identical(
+        platform_idx in 0usize..4,
+        noise_idx in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let cfg = soc_config(platform_idx, noise_idx, seed);
+        let mut fresh = Soc::new(cfg.clone());
+        let want = drive(&mut fresh);
+
+        let mut reused = Soc::new(cfg);
+        wrap_rail_history(&mut reused);
+        prop_assert_eq!(reused.pmu().rail(0).retained_ramps(), MAX_SEGMENTS);
         reused.rearm();
         let got = drive(&mut reused);
 
