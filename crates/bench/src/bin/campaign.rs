@@ -7,8 +7,6 @@
 //!          [--shard I/N] [--resume] [--telemetry DIR] [--progress]
 //!          [--fail-on-error]
 //! campaign list [--json] [--quick]
-//! campaign bench [--quick|--full] [--samples N] [--threads N]
-//!                [--out FILE.json] [--check BASELINE.json]
 //! campaign merge [--fail-on-error] <out-dir> <shard_trials.jsonl>...
 //! campaign fuzz [--seed S] [--cases N] [--tolerance T] [--shard I/N]
 //!               [--threads N]
@@ -42,12 +40,7 @@
 //!
 //! `list --json` prints the machine-readable catalog (name, axes with
 //! value labels, cell and scenario counts) so a dispatcher can
-//! enumerate work without parsing human output. `bench` times the
-//! catalog end-to-end with the calibration memo off vs on and records
-//! the perf point as a one-line JSON file (`BENCH_5.json` for the
-//! `--quick` catalog, `BENCH_10.json` for the full catalog — `--full`
-//! spells the default out); `--check` compares the cache-on wall-clock
-//! against a recorded baseline and fails on a >2× regression.
+//! enumerate work without parsing human output.
 //!
 //! `analyze` runs the `ichannels-analysis` statistics layer over every
 //! `<name>_trials.jsonl` stream in a directory (an unsharded results
@@ -71,15 +64,12 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use ichannels::channel::calibration;
 use ichannels_analysis::AnalysisConfig;
 use ichannels_lab::campaigns::{self, RunConfig};
 use ichannels_lab::fuzz::{self, findings};
 use ichannels_lab::{Executor, FuzzConfig, Grid, Scenario, ShardSpec};
-use ichannels_meter::export::JsonlRow;
-use ichannels_meter::parse::{field, parse_jsonl_line, JsonValue};
 
 fn campaign_names() -> String {
     campaigns::catalog(true)
@@ -95,8 +85,6 @@ fn usage_text() -> String {
          \x20                [--shard I/N] [--resume] [--telemetry DIR] [--progress]\n\
          \x20                [--fail-on-error]\n\
          \x20      campaign list [--json] [--quick]\n\
-         \x20      campaign bench [--quick|--full] [--samples N] [--threads N]\n\
-         \x20                     [--out FILE.json] [--check BASELINE.json]\n\
          \x20      campaign merge [--fail-on-error] <out-dir> <shard_trials.jsonl>...\n\
          \x20      campaign fuzz [--seed S] [--cases N] [--tolerance T] [--shard I/N]\n\
          \x20                    [--threads N]\n\
@@ -269,211 +257,6 @@ fn list_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One timed end-to-end pass over the whole catalog.
-fn run_catalog(sets: &[(&'static str, Vec<Scenario>)], executor: Executor) -> Duration {
-    let start = Instant::now();
-    for (_, scenarios) in sets {
-        criterion::black_box(executor.run(scenarios));
-    }
-    start.elapsed()
-}
-
-fn stats_fields(row: JsonlRow, prefix: &str, stats: &criterion::Stats) -> JsonlRow {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    row.num(&format!("{prefix}_mean_ms"), ms(stats.mean))
-        .num(&format!("{prefix}_median_ms"), ms(stats.median))
-        .num(&format!("{prefix}_stddev_ms"), ms(stats.std_dev))
-        .num(&format!("{prefix}_p95_ms"), ms(stats.p95))
-        .num(&format!("{prefix}_best_ms"), ms(stats.best))
-}
-
-fn bench_main(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut full = false;
-    let mut samples = 3usize;
-    let mut threads: Option<usize> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--full" => full = true,
-            "--samples" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => samples = n,
-                _ => return usage(),
-            },
-            "--threads" | "-j" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => return usage(),
-            },
-            "--out" => match iter.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            "--check" => match iter.next() {
-                Some(path) => check = Some(PathBuf::from(path)),
-                None => return usage(),
-            },
-            other => {
-                eprintln!("unknown bench argument: {other}");
-                return usage();
-            }
-        }
-    }
-    if quick && full {
-        eprintln!("--quick and --full are mutually exclusive");
-        return usage();
-    }
-    // The full catalog is already the default; `--full` spells it out
-    // (and pins the BENCH_10.json default below). Each catalog records
-    // its own perf point so the two baselines never overwrite each
-    // other.
-    let out = out.unwrap_or_else(|| {
-        PathBuf::from(if quick {
-            "BENCH_5.json"
-        } else {
-            "BENCH_10.json"
-        })
-    });
-
-    // Read the baseline up front so `--out` may safely overwrite the
-    // same file the baseline was read from.
-    let baseline = match &check {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let line = text.lines().next().unwrap_or_default();
-                let fields = parse_jsonl_line(line).unwrap_or_default();
-                let Some(value) = field(&fields, "cache_on_median_ms")
-                    .and_then(JsonValue::as_f64_or_nan)
-                    .filter(|v| v.is_finite() && *v > 0.0)
-                else {
-                    eprintln!(
-                        "{}: no finite cache_on_median_ms field — not a campaign bench record?",
-                        path.display()
-                    );
-                    return ExitCode::from(2);
-                };
-                let threads = field(&fields, "threads").and_then(JsonValue::as_u64);
-                Some((value, threads))
-            }
-            Err(e) => {
-                eprintln!("cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
-    let executor = threads.map_or_else(Executor::auto, Executor::new);
-    let sets: Vec<(&'static str, Vec<Scenario>)> = campaigns::catalog(quick)
-        .into_iter()
-        .map(|(name, grid)| (name, grid.scenarios()))
-        .collect();
-    let scenario_total: usize = sets.iter().map(|(_, s)| s.len()).sum();
-    ichannels_bench::banner(&format!(
-        "campaign bench: {} campaign(s), {scenario_total} scenario(s), {samples} sample(s) \
-         per arm on {} threads",
-        sets.len(),
-        executor.threads()
-    ));
-
-    // Cache-off arm: every trial re-simulates its four training runs.
-    // An untimed warm-up pass precedes each arm so cold-start costs
-    // (page cache, allocator growth) never skew either side.
-    calibration::set_memo_enabled(false);
-    calibration::reset_memo();
-    run_catalog(&sets, executor);
-    calibration::reset_memo();
-    let off_samples: Vec<Duration> = (0..samples).map(|_| run_catalog(&sets, executor)).collect();
-    let trainings_off = calibration::memo_stats().misses / samples as u64;
-
-    // Cache-on arm: the warm-up run trains every distinct
-    // configuration, then the timed samples decode from the memo.
-    calibration::set_memo_enabled(true);
-    calibration::reset_memo();
-    run_catalog(&sets, executor);
-    let warmup_trainings = calibration::memo_stats().misses;
-    let on_samples: Vec<Duration> = (0..samples).map(|_| run_catalog(&sets, executor)).collect();
-    let on_stats_raw = calibration::memo_stats();
-    let trainings_on = (on_stats_raw.misses - warmup_trainings) / samples as u64;
-
-    let off = criterion::summarize_samples(&off_samples);
-    let on = criterion::summarize_samples(&on_samples);
-    // Medians: one preempted sample in a noisy container must not
-    // define the recorded perf point.
-    let speedup = off.median.as_secs_f64() / on.median.as_secs_f64();
-    // lint:allow(D004): human-facing stdout progress only; the
-    // recorded perf point below renders durations as integer ns.
-    println!(
-        "  cache-off: median {:?}, mean {:?}, p95 {:?} ({trainings_off} trainings/run)",
-        off.median, off.mean, off.p95
-    );
-    // lint:allow(D004): human-facing stdout progress only; the
-    // recorded perf point below renders durations as integer ns.
-    println!(
-        "  cache-on:  median {:?}, mean {:?}, p95 {:?} ({warmup_trainings} warm-up trainings, \
-         {trainings_on} trainings/run)",
-        on.median, on.mean, on.p95
-    );
-    println!("  speedup: {speedup:.2}x (median over {samples} samples)");
-
-    let mut row = JsonlRow::new()
-        .str("bench", "campaign_catalog_end_to_end")
-        .bool("quick", quick)
-        .int("samples", samples as u64)
-        .int("threads", executor.threads() as u64)
-        .int("campaigns", sets.len() as u64)
-        .int("scenarios", scenario_total as u64);
-    row = stats_fields(row, "cache_off", &off);
-    row = stats_fields(row, "cache_on", &on);
-    row = row
-        .num("speedup", speedup)
-        .int("calib_trainings_per_run_cache_off", trainings_off)
-        .int("calib_trainings_warmup", warmup_trainings)
-        .int("calib_trainings_per_run_cache_on", trainings_on);
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("cannot create {}: {e}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&out, format!("{}\n", row.to_json())) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("  wrote {}", out.display());
-
-    if let Some((baseline_ms, baseline_threads)) = baseline {
-        let baseline_path = check.as_ref().expect("baseline implies --check");
-        if let Some(recorded) = baseline_threads {
-            if recorded != executor.threads() as u64 {
-                eprintln!(
-                    "  WARNING: baseline {} was recorded on {recorded} thread(s) but this \
-                     run used {} — the 2x gate is only meaningful at matched thread counts \
-                     (pass --threads {recorded})",
-                    baseline_path.display(),
-                    executor.threads()
-                );
-            }
-        }
-        let measured = on.median.as_secs_f64() * 1e3;
-        let ratio = measured / baseline_ms;
-        println!(
-            "  regression check: {measured:.1} ms vs recorded {baseline_ms:.1} ms ({ratio:.2}x)"
-        );
-        if ratio > 2.0 {
-            eprintln!(
-                "  FAILED: {} catalog regressed {ratio:.2}x over the recorded baseline \
-                 (limit 2x)",
-                if quick { "quick" } else { "full" }
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 /// The five trial phases `campaign profile` breaks a run into, in
 /// pipeline order. Span histograms record nanoseconds under these
 /// exact names.
@@ -580,10 +363,8 @@ fn profile_main(args: &[String]) -> ExitCode {
             snap.counter("soc.slots_simulated"),
         );
         println!(
-            "  calibration memo: {} request(s) = {} hit(s) + {} miss(es)",
+            "  calibration: {} training(s)",
             snap.counter("calibration.requests"),
-            snap.counter("calibration.memo_hits"),
-            snap.counter("calibration.memo_misses"),
         );
         let errored = records.iter().filter(|r| r.error.is_some()).count();
         println!("  {} trial(s), {errored} errored", records.len());
@@ -593,10 +374,9 @@ fn profile_main(args: &[String]) -> ExitCode {
 
 /// `campaign telemetry <out.json> <telemetry.json>...`: merges shard
 /// telemetry snapshots back into one (associatively — any grouping
-/// gives the same bytes) and sanity-checks the result: the schema tag,
-/// a non-zero trial count, and the memo invariant
-/// `calibration.requests == memo_hits + memo_misses`. The CI merge job
-/// runs this over the shard artifacts.
+/// gives the same bytes) and sanity-checks the result: the schema tag
+/// and a non-zero trial count. The CI merge job runs this over the
+/// shard artifacts.
 fn telemetry_main(args: &[String]) -> ExitCode {
     let [out, inputs @ ..] = args else {
         eprintln!("telemetry needs an output path and at least one snapshot");
@@ -624,19 +404,8 @@ fn telemetry_main(args: &[String]) -> ExitCode {
         }
     }
     let trials = merged.counter("trial.runs");
-    let requests = merged.counter("calibration.requests");
-    let hits = merged.counter("calibration.memo_hits");
-    let misses = merged.counter("calibration.memo_misses");
     if trials == 0 {
         eprintln!("sanity check failed: merged snapshot records zero trials (trial.runs)");
-        return ExitCode::FAILURE;
-    }
-    if requests != hits + misses {
-        eprintln!(
-            "sanity check failed: calibration.requests = {requests} but memo_hits + \
-             memo_misses = {hits} + {misses} = {}",
-            hits + misses
-        );
         return ExitCode::FAILURE;
     }
     let out = PathBuf::from(out);
@@ -651,9 +420,9 @@ fn telemetry_main(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "merged {} snapshot(s): {trials} trial(s), {requests} calibration request(s) \
-         ({hits} memo hit(s), {misses} miss(es)), {} error(s)",
+        "merged {} snapshot(s): {trials} trial(s), {} calibration request(s), {} error(s)",
         inputs.len(),
+        merged.counter("calibration.requests"),
         merged.counter("trial.errors"),
     );
     println!("  wrote {}", out.display());
@@ -901,7 +670,6 @@ fn main() -> ExitCode {
         Some("merge") => return merge_main(&args[1..]),
         Some("fuzz") => return fuzz_main(&args[1..]),
         Some("list") => return list_main(&args[1..]),
-        Some("bench") => return bench_main(&args[1..]),
         Some("profile") => return profile_main(&args[1..]),
         Some("telemetry") => return telemetry_main(&args[1..]),
         Some("analyze") => return analyze_main(&args[1..]),

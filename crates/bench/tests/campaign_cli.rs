@@ -370,7 +370,7 @@ fn profile_prints_a_phase_breakdown_covering_the_wall_clock() {
             assert!(stdout.contains(phase), "phase {phase} missing: {stdout}");
         }
         assert!(stdout.contains("soc stepping"), "{stdout}");
-        assert!(stdout.contains("calibration memo"), "{stdout}");
+        assert!(stdout.contains("calibration: "), "{stdout}");
         // Re-arm reuse (PR 10) must not break the telemetry ledger:
         // every trial re-arms at least once, and every rearm simulates
         // at least one slot, so `trials <= rearms <= slots`.
@@ -556,86 +556,6 @@ fn fail_on_error_gates_run_and_merge() {
     assert!(out.status.success(), "{}", stderr_of(&out));
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(stdout.contains("errored"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_records_a_perf_point_and_checks_regressions() {
-    let dir = temp_dir("bench");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let point = dir.join("BENCH_test.json");
-    let out = run_in(
-        &dir,
-        &[
-            "bench",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            point.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    let text = std::fs::read_to_string(&point).expect("bench point written");
-    assert_eq!(text.lines().count(), 1, "one flat JSON object: {text}");
-    for key in [
-        "\"bench\":\"campaign_catalog_end_to_end\"",
-        "\"cache_off_median_ms\"",
-        "\"cache_on_median_ms\"",
-        "\"speedup\"",
-        "\"calib_trainings_per_run_cache_off\"",
-        "\"calib_trainings_per_run_cache_on\":0",
-    ] {
-        assert!(text.contains(key), "{key} missing from {text}");
-    }
-    // Checking against its own fresh point passes (ratio ≈ 1x ≤ 2x)…
-    let out = run_in(
-        &dir,
-        &[
-            "bench",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            point.to_str().unwrap(),
-            "--check",
-            point.to_str().unwrap(),
-        ],
-    );
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    // …an absurdly fast recorded baseline fails the 2x gate…
-    let fast = dir.join("BENCH_fast.json");
-    std::fs::write(&fast, "{\"cache_on_median_ms\":0.000001}\n").expect("baseline written");
-    let out = run_in(
-        &dir,
-        &[
-            "bench",
-            "--quick",
-            "--samples",
-            "1",
-            "--out",
-            point.to_str().unwrap(),
-            "--check",
-            fast.to_str().unwrap(),
-        ],
-    );
-    assert!(!out.status.success(), "2x regression gate must fail");
-    assert!(stderr_of(&out).contains("regressed"), "{}", stderr_of(&out));
-    // …and a baseline without the field is rejected up front.
-    let junk = dir.join("BENCH_junk.json");
-    std::fs::write(&junk, "{\"nope\":1}\n").expect("baseline written");
-    let out = run_in(
-        &dir,
-        &[
-            "bench",
-            "--quick",
-            "--samples",
-            "1",
-            "--check",
-            junk.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

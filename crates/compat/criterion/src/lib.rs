@@ -75,8 +75,7 @@ impl BenchmarkGroup<'_> {
 }
 
 /// Statistics over one benchmark's timed samples: what the driver
-/// prints, exposed so external harnesses (e.g. `campaign bench`) can
-/// record the same numbers machine-readably.
+/// prints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Arithmetic mean.

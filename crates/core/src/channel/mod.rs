@@ -16,8 +16,8 @@
 //! * [`config`] — [`ChannelConfig`], the SoC plus transaction timing;
 //! * [`receiver`] — [`ReceiverCalibration`]/[`ReceiverMode`], the
 //!   platform-calibrated adaptive demodulator;
-//! * [`calibration`] — [`Calibration`], the per-level training, and its
-//!   process-wide memo ([`Calibration::for_config`]);
+//! * [`calibration`] — [`Calibration`], the per-level training means
+//!   and nearest-mean decoding;
 //! * [`run`] — [`SymbolRun`] (the re-armable Soc-owning driver),
 //!   [`IChannel`], [`Transmission`], and the typed [`ChannelError`].
 
@@ -309,42 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn calibration_memo_is_transparent() {
-        // for_config equals an uncached computation, hit or miss, and
-        // the memoized calibrate() path equals the fingerprint path.
-        let cfg = ChannelConfig::default_cannon_lake();
-        let memoized = Calibration::for_config(ChannelKind::Thread, &cfg, 2);
-        let again = Calibration::for_config(ChannelKind::Thread, &cfg, 2);
-        assert_eq!(memoized, again);
-        assert_eq!(
-            IChannel::new(ChannelKind::Thread, cfg.clone()).calibrate(2),
-            memoized
-        );
-        // The fingerprint is a pure function of the config…
-        assert_eq!(
-            calibration::fingerprint(ChannelKind::Thread, &cfg, 2),
-            calibration::fingerprint(ChannelKind::Thread, &cfg, 2)
-        );
-        // …and separates kinds, reps, and seeds.
-        let mut reseeded = cfg.clone();
-        reseeded.jitter_seed ^= 1;
-        for other in [
-            calibration::fingerprint(ChannelKind::Smt, &cfg, 2),
-            calibration::fingerprint(ChannelKind::Thread, &cfg, 3),
-            calibration::fingerprint(ChannelKind::Thread, &reseeded, 2),
-        ] {
-            assert_ne!(
-                other,
-                calibration::fingerprint(ChannelKind::Thread, &cfg, 2)
-            );
-        }
-    }
-
-    #[test]
-    fn memo_fingerprint_resolves_the_receiver_mode() {
+    fn fingerprint_resolves_the_receiver_mode() {
         // Calibrated resolves to the identity tuning on a client rail,
-        // so it shares its memo entry with the explicit legacy mode —
-        // the two training runs are provably bit-identical.
+        // so it renders like the explicit legacy mode — the two
+        // training runs are provably bit-identical.
         let cfg = ChannelConfig::default_cannon_lake();
         let mut legacy = cfg.clone();
         legacy.receiver = ReceiverMode::Legacy;
@@ -353,7 +321,7 @@ mod tests {
             calibration::fingerprint(ChannelKind::Cores, &legacy, 2)
         );
         // On the compressed server rail the calibrated tuning differs,
-        // so the entries split.
+        // so the renderings split.
         let mut server = cfg.clone();
         server.soc = SocConfig::pinned(PlatformSpec::skylake_server(), Freq::from_ghz(2.0));
         let mut server_legacy = server.clone();

@@ -435,8 +435,7 @@ impl IChannel {
 
     /// Calibrates the channel: transmits each of the four levels
     /// `reps` times with known symbols and records the mean duration per
-    /// level. Served by the process-wide memo for repeated identical
-    /// configurations (see [`Calibration::for_config`]).
+    /// level.
     ///
     /// # Panics
     ///
@@ -448,14 +447,29 @@ impl IChannel {
         self.try_calibrate(reps).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`IChannel::calibrate`].
+    /// Fallible form of [`IChannel::calibrate`]: the four per-level
+    /// training runs share one re-armed [`SymbolRun`], so the schedule
+    /// derivation and SoC construction are paid once.
     ///
     /// # Errors
     ///
     /// Propagates the [`ChannelError`] of the first failing training
     /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reps` is zero.
     pub fn try_calibrate(&self, reps: usize) -> Result<Calibration, ChannelError> {
-        Calibration::try_for_config(self.kind, &self.cfg, reps)
+        assert!(reps > 0, "calibration needs at least one repetition");
+        ichannels_obs::counter_add("calibration.requests", 1);
+        let mut run = SymbolRun::new(self);
+        let mut means = [0.0f64; 4];
+        for (i, mean) in means.iter_mut().enumerate() {
+            let symbols = vec![Symbol::new(i as u8); reps];
+            let durations = run.run(&symbols, |_| {})?;
+            *mean = durations.iter().map(|&d| d as f64).sum::<f64>() / reps as f64;
+        }
+        Ok(Calibration::from_means(means))
     }
 
     /// Transmits symbols and decodes them with the calibration.

@@ -258,48 +258,21 @@ impl MultiLevelChannel {
         out
     }
 
-    /// Calibrates per-level mean durations.
-    ///
-    /// Served by the same process-wide memo as the four-level
-    /// [`crate::channel::Calibration`]: the memo key is the four-level
-    /// fingerprint extended with this channel's alphabet, so identical
-    /// multi-level configurations train once per process and a memo hit
-    /// returns byte-identical means to a fresh training.
+    /// Calibrates per-level mean durations: trains each alphabet digit
+    /// `reps` times and records its mean duration.
     ///
     /// # Panics
     ///
     /// Panics if `reps` is zero.
     pub fn calibrate(&self, reps: usize) -> Vec<f64> {
         assert!(reps > 0, "calibration needs at least one repetition");
-        let result = crate::channel::calibration::memoized_means(
-            || {
-                // lint:allow(D004): audited — like the base fingerprint,
-                // the alphabet suffix is a process-local memo key
-                // compared only for equality; it is never persisted.
-                format!(
-                    "{}|ml-alphabet={:?}",
-                    crate::channel::calibration::fingerprint(self.kind, &self.cfg, reps),
-                    self.alphabet.classes()
-                )
-            },
-            || {
-                Ok((0..self.alphabet.len())
-                    .map(|d| {
-                        let durations = self.run_digits(&vec![d; reps]);
-                        durations.iter().map(|&x| x as f64).sum::<f64>() / reps as f64
-                    })
-                    .collect())
-            },
-        );
-        match result {
-            Ok(means) => means,
-            // The training closure above is infallible (always `Ok`), so
-            // this arm is unreachable; `memoized_means` never fabricates
-            // errors of its own.
-            // lint:allow(R001): unreachable error arm of an infallible
-            // training closure.
-            Err(e) => panic!("{e}"),
-        }
+        ichannels_obs::counter_add("calibration.requests", 1);
+        (0..self.alphabet.len())
+            .map(|d| {
+                let durations = self.run_digits(&vec![d; reps]);
+                durations.iter().map(|&x| x as f64).sum::<f64>() / reps as f64
+            })
+            .collect()
     }
 
     /// Nearest-mean decoding.

@@ -232,11 +232,12 @@ impl Oracle {
         // Off-default frequency pins: the guard-band model (fig09c)
         // says the levels stay separable at every pstate, so the
         // envelope concedes only a small margin here. The fuzz sweep
-        // shows high pins on client rails measuring far above it —
-        // the receiver is calibrated at the platform default operating
-        // point, the same bug class as the PR-2 skylake outlier. That
-        // deviation is exactly what the hunter exists to surface, so
-        // the term stays honest rather than absorbing the finding.
+        // shows high pins on client rails measuring far above it, even
+        // though training and payload run at the same pinned pstate;
+        // the cause is still open (inter-symbol interference is the
+        // leading hypothesis). That deviation is exactly what the
+        // hunter exists to surface, so the term stays honest rather
+        // than absorbing the finding.
         if s.freq_ghz.is_some() {
             allowed += 0.08;
         }
@@ -249,8 +250,8 @@ impl Oracle {
     pub fn judge(&self, s: &Scenario) -> Option<Anomaly> {
         let record = s.run();
 
-        // Invariant: purity. Two runs of one scenario must render the
-        // same bytes regardless of process state (memo warm or cold).
+        // Invariant: purity. Two runs of one scenario, each training
+        // its own calibration, must render the same bytes.
         let rerun = s.run();
         let (bytes, rerun_bytes) = (row_bytes(&record), row_bytes(&rerun));
         if bytes != rerun_bytes {

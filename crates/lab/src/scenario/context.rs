@@ -2,15 +2,10 @@
 //! goes through — resolve spec → channel config → calibration →
 //! transmit → [`TrialMetrics`].
 //!
-//! Before the split, `run_icc`/`run_multilevel`/`run_baseline`/
-//! `run_probe` each re-derived the channel configuration and training
-//! calibration from scratch; the context resolves the configuration
-//! once and obtains calibrations through the process-wide memo
-//! ([`Calibration::try_for_config`]). Per-trial seeds keep every
-//! fresh campaign cell's fingerprint distinct (bytes cannot change),
-//! so the memo pays off when identical configurations *recur* in one
-//! process: catalog re-runs, A/B twins resolving to the same tuning,
-//! and repeated trials.
+//! The context resolves the channel configuration once; each trial
+//! then trains its own calibration ([`IChannel::try_calibrate`]) from
+//! that configuration, so a rerun of the same scenario repeats exactly
+//! the same simulation work.
 
 use ichannels::baselines::dfscovert::DfsCovertChannel;
 use ichannels::baselines::netspectre::NetSpectreChannel;
@@ -56,14 +51,13 @@ impl<'a> TrialContext<'a> {
         &self.cfg
     }
 
-    /// The training calibration for `kind`, served by the process-wide
-    /// memo — identical configurations calibrate once per process.
+    /// Trains the calibration for `kind` on the resolved configuration.
     ///
     /// # Errors
     ///
     /// Propagates the [`ChannelError`] of a failing training run.
     pub fn calibration(&self, kind: ChannelKind) -> Result<Calibration, ChannelError> {
-        Calibration::try_for_config(kind, &self.cfg, self.scenario.calib_reps)
+        IChannel::new(kind, self.cfg.clone()).try_calibrate(self.scenario.calib_reps)
     }
 
     /// Runs the trial and returns its metrics.

@@ -14,7 +14,7 @@
 //!   [`ChannelSelect`], [`NoiseSpec`], [`AppSpec`], [`Knob`],
 //!   [`ReceiverSpec`], [`PayloadSpec`], …), re-exported here;
 //! * [`TrialContext`] — the shared run-one-trial engine (resolve spec →
-//!   channel config → memoized calibration → transmit → metrics);
+//!   channel config → calibration → transmit → metrics);
 //! * probes ([`ProbeKind`]) — the characterization figures as engine
 //!   cells, executed through the same context.
 

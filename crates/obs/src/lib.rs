@@ -33,7 +33,7 @@
 //! # Conventions
 //!
 //! Metric names are dotted lowercase paths (`trial.transmit`,
-//! `calibration.memo_hits`). Span histograms record **nanoseconds**.
+//! `calibration.requests`). Span histograms record **nanoseconds**.
 //! Counters merge by summation, gauges by maximum, histograms
 //! bucket-wise — all associative and commutative, so shard snapshots
 //! can be merged in any grouping.

@@ -430,7 +430,7 @@ mod tests {
     fn sample() -> MetricsSnapshot {
         let r = MetricsRegistry::new();
         r.add_counter("trial.runs", 7);
-        r.add_counter("calibration.memo_hits", 3);
+        r.add_counter("calibration.requests", 3);
         r.gauge_max("exec.threads", 4);
         for v in [0u64, 1, 900, 1_500, 2_000_000] {
             r.observe("trial.transmit", v);

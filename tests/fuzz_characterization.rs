@@ -5,15 +5,14 @@
 //! 3.5 GHz operating point, decoding at BER ≈ 0.58 where the unpinned
 //! twin decodes clean.
 //!
-//! The anomaly class: the calibrated receiver trains its thresholds at
-//! the platform's *default* operating point, so pinning the core to a
-//! different frequency shifts the PHI throttling signature out from
-//! under the calibration — the same calibrated-at-the-wrong-point bug
-//! class as the skylake-server cross-core outlier
-//! (`tests/outlier_characterization.rs`), rediscovered mechanically by
-//! the fuzzer instead of by a hand-run sweep. Like that test, this one
-//! pins both sides of the A/B so the behavior stays visible until the
-//! receiver learns to recalibrate at pinned operating points.
+//! The root cause is open. It is *not* a receiver trained at the
+//! platform's default operating point: `Scenario::channel_config` pins
+//! the training SoC and the payload SoC to the same `freq_ghz`, which
+//! the first test below asserts. The leading hypothesis is
+//! inter-symbol interference (the slot period stays fixed while the
+//! throttling period grows with frequency), but it is unconfirmed.
+//! This test pins both sides of the A/B so the behavior stays visible
+//! until the cause is established and fixed or documented.
 
 use ichannels_repro::ichannels::channel::ChannelKind;
 use ichannels_repro::ichannels_lab::fuzz::oracle::{AnomalyKind, Oracle};
@@ -22,6 +21,8 @@ use ichannels_repro::ichannels_lab::scenario::{
     ChannelSelect, NoiseSpec, PayloadSpec, PlatformId, ReceiverSpec, Scenario,
 };
 use ichannels_repro::ichannels_lab::{Executor, FuzzConfig, ShardSpec};
+use ichannels_repro::ichannels_pmu::governor::Governor;
+use ichannels_repro::ichannels_uarch::time::Freq;
 
 const FUZZ_SEED: u64 = 0xF0552;
 const CASE: u64 = 1751;
@@ -60,6 +61,14 @@ fn the_pinned_reproducer_replays_the_frequency_pin_anomaly() {
         s.seed, SHRUNK_SEED,
         "the cell-derived seed moved — findings rows would no longer replay"
     );
+    // Training and payload share this one configuration, so both run
+    // pinned at the 3.5 GHz p-state — not at the platform default.
+    let pstate = s
+        .platform
+        .spec()
+        .pstates
+        .highest_not_above(Freq::from_ghz(3.5));
+    assert_eq!(s.channel_config().soc.governor, Governor::Userspace(pstate));
 
     // The anomaly side of the A/B: pinned to 3.5 GHz the calibrated
     // receiver confuses over half the symbols. Pinned exactly, so any
@@ -67,9 +76,8 @@ fn the_pinned_reproducer_replays_the_frequency_pin_anomaly() {
     let pinned = s.run().metrics.ber;
     assert_eq!(
         pinned, SHRUNK_BER,
-        "the pinned-frequency BER moved; if the receiver learned to \
-         recalibrate at pinned operating points, retire this pin into a \
-         fixed-vs-legacy A/B like the skylake outlier's"
+        "the pinned-frequency BER moved; if the root cause was fixed, \
+         retire this pin into a fixed-vs-legacy A/B like the skylake outlier's"
     );
 
     // The clean side: the same cell at the platform default operating
