@@ -4,8 +4,9 @@
 //! [`JsonlRow`] path the trial streams use — insertion-ordered fields,
 //! shortest-round-trip floats, `NaN` as `null` — so `analysis.jsonl`
 //! inherits the byte-stability contract of every other artifact and
-//! parses with [`ichannels_meter::parse`]. Four record kinds share the
-//! file, discriminated by the leading `record` field: `campaign`,
+//! parses back with [`ichannels_meter::parse`] (the flat-row rule over
+//! the shared `ichannels_obs::json` reader). Four record kinds share
+//! the file, discriminated by the leading `record` field: `campaign`,
 //! `cell`, `axis`, and `sensitivity`.
 
 use ichannels_meter::export::{jsonl_to_string, JsonlRow};

@@ -70,6 +70,7 @@ use ichannels_analysis::AnalysisConfig;
 use ichannels_lab::campaigns::{self, RunConfig};
 use ichannels_lab::fuzz::{self, findings};
 use ichannels_lab::{Executor, FuzzConfig, Grid, Scenario, ShardSpec};
+use ichannels_obs::json::escape;
 
 fn campaign_names() -> String {
     campaigns::catalog(true)
@@ -175,25 +176,6 @@ fn error_summary(rows: &[ichannels_lab::TrialRow]) -> String {
     format!("{} trial(s), {} errored", rows.len(), errored_count(rows))
 }
 
-/// Minimal JSON string escaping for the hand-rendered `list --json`
-/// nesting (axis arrays inside campaign objects — beyond the flat
-/// objects `JsonlRow` covers).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one catalog entry as a JSON object: name, cell/scenario
 /// counts, per-cell shape, and every axis with its value labels.
 fn campaign_json(name: &str, grid: &Grid, quick: bool) -> String {
@@ -206,7 +188,7 @@ fn campaign_json(name: &str, grid: &Grid, quick: bool) -> String {
             let values = a
                 .values
                 .iter()
-                .map(|v| format!("\"{}\"", json_escape(v)))
+                .map(|v| format!("\"{}\"", escape(v)))
                 .collect::<Vec<_>>()
                 .join(",");
             format!("\"{}\":[{values}]", a.axis)
@@ -216,7 +198,7 @@ fn campaign_json(name: &str, grid: &Grid, quick: bool) -> String {
     format!(
         "{{\"name\":\"{}\",\"quick\":{quick},\"cells\":{},\"scenarios\":{},\
          \"trials_per_cell\":{},\"payload_symbols\":{},\"axes\":{{{axes}}}}}",
-        json_escape(name),
+        escape(name),
         cells.len(),
         scenarios.len(),
         grid.trials_per_cell(),

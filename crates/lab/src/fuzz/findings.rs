@@ -12,7 +12,8 @@
 //! reproducer a characterization test should construct.
 
 use ichannels_meter::export::{jsonl_to_string, JsonlRow};
-use ichannels_meter::parse::{field, parse_jsonl_line, JsonValue};
+use ichannels_meter::parse::{field, parse_jsonl_line};
+use ichannels_obs::json::Value;
 
 use super::oracle::AnomalyKind;
 
@@ -83,18 +84,18 @@ impl Finding {
         let fields = parse_jsonl_line(line).map_err(|e| e.to_string())?;
         let text = |key: &str| -> Result<String, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field `{key}`"))
         };
         let uint = |key: &str| -> Result<u64, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("missing integer field `{key}`"))
         };
         let float = |key: &str| -> Result<f64, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_f64_or_nan)
+                .and_then(Value::as_f64_or_nan)
                 .ok_or_else(|| format!("missing numeric field `{key}`"))
         };
         Ok(Finding {

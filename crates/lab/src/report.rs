@@ -14,8 +14,9 @@
 use std::collections::BTreeMap;
 
 use ichannels_meter::export::{CsvTable, JsonlRow};
-use ichannels_meter::parse::{field, parse_jsonl_line, JsonValue};
+use ichannels_meter::parse::{field, parse_jsonl_line};
 use ichannels_meter::stats::{percentile, summarize, Summary};
+use ichannels_obs::json::Value;
 
 use crate::scenario::{mitigations_label, AppSpec, Scenario};
 
@@ -189,18 +190,18 @@ impl TrialRow {
         let fields = parse_jsonl_line(line).map_err(|e| e.to_string())?;
         let text = |key: &str| -> Result<String, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field `{key}`"))
         };
         let uint = |key: &str| -> Result<u64, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| format!("missing integer field `{key}`"))
         };
         let float = |key: &str| -> Result<f64, String> {
             field(&fields, key)
-                .and_then(JsonValue::as_f64_or_nan)
+                .and_then(Value::as_f64_or_nan)
                 .ok_or_else(|| format!("missing numeric field `{key}`"))
         };
         Ok(TrialRow {
@@ -215,7 +216,7 @@ impl TrialRow {
             seed: uint("seed")?,
             // Optional: only errored trials carry the field.
             error: field(&fields, "error")
-                .and_then(JsonValue::as_str)
+                .and_then(Value::as_str)
                 .map(str::to_string),
             metrics: TrialMetrics {
                 n_symbols: uint("n_symbols")? as usize,

@@ -25,7 +25,8 @@ use std::fs;
 use std::path::Path;
 
 use ichannels_meter::export::JsonlRow;
-use ichannels_meter::parse::{field, parse_jsonl_line, JsonValue};
+use ichannels_meter::parse::{field, parse_jsonl_line};
+use ichannels_obs::json::Value;
 
 use crate::report::TrialRow;
 
@@ -173,9 +174,9 @@ impl fmt::Display for ShardSpec {
 pub fn parse_header_line(line: &str) -> Option<(String, ShardSpec, usize)> {
     let fields = parse_jsonl_line(line).ok()?;
     let campaign = field(&fields, "shard_campaign")
-        .and_then(JsonValue::as_str)?
+        .and_then(Value::as_str)?
         .to_string();
-    let uint = |key: &str| field(&fields, key).and_then(JsonValue::as_u64);
+    let uint = |key: &str| field(&fields, key).and_then(Value::as_u64);
     let spec = ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize).ok()?;
     let total = uint("shard_total")? as usize;
     Some((campaign, spec, total))
@@ -293,12 +294,12 @@ impl ShardStream {
         let fields =
             parse_jsonl_line(header).map_err(|_| MergeError::MissingHeader(source.to_string()))?;
         let campaign = field(&fields, "shard_campaign")
-            .and_then(JsonValue::as_str)
+            .and_then(Value::as_str)
             .ok_or_else(|| MergeError::MissingHeader(source.to_string()))?
             .to_string();
         let uint = |key: &str| {
             field(&fields, key)
-                .and_then(JsonValue::as_u64)
+                .and_then(Value::as_u64)
                 .ok_or_else(|| MergeError::MissingHeader(source.to_string()))
         };
         let spec = ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize)

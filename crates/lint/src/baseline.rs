@@ -4,12 +4,14 @@
 //! Counts may only go down: a PR that fixes sites runs
 //! `check --ratchet-down` to rewrite the baseline with the lower
 //! counts, and a PR that adds an unsuppressed hazard fails with the
-//! exact (rule, file) regression. The file is hand-rolled JSON with
-//! sorted keys, so rewrites are deterministic and diff cleanly.
+//! exact (rule, file) regression. The file is JSON with sorted keys,
+//! so rewrites are deterministic and diff cleanly; it is read back
+//! with the workspace's shared reader (`ichannels_obs::json`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
+
+use ichannels_obs::json::{self, escape, Value};
 
 use crate::rules::{Finding, RuleId};
 
@@ -139,31 +141,22 @@ impl Baseline {
 
     /// Renders the deterministic JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{BASELINE_SCHEMA}\",");
-        out.push_str("  \"counts\": {");
-        let mut first_rule = true;
-        for (rule, files) in &self.counts {
-            if files.is_empty() {
-                continue;
-            }
-            if !first_rule {
-                out.push(',');
-            }
-            first_rule = false;
-            let _ = write!(out, "\n    \"{rule}\": {{");
-            let mut first_file = true;
-            for (path, n) in files {
-                if !first_file {
-                    out.push(',');
-                }
-                first_file = false;
-                let _ = write!(out, "\n      \"{path}\": {n}");
-            }
-            out.push_str("\n    }");
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let rules: Vec<String> = self
+            .counts
+            .iter()
+            .filter(|(_, files)| !files.is_empty())
+            .map(|(rule, files)| {
+                let files: Vec<String> = files
+                    .iter()
+                    .map(|(path, n)| format!("\n      \"{}\": {n}", escape(path)))
+                    .collect();
+                format!("\n    \"{}\": {{{}\n    }}", escape(rule), files.join(","))
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"counts\": {{{}\n  }}\n}}\n",
+            rules.join(",")
+        )
     }
 
     /// Parses the JSON document written by [`Baseline::to_json`].
@@ -173,67 +166,29 @@ impl Baseline {
     /// Returns `InvalidData` for anything that is not a baseline file
     /// (wrong schema tag, malformed JSON, non-integer counts).
     pub fn parse(text: &str) -> io::Result<Self> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        p.expect(b'{')?;
+        let doc = json::parse(text).map_err(|e| invalid(e.to_string()))?;
         let mut schema_seen = false;
         let mut baseline = Baseline::default();
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
+        for (key, value) in object(&doc, "the document")? {
             match key.as_str() {
-                "schema" => {
-                    let tag = p.string()?;
-                    if tag != BASELINE_SCHEMA {
-                        return Err(invalid(format!(
-                            "schema is `{tag}`, expected `{BASELINE_SCHEMA}`"
-                        )));
-                    }
-                    schema_seen = true;
-                }
+                "schema" if value.as_str() == Some(BASELINE_SCHEMA) => schema_seen = true,
+                "schema" => return Err(invalid(format!("schema is not `{BASELINE_SCHEMA}`"))),
                 "counts" => {
-                    p.expect(b'{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(b'}') {
-                            break;
+                    for (rule, files) in object(value, "counts")? {
+                        let counts = baseline.counts.entry(rule.clone()).or_default();
+                        for (path, n) in object(files, rule)? {
+                            let n = n
+                                .as_u64()
+                                .and_then(|n| usize::try_from(n).ok())
+                                .ok_or_else(|| {
+                                    invalid(format!("`{path}` under `{rule}` is not a count"))
+                                })?;
+                            counts.insert(path.clone(), n);
                         }
-                        let rule = p.string()?;
-                        p.skip_ws();
-                        p.expect(b':')?;
-                        p.skip_ws();
-                        p.expect(b'{')?;
-                        let files = baseline.counts.entry(rule).or_default();
-                        loop {
-                            p.skip_ws();
-                            if p.eat(b'}') {
-                                break;
-                            }
-                            let path = p.string()?;
-                            p.skip_ws();
-                            p.expect(b':')?;
-                            p.skip_ws();
-                            files.insert(path, p.number()?);
-                            p.skip_ws();
-                            let _ = p.eat(b',');
-                        }
-                        p.skip_ws();
-                        let _ = p.eat(b',');
                     }
                 }
                 other => return Err(invalid(format!("unexpected key `{other}`"))),
             }
-            p.skip_ws();
-            let _ = p.eat(b',');
         }
         if !schema_seen {
             return Err(invalid("missing schema tag".to_string()));
@@ -242,80 +197,17 @@ impl Baseline {
     }
 }
 
+fn object<'a>(value: &'a Value, what: &str) -> io::Result<&'a [(String, Value)]> {
+    value
+        .as_object()
+        .ok_or_else(|| invalid(format!("{what} is not an object")))
+}
+
 fn invalid(message: String) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!("lint_baseline: {message}"),
     )
-}
-
-/// A byte-cursor parser for the restricted baseline grammar (strings
-/// without escapes, unsigned integers, objects).
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> bool {
-        if self.bytes.get(self.at) == Some(&want) {
-            self.at += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> io::Result<()> {
-        if self.eat(want) {
-            Ok(())
-        } else {
-            Err(invalid(format!(
-                "expected `{}` at byte {}",
-                want as char, self.at
-            )))
-        }
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        self.expect(b'"')?;
-        let start = self.at;
-        while let Some(&b) = self.bytes.get(self.at) {
-            if b == b'"' {
-                let s = String::from_utf8_lossy(&self.bytes[start..self.at]).into_owned();
-                self.at += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err(invalid("escapes are not used in baseline keys".to_string()));
-            }
-            self.at += 1;
-        }
-        Err(invalid("unterminated string".to_string()))
-    }
-
-    fn number(&mut self) -> io::Result<usize> {
-        let start = self.at;
-        while self.bytes.get(self.at).is_some_and(u8::is_ascii_digit) {
-            self.at += 1;
-        }
-        if self.at == start {
-            return Err(invalid(format!("expected a count at byte {start}")));
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.at])
-            .parse()
-            .map_err(|_| invalid("count out of range".to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -372,6 +264,41 @@ mod tests {
         let after = Baseline::from_counts(&now);
         assert_eq!(after.allowed(RuleId::R001, "a.rs"), 2);
         assert!(after.to_json().len() < before.to_json().len() + 16);
+    }
+
+    #[test]
+    fn quoted_and_backslashed_paths_round_trip() {
+        let b = Baseline::from_counts(&counts(&[
+            (RuleId::R001, "crates/x/src/\"odd\".rs", 2),
+            (RuleId::D001, "crates\\win\\path.rs", 1),
+        ]));
+        let back = Baseline::parse(&b.to_json()).expect("round-trips");
+        assert_eq!(back, b);
+        assert_eq!(back.allowed(RuleId::R001, "crates/x/src/\"odd\".rs"), 2);
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected() {
+        for bad in [
+            "{\"schema\": \"ichannels-lint-baseline-v1\", \"counts\": {\"R001\": {\"a.rs\": 1 \"b.rs\": 2}}}",
+            "{\"schema\": \"ichannels-lint-baseline-v1\" \"counts\": {}}",
+            "{\"schema\": \"ichannels-lint-baseline-v1\", \"counts\": {\"R001\": {\"a.rs\": 1.5}}}",
+            "{\"schema\": \"ichannels-lint-baseline-v1\", \"counts\": {\"R001\": {\"a.rs\": -1}}}",
+            "{\"schema\": \"ichannels-lint-baseline-v1\", \"extra\": 1}",
+            "{\"counts\": {}}",
+            "{\"schema\": 1}",
+            "[]",
+        ] {
+            let err = Baseline::parse(bad).expect_err(bad);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_rewrites_byte_identically() {
+        let text = include_str!("../../../lint_baseline.json");
+        let b = Baseline::parse(text).expect("parses");
+        assert_eq!(b.to_json(), text);
     }
 
     #[test]

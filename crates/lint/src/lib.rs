@@ -25,8 +25,10 @@
 //! any increase — the ratchet. `docs/LINTS.md` documents every rule,
 //! the suppression syntax, and the ratchet workflow.
 //!
-//! Zero dependencies (like `ichannels-obs`): the scanner, rules,
-//! baseline JSON, and report rendering are all hand-rolled.
+//! One dependency, `ichannels-obs`, which has none of its own: the
+//! baseline and report JSON go through its shared reader and escaper
+//! (`ichannels_obs::json`); the scanner, rules, and report rendering
+//! are hand-rolled here.
 
 #![deny(missing_docs)]
 

@@ -3,7 +3,9 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::{Baseline, Ratchet};
+use ichannels_obs::json::escape;
+
+use crate::baseline::{Baseline, Delta, Ratchet};
 use crate::rules::{Finding, RuleId};
 
 /// Schema tag of the JSON report.
@@ -137,61 +139,26 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut findings = self.findings.clone();
         findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{REPORT_SCHEMA}\",");
-        let _ = writeln!(out, "  \"files_scanned\": {},", self.files_scanned);
-        let _ = writeln!(
-            out,
-            "  \"status\": \"{}\",",
-            if self.clean() { "clean" } else { "regressions" }
-        );
-        out.push_str("  \"totals\": {");
-        for (i, (rule, active, suppressed)) in self.totals().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"active\": {active}, \"suppressed\": {suppressed}}}",
+        let totals = json_lines(self.totals().iter().map(|(rule, active, suppressed)| {
+            format!(
+                "\"{}\": {{\"active\": {active}, \"suppressed\": {suppressed}}}",
                 rule.name()
-            );
-        }
-        out.push_str("\n  },\n  \"regressions\": [");
-        for (i, d) in self.ratchet.regressions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"found\": {}, \"baseline\": {}}}",
-                d.rule.name(),
-                escape(&d.path),
-                d.found,
-                d.baseline
-            );
-        }
-        out.push_str("\n  ],\n  \"improvements\": [");
-        for (i, d) in self.ratchet.improvements.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"found\": {}, \"baseline\": {}}}",
-                d.rule.name(),
-                escape(&d.path),
-                d.found,
-                d.baseline
-            );
-        }
-        out.push_str("\n  ],\n  \"findings\": [");
-        for (i, f) in findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
+            )
+        }));
+        let deltas = |deltas: &[Delta]| {
+            json_lines(deltas.iter().map(|d| {
+                format!(
+                    "{{\"rule\": \"{}\", \"path\": \"{}\", \"found\": {}, \"baseline\": {}}}",
+                    d.rule.name(),
+                    escape(&d.path),
+                    d.found,
+                    d.baseline
+                )
+            }))
+        };
+        let findings = json_lines(findings.iter().map(|f| {
+            format!(
+                "{{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
                  \"suppressed\": {}, \"message\": \"{}\", \"excerpt\": \"{}\"}}",
                 f.rule.name(),
                 escape(&f.path),
@@ -199,30 +166,26 @@ impl Report {
                 f.suppressed,
                 escape(&f.message),
                 escape(&f.excerpt)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            )
+        }));
+        format!(
+            "{{\n  \"schema\": \"{REPORT_SCHEMA}\",\n  \"files_scanned\": {},\n  \"status\": \"{}\",\n  \
+             \"totals\": {{{totals}\n  }},\n  \"regressions\": [{}\n  ],\n  \
+             \"improvements\": [{}\n  ],\n  \"findings\": [{findings}\n  ]\n}}\n",
+            self.files_scanned,
+            if self.clean() { "clean" } else { "regressions" },
+            deltas(&self.ratchet.regressions),
+            deltas(&self.ratchet.improvements),
+        )
     }
 }
 
-/// Minimal JSON string escaping for the report fields.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Renders each item on its own indented line, comma-separated.
+fn json_lines(items: impl Iterator<Item = String>) -> String {
+    items
+        .map(|item| format!("\n    {item}"))
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]

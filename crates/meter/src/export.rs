@@ -11,6 +11,8 @@ use std::io;
 use std::io::Write as _;
 use std::path::Path;
 
+use ichannels_obs::json::escape;
+
 /// A rectangular table destined for CSV.
 #[derive(Debug, Clone, Default)]
 pub struct CsvTable {
@@ -101,24 +103,6 @@ pub struct JsonlRow {
     fields: Vec<(String, String)>, // key → pre-rendered JSON value
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl JsonlRow {
     /// An empty row.
     pub fn new() -> Self {
@@ -132,7 +116,7 @@ impl JsonlRow {
 
     /// Appends a string field.
     pub fn str(self, key: &str, value: &str) -> Self {
-        let rendered = format!("\"{}\"", json_escape(value));
+        let rendered = format!("\"{}\"", escape(value));
         self.push(key, rendered)
     }
 
@@ -175,7 +159,7 @@ impl JsonlRow {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":{}", json_escape(k), v);
+            let _ = write!(out, "\"{}\":{}", escape(k), v);
         }
         out.push('}');
         out

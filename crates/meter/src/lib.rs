@@ -12,8 +12,9 @@
 //!   step detection for the Figure 6 voltage staircase).
 //! * [`export`] — CSV tables for `results/*.csv` and the JSONL trial
 //!   stream writer.
-//! * [`parse`] — the JSONL read side: reload campaign trial streams
-//!   for shard merging and resume.
+//! * [`parse`] — the JSONL read side: the flat-row rule on top of the
+//!   shared `ichannels_obs::json` reader, to reload campaign trial
+//!   streams for shard merging and resume.
 //!
 //! # Example
 //!
@@ -39,6 +40,6 @@ pub mod stats;
 
 pub use daq::{Daq, DaqConfig, DaqSample};
 pub use export::CsvTable;
-pub use parse::{parse_jsonl_line, JsonParseError, JsonValue};
+pub use parse::parse_jsonl_line;
 pub use series::{Series, Step};
 pub use stats::{ConfusionMatrix, Histogram, Summary};

@@ -22,6 +22,9 @@
 //!   JSON ([`MetricsSnapshot::to_json`]), parses back
 //!   ([`MetricsSnapshot::parse`]), and merges associatively
 //!   ([`MetricsSnapshot::merge`]);
+//! * [`json`] — the workspace's one JSON reader ([`json::parse`] into
+//!   a [`json::Value`] tree) and the string escaper every JSON writer
+//!   shares ([`json::escape`]);
 //! * [`Span`] — an RAII guard that records the elapsed nanoseconds of
 //!   a code region into a histogram when dropped;
 //! * the process-global registry ([`global`]) behind an on/off switch
@@ -54,6 +57,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod json;
 mod registry;
 mod snapshot;
 mod span;

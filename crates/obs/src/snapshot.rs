@@ -18,6 +18,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{self, escape, Value};
+
 /// Schema tag written into (and required from) every snapshot file.
 pub const SCHEMA: &str = "ichannels-telemetry-v1";
 
@@ -156,16 +158,27 @@ impl MetricsSnapshot {
     /// `ichannels-telemetry-v1` snapshot (wrong schema tag, malformed
     /// JSON, unexpected value types).
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            bytes: text.trim().as_bytes(),
-            pos: 0,
-        };
-        let snap = p.parse_snapshot()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
+        let mut schema = None;
+        let mut snap = MetricsSnapshot::new();
+        for (key, value) in object(&doc, "snapshot")? {
+            match key.as_str() {
+                "schema" => {
+                    schema = Some(value.as_str().ok_or("snapshot schema is not a string")?);
+                }
+                "counters" => snap.counters = named(value, key, uint)?,
+                "gauges" => snap.gauges = named(value, key, uint)?,
+                "histograms" => snap.histograms = named(value, key, histogram)?,
+                other => return Err(format!("unknown snapshot field {other:?}")),
+            }
         }
-        Ok(snap)
+        match schema {
+            Some(SCHEMA) => Ok(snap),
+            Some(other) => Err(format!(
+                "snapshot schema {other:?} is not the supported {SCHEMA:?}"
+            )),
+            None => Err(format!("snapshot has no \"schema\" tag ({SCHEMA:?})")),
+        }
     }
 }
 
@@ -178,248 +191,56 @@ fn render_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+fn object<'a>(value: &'a Value, what: &str) -> Result<&'a [(String, Value)], String> {
+    value
+        .as_object()
+        .ok_or_else(|| format!("{what:?} is not an object"))
 }
 
-/// A minimal recursive-descent parser for exactly the JSON subset
-/// [`MetricsSnapshot::to_json`] emits (objects, arrays, strings,
-/// unsigned integers), tolerant of interstitial whitespace.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn uint(value: &Value, what: &str) -> Result<u64, String> {
+    value
+        .as_u64()
+        .ok_or_else(|| format!("{what:?} is not an unsigned integer"))
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
+/// Reads an object of named entries, each through `read`.
+fn named<T>(
+    value: &Value,
+    what: &str,
+    read: fn(&Value, &str) -> Result<T, String>,
+) -> Result<BTreeMap<String, T>, String> {
+    object(value, what)?
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), read(v, name)?)))
+        .collect()
+}
 
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            got => Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                got.map(|g| g as char)
-            )),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "unsupported escape {:?}",
-                                other.map(|b| *b as char)
-                            ))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 sequences pass through intact:
-                    // copy the raw bytes of one scalar value.
-                    let text =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = text.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                    let _ = b;
+fn histogram(value: &Value, name: &str) -> Result<HistogramSnapshot, String> {
+    let mut h = HistogramSnapshot::default();
+    for (key, value) in object(value, name)? {
+        match key.as_str() {
+            "count" => h.count = uint(value, key)?,
+            "sum" => h.sum = uint(value, key)?,
+            "min" => h.min = uint(value, key)?,
+            "max" => h.max = uint(value, key)?,
+            "buckets" => {
+                let pairs = value
+                    .as_array()
+                    .ok_or_else(|| format!("buckets of {name:?} are not an array"))?;
+                for pair in pairs {
+                    let Some([idx, n]) = pair.as_array() else {
+                        return Err(format!("bucket of {name:?} is not an [index, count] pair"));
+                    };
+                    let idx = uint(idx, "bucket index")?;
+                    let idx = u32::try_from(idx)
+                        .map_err(|_| format!("bucket index {idx} out of range"))?;
+                    h.buckets.insert(idx, uint(n, "bucket count")?);
                 }
             }
+            other => return Err(format!("unknown histogram field {other:?}")),
         }
     }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected an unsigned integer at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are UTF-8")
-            .parse()
-            .map_err(|e| format!("integer at byte {start}: {e}"))
-    }
-
-    /// Parses `{"k":v,...}` invoking `visit` per entry; the callback
-    /// parses the value.
-    fn parse_object(
-        &mut self,
-        mut visit: impl FnMut(&mut Self, String) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            visit(self, key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|b| b as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn parse_u64_map(&mut self) -> Result<BTreeMap<String, u64>, String> {
-        let mut map = BTreeMap::new();
-        self.parse_object(|p, key| {
-            let v = p.parse_u64()?;
-            map.insert(key, v);
-            Ok(())
-        })?;
-        Ok(map)
-    }
-
-    fn parse_histogram(&mut self) -> Result<HistogramSnapshot, String> {
-        let mut h = HistogramSnapshot::default();
-        self.parse_object(|p, key| {
-            match key.as_str() {
-                "count" => h.count = p.parse_u64()?,
-                "sum" => h.sum = p.parse_u64()?,
-                "min" => h.min = p.parse_u64()?,
-                "max" => h.max = p.parse_u64()?,
-                "buckets" => {
-                    p.expect(b'[')?;
-                    if p.peek() == Some(b']') {
-                        p.pos += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        p.expect(b'[')?;
-                        let idx = p.parse_u64()?;
-                        p.expect(b',')?;
-                        let n = p.parse_u64()?;
-                        p.expect(b']')?;
-                        let idx = u32::try_from(idx)
-                            .map_err(|_| format!("bucket index {idx} out of range"))?;
-                        h.buckets.insert(idx, n);
-                        match p.peek() {
-                            Some(b',') => p.pos += 1,
-                            Some(b']') => {
-                                p.pos += 1;
-                                break;
-                            }
-                            other => {
-                                return Err(format!(
-                                    "expected ',' or ']' in buckets, found {:?}",
-                                    other.map(|b| b as char)
-                                ))
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("unknown histogram field {other:?}")),
-            }
-            Ok(())
-        })?;
-        Ok(h)
-    }
-
-    fn parse_snapshot(&mut self) -> Result<MetricsSnapshot, String> {
-        let mut schema: Option<String> = None;
-        let mut snap = MetricsSnapshot::new();
-        self.parse_object(|p, key| {
-            match key.as_str() {
-                "schema" => schema = Some(p.parse_string()?),
-                "counters" => snap.counters = p.parse_u64_map()?,
-                "gauges" => snap.gauges = p.parse_u64_map()?,
-                "histograms" => {
-                    let mut hists = BTreeMap::new();
-                    p.parse_object(|p, name| {
-                        let h = p.parse_histogram()?;
-                        hists.insert(name, h);
-                        Ok(())
-                    })?;
-                    snap.histograms = hists;
-                }
-                other => return Err(format!("unknown snapshot field {other:?}")),
-            }
-            Ok(())
-        })?;
-        match schema.as_deref() {
-            Some(SCHEMA) => Ok(snap),
-            Some(other) => Err(format!(
-                "snapshot schema {other:?} is not the supported {SCHEMA:?}"
-            )),
-            None => Err(format!("snapshot has no \"schema\" tag ({SCHEMA:?})")),
-        }
-    }
+    Ok(h)
 }
 
 #[cfg(test)]
@@ -455,6 +276,36 @@ mod tests {
         assert!(empty.is_empty());
         let reparsed = MetricsSnapshot::parse(&empty.to_json()).expect("parses");
         assert_eq!(reparsed, empty);
+    }
+
+    #[test]
+    fn whitespace_between_tokens_still_parses() {
+        let snap = sample();
+        let spaced = snap
+            .to_json()
+            .replace('{', "{\n  ")
+            .replace('}', " \n}")
+            .replace('[', "[ ")
+            .replace(']', " ]")
+            .replace(':', " :\t")
+            .replace(',', " ,\r\n");
+        assert_eq!(MetricsSnapshot::parse(&format!(" {spaced}\n")), Ok(snap));
+    }
+
+    #[test]
+    fn parse_rejects_malformed_values() {
+        for bad in [
+            "{\"schema\":\"ichannels-telemetry-v1\",\"counters\":{\"a\":-1}}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"counters\":{\"a\":1.5}}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"counters\":[]}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"histograms\":{\"h\":{\"buckets\":[[4294967296,1]]}}}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"histograms\":{\"h\":{\"buckets\":[[1,2,3]]}}}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"histograms\":{\"h\":{\"mean\":1}}}",
+            "{\"schema\":\"ichannels-telemetry-v1\",\"extra\":{}}",
+            "{\"schema\":7}",
+        ] {
+            assert!(MetricsSnapshot::parse(bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
