@@ -3,7 +3,7 @@
 //! interruption.
 //!
 //! ```text
-//! campaign [--campaign NAME|all] [--threads N] [--quick] [--list]
+//! campaign [--campaign NAME|all] [--threads N] [--quick]
 //!          [--shard I/N] [--resume] [--telemetry DIR] [--progress]
 //!          [--fail-on-error]
 //! campaign list [--json] [--quick]
@@ -38,9 +38,14 @@
 //! `results/fuzz_findings.jsonl` (suffixed `_shardIofN` when sharded;
 //! `fuzz merge` reassembles shard findings byte-identically).
 //!
-//! `list --json` prints the machine-readable catalog (name, axes with
-//! value labels, cell and scenario counts) so a dispatcher can
-//! enumerate work without parsing human output.
+//! `list` prints the catalog with its scenario counts (quick counts
+//! with `--quick`); `list --json` prints it machine-readable (name,
+//! axes with value labels, cell and scenario counts) so a dispatcher
+//! can enumerate work without parsing human output.
+//!
+//! Every subcommand exits 2 on a bad invocation (an unknown flag, a
+//! missing or unparseable flag value, an unknown campaign) before it
+//! writes anything, and 1 when the work itself fails.
 //!
 //! `analyze` runs the `ichannels-analysis` statistics layer over every
 //! `<name>_trials.jsonl` stream in a directory (an unsharded results
@@ -62,8 +67,9 @@
 //! sanity-checks the schema.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use ichannels_analysis::AnalysisConfig;
@@ -71,6 +77,10 @@ use ichannels_lab::campaigns::{self, RunConfig};
 use ichannels_lab::fuzz::{self, findings};
 use ichannels_lab::{Executor, FuzzConfig, Grid, Scenario, ShardSpec};
 use ichannels_obs::json::escape;
+
+/// What a subcommand ends with: `Ok` exits 0, `Err` carries the exit
+/// code (2 for a bad invocation, 1 for a failed run).
+type Outcome = Result<(), ExitCode>;
 
 fn campaign_names() -> String {
     campaigns::catalog(true)
@@ -82,7 +92,7 @@ fn campaign_names() -> String {
 
 fn usage_text() -> String {
     format!(
-        "usage: campaign [--campaign NAME|all] [--threads N] [--quick] [--list]\n\
+        "usage: campaign [--campaign NAME|all] [--threads N] [--quick]\n\
          \x20                [--shard I/N] [--resume] [--telemetry DIR] [--progress]\n\
          \x20                [--fail-on-error]\n\
          \x20      campaign list [--json] [--quick]\n\
@@ -103,28 +113,90 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn merge_main(args: &[String]) -> ExitCode {
-    let mut fail_on_error = false;
-    let args: Vec<String> = args
-        .iter()
-        .filter(|a| {
-            let flag = a.as_str() == "--fail-on-error";
-            fail_on_error |= flag;
-            !flag
-        })
-        .cloned()
+/// Prints `message` and yields the failed-run exit code.
+fn fail(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// The value after a flag, read by `parse`. A missing value, or one
+/// `parse` rejects, is a usage error.
+fn value<'a, T>(
+    args: &mut impl Iterator<Item = &'a String>,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, ExitCode> {
+    args.next().and_then(|v| parse(v)).ok_or_else(usage)
+}
+
+/// A value read with its type's `FromStr`.
+fn parsed<T: FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// A `--threads` value: a worker count of at least one.
+fn parse_threads(v: &str) -> Option<usize> {
+    parsed(v).filter(|&n| n >= 1)
+}
+
+/// A seed (`fuzz --seed`, `analyze --seed`): decimal or `0x`-prefixed
+/// hex.
+fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    }
+}
+
+/// A `--shard I/N` value. A malformed spec exits 2 with its own
+/// `invalid shard spec` message rather than the usage text.
+fn shard_value<'a>(args: &mut impl Iterator<Item = &'a String>) -> Result<ShardSpec, ExitCode> {
+    value(args, |v| Some(ShardSpec::parse(v)))?.map_err(|e| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    })
+}
+
+/// The catalog campaigns `which` names (`all` selects every one). An
+/// unknown name is a usage error that lists the catalog.
+fn select(which: &str, quick: bool) -> Result<Vec<(&'static str, Grid)>, ExitCode> {
+    let selected: Vec<_> = campaigns::catalog(quick)
+        .into_iter()
+        .filter(|(name, _)| which == "all" || which == *name)
         .collect();
+    if selected.is_empty() {
+        eprintln!(
+            "unknown campaign {which:?}; valid campaigns: {}, all",
+            campaign_names()
+        );
+        return Err(ExitCode::from(2));
+    }
+    Ok(selected)
+}
+
+/// Writes `contents` to `path`, creating its parent directory first.
+fn write_file(path: &Path, contents: &str) -> Outcome {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)
+            .map_err(|e| fail(format!("cannot create {}: {e}", parent.display())))?;
+    }
+    std::fs::write(path, contents)
+        .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))
+}
+
+fn merge_main(args: &[String]) -> Outcome {
+    let fail_on_error = args.iter().any(|a| a == "--fail-on-error");
+    let args: Vec<&String> = args.iter().filter(|a| *a != "--fail-on-error").collect();
     let (out_dir, inputs) = match &args[..] {
         [] => {
             eprintln!("merge needs an output directory and at least two shard streams");
-            return usage();
+            return Err(usage());
         }
         [out_dir] => {
             eprintln!(
                 "merge {out_dir}: no shard streams given — pass every \
                  <name>_shardIofN_trials.jsonl of one campaign"
             );
-            return usage();
+            return Err(usage());
         }
         [out_dir, single] => {
             eprintln!(
@@ -132,36 +204,31 @@ fn merge_main(args: &[String]) -> ExitCode {
                  is either already complete (unsharded) or missing its sibling shards; \
                  pass every shard of the campaign, or copy the file instead of merging"
             );
-            return usage();
+            return Err(usage());
         }
         [out_dir, inputs @ ..] => (PathBuf::from(out_dir), inputs),
     };
     let inputs: Vec<PathBuf> = inputs.iter().map(PathBuf::from).collect();
-    match campaigns::merge_files(&out_dir, &inputs) {
-        Ok(merged) => {
-            println!(
-                "merged {} shard stream(s) of campaign {}: {} trials, {} cells",
-                inputs.len(),
-                merged.name,
-                merged.rows.len(),
-                merged.cells.len()
-            );
-            println!("  {}", error_summary(&merged.rows));
-            for p in &merged.paths {
-                println!("  wrote {}", p.display());
-            }
-            let errored = errored_count(&merged.rows);
-            if fail_on_error && errored > 0 {
-                eprintln!("merge failed --fail-on-error: {errored} trial(s) errored");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("merge failed: {e}");
-            ExitCode::FAILURE
-        }
+    let merged = campaigns::merge_files(&out_dir, &inputs)
+        .map_err(|e| fail(format!("merge failed: {e}")))?;
+    println!(
+        "merged {} shard stream(s) of campaign {}: {} trials, {} cells",
+        inputs.len(),
+        merged.name,
+        merged.rows.len(),
+        merged.cells.len()
+    );
+    println!("  {}", error_summary(&merged.rows));
+    for p in &merged.paths {
+        println!("  wrote {}", p.display());
     }
+    let errored = errored_count(&merged.rows);
+    if fail_on_error && errored > 0 {
+        return Err(fail(format!(
+            "merge failed --fail-on-error: {errored} trial(s) errored"
+        )));
+    }
+    Ok(())
 }
 
 /// Trials that recorded a typed `ChannelError` — what `--fail-on-error`
@@ -206,7 +273,7 @@ fn campaign_json(name: &str, grid: &Grid, quick: bool) -> String {
     )
 }
 
-fn list_main(args: &[String]) -> ExitCode {
+fn list_main(args: &[String]) -> Outcome {
     let mut json = false;
     let mut quick = false;
     for arg in args {
@@ -215,7 +282,7 @@ fn list_main(args: &[String]) -> ExitCode {
             "--quick" => quick = true,
             other => {
                 eprintln!("unknown list argument: {other}");
-                return usage();
+                return Err(usage());
             }
         }
     }
@@ -236,7 +303,7 @@ fn list_main(args: &[String]) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// The five trial phases `campaign profile` breaks a run into, in
@@ -255,39 +322,23 @@ const TRIAL_PHASES: [&str; 5] = [
 /// per-phase time breakdown. Defaults to one thread so the phase sums
 /// are directly comparable to wall time (on N threads the busy sums
 /// exceed one wall clock).
-fn profile_main(args: &[String]) -> ExitCode {
+fn profile_main(args: &[String]) -> Outcome {
     let mut which = "all".to_string();
     let mut quick = false;
     let mut threads = 1usize;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--campaign" | "-c" => match iter.next() {
-                Some(name) => which = name.clone(),
-                None => return usage(),
-            },
+            "--campaign" | "-c" => which = value(&mut iter, parsed)?,
             "--quick" => quick = true,
-            "--threads" | "-j" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => return usage(),
-            },
+            "--threads" | "-j" => threads = value(&mut iter, parse_threads)?,
             other => {
                 eprintln!("unknown profile argument: {other}");
-                return usage();
+                return Err(usage());
             }
         }
     }
-    let selected: Vec<_> = campaigns::catalog(quick)
-        .into_iter()
-        .filter(|(name, _)| which == "all" || which == *name)
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "unknown campaign {which:?}; valid campaigns: {}, all",
-            campaign_names()
-        );
-        return ExitCode::from(2);
-    }
+    let selected = select(&which, quick)?;
 
     let executor = Executor::new(threads);
     for (name, grid) in selected {
@@ -351,7 +402,7 @@ fn profile_main(args: &[String]) -> ExitCode {
         let errored = records.iter().filter(|r| r.error.is_some()).count();
         println!("  {} trial(s), {errored} errored", records.len());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `campaign telemetry <out.json> <telemetry.json>...`: merges shard
@@ -359,48 +410,31 @@ fn profile_main(args: &[String]) -> ExitCode {
 /// gives the same bytes) and sanity-checks the result: the schema tag
 /// and a non-zero trial count. The CI merge job runs this over the
 /// shard artifacts.
-fn telemetry_main(args: &[String]) -> ExitCode {
+fn telemetry_main(args: &[String]) -> Outcome {
     let [out, inputs @ ..] = args else {
         eprintln!("telemetry needs an output path and at least one snapshot");
-        return usage();
+        return Err(usage());
     };
     if inputs.is_empty() {
         eprintln!("telemetry {out}: no input snapshots given");
-        return usage();
+        return Err(usage());
     }
     let mut merged = ichannels_obs::MetricsSnapshot::new();
     for input in inputs {
-        let text = match std::fs::read_to_string(input) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {input}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match ichannels_obs::MetricsSnapshot::parse(&text) {
-            Ok(snap) => merged.merge(&snap),
-            Err(e) => {
-                eprintln!("{input}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = std::fs::read_to_string(input)
+            .map_err(|e| fail(format!("cannot read {input}: {e}")))?;
+        let snap = ichannels_obs::MetricsSnapshot::parse(&text)
+            .map_err(|e| fail(format!("{input}: {e}")))?;
+        merged.merge(&snap);
     }
     let trials = merged.counter("trial.runs");
     if trials == 0 {
-        eprintln!("sanity check failed: merged snapshot records zero trials (trial.runs)");
-        return ExitCode::FAILURE;
+        return Err(fail(
+            "sanity check failed: merged snapshot records zero trials (trial.runs)",
+        ));
     }
     let out = PathBuf::from(out);
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("cannot create {}: {e}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&out, format!("{}\n", merged.to_json())) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file(&out, &format!("{}\n", merged.to_json()))?;
     println!(
         "merged {} snapshot(s): {trials} trial(s), {} calibration request(s), {} error(s)",
         inputs.len(),
@@ -408,10 +442,10 @@ fn telemetry_main(args: &[String]) -> ExitCode {
         merged.counter("trial.errors"),
     );
     println!("  wrote {}", out.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn analyze_main(args: &[String]) -> ExitCode {
+fn analyze_main(args: &[String]) -> Outcome {
     let mut json = false;
     let mut config = AnalysisConfig::default();
     let mut dir: Option<PathBuf> = None;
@@ -419,146 +453,79 @@ fn analyze_main(args: &[String]) -> ExitCode {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--seed" => match iter.next().and_then(|v| parse_seed(v)) {
-                Some(seed) => config.seed = seed,
-                None => return usage(),
-            },
-            "--resamples" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.resamples = n,
-                None => return usage(),
-            },
+            "--seed" => config.seed = value(&mut iter, parse_seed)?,
+            "--resamples" => config.resamples = value(&mut iter, parsed)?,
             other if dir.is_none() && !other.starts_with('-') => dir = Some(PathBuf::from(other)),
             other => {
                 eprintln!("unknown analyze argument: {other}");
-                return usage();
+                return Err(usage());
             }
         }
     }
     let Some(dir) = dir else {
         eprintln!("analyze needs a directory of <name>_trials.jsonl streams");
-        return usage();
+        return Err(usage());
     };
 
-    // Every `<name>_trials.jsonl` in the directory, in name order, so
-    // the report's campaign order (and its bytes) never depends on
-    // directory enumeration order.
-    let mut streams: Vec<(String, PathBuf)> = match std::fs::read_dir(&dir) {
-        Ok(entries) => entries
-            .filter_map(Result::ok)
-            .filter_map(|entry| {
-                let name = entry.file_name().into_string().ok()?;
-                let campaign = name.strip_suffix("_trials.jsonl")?;
-                Some((campaign.to_string(), entry.path()))
-            })
-            .collect(),
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    streams.sort();
+    let streams: Vec<(String, PathBuf)> = std::fs::read_dir(&dir)
+        .map_err(|e| fail(format!("cannot read {}: {e}", dir.display())))?
+        .filter_map(Result::ok)
+        .filter_map(|entry| {
+            let name = entry.file_name().into_string().ok()?;
+            let campaign = name.strip_suffix("_trials.jsonl")?;
+            Some((campaign.to_string(), entry.path()))
+        })
+        .collect();
     if streams.is_empty() {
-        eprintln!(
+        return Err(fail(format!(
             "analyze {}: no <name>_trials.jsonl streams found — point it at an \
              unsharded results directory or a `campaign merge` output directory",
             dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let mut document = String::new();
-    for (campaign, path) in &streams {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let analysis = match ichannels_analysis::analyze_stream(campaign, &text, config) {
-            Ok(analysis) => analysis,
-            Err((line, e)) => {
-                eprintln!("{}:{line}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = analysis.finish();
-        ichannels_bench::print_analysis_summary(&report);
-        document.push_str(&report.to_jsonl());
+        )));
     }
 
     let out = dir.join("analysis.jsonl");
-    if let Err(e) = std::fs::write(&out, &document) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    let document = ichannels_bench::analyze_streams(streams, config, &out).map_err(fail)?;
     if json {
         print!("{document}");
     }
     println!("wrote {}", out.display());
-    ExitCode::SUCCESS
-}
-
-/// Parses a seed argument (`fuzz --seed`, `analyze --seed`): decimal
-/// or `0x`-prefixed hex.
-fn parse_seed(s: &str) -> Option<u64> {
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
+    Ok(())
 }
 
 /// `campaign fuzz merge <out.jsonl> <shard_findings.jsonl>...`:
 /// reassembles shard findings into the unsharded report. Findings are
 /// pure in their case index, so sorting by case re-interleaves the
 /// shards into exactly the bytes an unsharded run writes.
-fn fuzz_merge_main(args: &[String]) -> ExitCode {
+fn fuzz_merge_main(args: &[String]) -> Outcome {
     let [out, inputs @ ..] = args else {
         eprintln!("fuzz merge needs an output path and at least one shard findings file");
-        return usage();
+        return Err(usage());
     };
     if inputs.is_empty() {
         eprintln!("fuzz merge {out}: no shard findings given");
-        return usage();
+        return Err(usage());
     }
     let mut all = Vec::new();
     for input in inputs {
-        let text = match std::fs::read_to_string(input) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {input}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let text = std::fs::read_to_string(input)
+            .map_err(|e| fail(format!("cannot read {input}: {e}")))?;
         for (n, line) in text.lines().enumerate() {
-            match findings::Finding::parse(line) {
-                Ok(f) => all.push(f),
-                Err(e) => {
-                    eprintln!("{input}:{}: {e}", n + 1);
-                    return ExitCode::FAILURE;
-                }
-            }
+            let finding = findings::Finding::parse(line)
+                .map_err(|e| fail(format!("{input}:{}: {e}", n + 1)))?;
+            all.push(finding);
         }
     }
     let merged = findings::merge_findings(all);
     let out = PathBuf::from(out);
-    if let Some(parent) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            eprintln!("cannot create {}: {e}", parent.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&out, findings::findings_to_jsonl(&merged)) {
-        eprintln!("cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
+    write_file(&out, &findings::findings_to_jsonl(&merged))?;
     println!(
         "merged {} shard findings file(s): {} finding(s)",
         inputs.len(),
         merged.len()
     );
     println!("  wrote {}", out.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `campaign fuzz [--seed S] [--cases N] [--tolerance T] [--shard I/N]
@@ -567,7 +534,7 @@ fn fuzz_merge_main(args: &[String]) -> ExitCode {
 /// findings report under the results directory. Exit code reflects the
 /// run, not the findings — a finding is a report row to triage into a
 /// pinned test, not a CI failure by itself.
-fn fuzz_main(args: &[String]) -> ExitCode {
+fn fuzz_main(args: &[String]) -> Outcome {
     if args.first().map(String::as_str) == Some("merge") {
         return fuzz_merge_main(&args[1..]);
     }
@@ -576,35 +543,17 @@ fn fuzz_main(args: &[String]) -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => match iter.next().map(String::as_str).and_then(parse_seed) {
-                Some(seed) => config.seed = seed,
-                None => return usage(),
-            },
-            "--cases" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => config.cases = n,
-                None => return usage(),
-            },
-            "--tolerance" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(t) if (0.0..=1.0).contains(&t) => config.tolerance = t,
-                _ => return usage(),
-            },
-            "--shard" => match iter.next() {
-                Some(spec) => match ShardSpec::parse(spec) {
-                    Ok(parsed) => config.shard = parsed,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            "--threads" | "-j" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => return usage(),
-            },
+            "--seed" => config.seed = value(&mut iter, parse_seed)?,
+            "--cases" => config.cases = value(&mut iter, parsed)?,
+            "--tolerance" => {
+                config.tolerance =
+                    value(&mut iter, |v| parsed(v).filter(|t| (0.0..=1.0).contains(t)))?
+            }
+            "--shard" => config.shard = shard_value(&mut iter)?,
+            "--threads" | "-j" => threads = Some(value(&mut iter, parse_threads)?),
             other => {
                 eprintln!("unknown fuzz argument: {other}");
-                return usage();
+                return Err(usage());
             }
         }
     }
@@ -632,149 +581,85 @@ fn fuzz_main(args: &[String]) -> ExitCode {
         report.cases_run,
         report.findings.len()
     );
-    let results_dir = ichannels_bench::results_dir();
-    if let Err(e) = std::fs::create_dir_all(&results_dir) {
-        eprintln!("cannot create {}: {e}", results_dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = results_dir.join(format!("{}.jsonl", config.shard.file_stem("fuzz_findings")));
-    if let Err(e) = std::fs::write(&path, report.to_jsonl()) {
-        eprintln!("cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
+    let path = ichannels_bench::results_dir()
+        .join(format!("{}.jsonl", config.shard.file_stem("fuzz_findings")));
+    write_file(&path, &report.to_jsonl())?;
     println!("  wrote {}", path.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("merge") => return merge_main(&args[1..]),
-        Some("fuzz") => return fuzz_main(&args[1..]),
-        Some("list") => return list_main(&args[1..]),
-        Some("profile") => return profile_main(&args[1..]),
-        Some("telemetry") => return telemetry_main(&args[1..]),
-        Some("analyze") => return analyze_main(&args[1..]),
-        _ => {}
-    }
+/// `campaign [--campaign NAME|all] [--threads N] [--quick] ...`: runs
+/// the selected catalog campaigns into the results directory.
+fn run_main(args: &[String]) -> Outcome {
     let mut which = "all".to_string();
     let mut threads: Option<usize> = None;
     let mut quick = false;
-    let mut shard = ShardSpec::full();
-    let mut resume = false;
-    let mut progress = false;
+    let mut config = RunConfig::default();
     let mut fail_on_error = false;
     let mut telemetry: Option<PathBuf> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--campaign" | "-c" => match iter.next() {
-                Some(name) => which = name.clone(),
-                None => return usage(),
-            },
-            "--threads" | "-j" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = Some(n),
-                _ => return usage(),
-            },
+            "--campaign" | "-c" => which = value(&mut iter, parsed)?,
+            "--threads" | "-j" => threads = Some(value(&mut iter, parse_threads)?),
             "--quick" => quick = true,
-            "--shard" => match iter.next() {
-                Some(spec) => match ShardSpec::parse(spec) {
-                    Ok(parsed) => shard = parsed,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::from(2);
-                    }
-                },
-                None => return usage(),
-            },
-            "--resume" => resume = true,
-            "--progress" => progress = true,
+            "--shard" => config.shard = shard_value(&mut iter)?,
+            "--resume" => config.resume = true,
+            "--progress" => config.progress = true,
             "--fail-on-error" => fail_on_error = true,
-            "--telemetry" => match iter.next() {
-                Some(dir) => telemetry = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            "--list" => {
-                for (name, grid) in campaigns::catalog(true) {
-                    println!("{name} ({} quick scenarios)", grid.scenarios().len());
-                }
-                return ExitCode::SUCCESS;
-            }
+            "--telemetry" => telemetry = Some(value(&mut iter, parsed)?),
             // Requested help is a success; only bad invocations exit 2.
             "--help" | "-h" => {
                 println!("{}", usage_text());
-                return ExitCode::SUCCESS;
+                return Ok(());
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                return usage();
+                return Err(usage());
             }
         }
     }
 
     let executor = threads.map_or_else(Executor::auto, Executor::new);
-    let catalog = campaigns::catalog(quick);
-    let selected: Vec<_> = catalog
-        .into_iter()
-        .filter(|(name, _)| which == "all" || which == *name)
-        .collect();
-    if selected.is_empty() {
-        eprintln!(
-            "unknown campaign {which:?}; valid campaigns: {}, all",
-            campaign_names()
-        );
-        return ExitCode::from(2);
-    }
-
+    let selected = select(&which, quick)?;
     if telemetry.is_some() {
         ichannels_obs::set_enabled(true);
     }
     let results_dir = ichannels_bench::results_dir();
-    let config = RunConfig {
-        shard,
-        resume,
-        progress,
-    };
     let mut total_errored = 0usize;
     for (name, grid) in selected {
-        let scheduled = shard.len_of(grid.scenarios().len());
+        let scheduled = config.shard.len_of(grid.scenarios().len());
         ichannels_bench::banner(&format!(
             "campaign {name}{}: {scheduled} scenario(s) on {} threads{}",
-            if shard.is_full() {
+            if config.shard.is_full() {
                 String::new()
             } else {
-                format!(" [shard {shard}]")
+                format!(" [shard {}]", config.shard)
             },
             executor.threads(),
-            if resume { ", resuming" } else { "" }
+            if config.resume { ", resuming" } else { "" }
         ));
-        match campaigns::run_to_dir(name, &grid, executor, &results_dir, config) {
-            Ok(run) => {
-                if run.resumed > 0 {
-                    println!(
-                        "  resumed {} completed trial(s), executed {}",
-                        run.resumed, run.executed
-                    );
-                }
-                for cell in &run.cells {
-                    let ber = cell
-                        .ber
-                        .map_or_else(|| "-".to_string(), |s| format!("{:.4}", s.mean));
-                    let tp = cell
-                        .throughput
-                        .map_or_else(|| "-".to_string(), |s| format!("{:.0}", s.mean));
-                    println!("  {:<64} ber {ber:>8}  tp {tp:>8} b/s", cell.cell);
-                }
-                println!("  {}", error_summary(&run.rows));
-                total_errored += errored_count(&run.rows);
-                for p in &run.paths {
-                    println!("  wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("  FAILED to run campaign {name}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let run = campaigns::run_to_dir(name, &grid, executor, &results_dir, config)
+            .map_err(|e| fail(format!("  FAILED to run campaign {name}: {e}")))?;
+        if run.resumed > 0 {
+            println!(
+                "  resumed {} completed trial(s), executed {}",
+                run.resumed, run.executed
+            );
+        }
+        for cell in &run.cells {
+            let ber = cell
+                .ber
+                .map_or_else(|| "-".to_string(), |s| format!("{:.4}", s.mean));
+            let tp = cell
+                .throughput
+                .map_or_else(|| "-".to_string(), |s| format!("{:.0}", s.mean));
+            println!("  {:<64} ber {ber:>8}  tp {tp:>8} b/s", cell.cell);
+        }
+        println!("  {}", error_summary(&run.rows));
+        total_errored += errored_count(&run.rows);
+        for p in &run.paths {
+            println!("  wrote {}", p.display());
         }
     }
     if let Some(dir) = telemetry {
@@ -782,22 +667,28 @@ fn main() -> ExitCode {
         // campaign, written next to the JSONL — never inside it.
         ichannels_obs::set_enabled(false);
         let snap = ichannels_obs::global().snapshot();
-        let path = dir.join(format!("{}.json", shard.file_stem("telemetry")));
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("cannot create {}: {e}", parent.display());
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Err(e) = std::fs::write(&path, format!("{}\n", snap.to_json())) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        let path = dir.join(format!("{}.json", config.shard.file_stem("telemetry")));
+        write_file(&path, &format!("{}\n", snap.to_json()))?;
         println!("  wrote {}", path.display());
     }
     if fail_on_error && total_errored > 0 {
-        eprintln!("run failed --fail-on-error: {total_errored} trial(s) errored");
-        return ExitCode::FAILURE;
+        return Err(fail(format!(
+            "run failed --fail-on-error: {total_errored} trial(s) errored"
+        )));
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match args.first().map(String::as_str) {
+        Some("merge") => merge_main(&args[1..]),
+        Some("fuzz") => fuzz_main(&args[1..]),
+        Some("list") => list_main(&args[1..]),
+        Some("profile") => profile_main(&args[1..]),
+        Some("telemetry") => telemetry_main(&args[1..]),
+        Some("analyze") => analyze_main(&args[1..]),
+        _ => run_main(&args),
+    };
+    outcome.err().unwrap_or(ExitCode::SUCCESS)
 }

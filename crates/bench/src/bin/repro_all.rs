@@ -1,6 +1,7 @@
 //! Runs every figure/table harness in sequence, then regenerates the
 //! catalog campaign artifacts, writing all CSVs to `results/` — the
-//! one-shot paper reproduction.
+//! one entry point of the paper reproduction. Each harness also prints
+//! its paper ratios and verdicts.
 //!
 //! ```text
 //! repro_all [--quick] [--merged DIR]
@@ -65,14 +66,14 @@ fn main() -> ExitCode {
     figs::ablation::run(quick);
 
     let results_dir = ichannels_bench::results_dir();
-    let mut trial_streams: Vec<(&str, std::path::PathBuf)> = Vec::new();
+    let mut trial_streams: Vec<(String, std::path::PathBuf)> = Vec::new();
     for (name, grid) in campaigns::catalog(quick) {
         let merged = merged_dir
             .as_ref()
             .map(|dir| dir.join(format!("{name}_trials.jsonl")))
             .filter(|p| p.exists());
         if let Some(stream) = merged {
-            trial_streams.push((name, stream.clone()));
+            trial_streams.push((name.to_string(), stream.clone()));
             ichannels_bench::banner(&format!(
                 "campaign {name}: consuming merged stream {}",
                 stream.display()
@@ -138,35 +139,19 @@ fn main() -> ExitCode {
                 eprintln!("  FAILED to run campaign {name}: {e}");
                 return ExitCode::FAILURE;
             }
-            trial_streams.push((name, results_dir.join(format!("{name}_trials.jsonl"))));
+            trial_streams.push((
+                name.to_string(),
+                results_dir.join(format!("{name}_trials.jsonl")),
+            ));
         }
     }
 
     ichannels_bench::banner("campaign analysis");
-    let mut document = String::new();
-    for (name, stream) in &trial_streams {
-        let text = match std::fs::read_to_string(stream) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("  FAILED to read {}: {e}", stream.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let analysis =
-            match ichannels_analysis::analyze_stream(name, &text, AnalysisConfig::default()) {
-                Ok(analysis) => analysis,
-                Err((line, e)) => {
-                    eprintln!("  FAILED: {}:{line}: {e}", stream.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-        let report = analysis.finish();
-        ichannels_bench::print_analysis_summary(&report);
-        document.push_str(&report.to_jsonl());
-    }
     let analysis_path = results_dir.join("analysis.jsonl");
-    if let Err(e) = std::fs::write(&analysis_path, &document) {
-        eprintln!("  FAILED to write {}: {e}", analysis_path.display());
+    if let Err(e) =
+        ichannels_bench::analyze_streams(trial_streams, AnalysisConfig::default(), &analysis_path)
+    {
+        eprintln!("  FAILED: {e}");
         return ExitCode::FAILURE;
     }
     println!("  wrote {}", analysis_path.display());
@@ -174,7 +159,7 @@ fn main() -> ExitCode {
     println!();
     println!(
         "All artifacts regenerated; CSVs in {}",
-        ichannels_bench::results_dir().display()
+        results_dir.display()
     );
     ExitCode::SUCCESS
 }

@@ -1,10 +1,10 @@
 //! # `ichannels-bench` — the paper-regeneration harness
 //!
 //! One module per evaluation artifact of the IChannels paper. Each
-//! module exposes `run(quick)` used both by its dedicated binary
-//! (`cargo run -p ichannels-bench --bin figNN_…`) and by the all-in-one
-//! `repro_all` binary. `quick = true` shrinks trial counts for smoke
-//! tests; the binaries default to full fidelity.
+//! module exposes `run(quick)`, which the `repro_all` binary calls in
+//! sequence (`cargo run -p ichannels-bench --bin repro_all`).
+//! `quick = true` shrinks trial counts for smoke tests; the binary
+//! defaults to full fidelity.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -24,8 +24,9 @@
 
 pub mod figs;
 
+use ichannels_analysis::AnalysisConfig;
 use ichannels_meter::export::CsvTable;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Directory where harness binaries write `*.csv` (default `results/`,
 /// overridable via `ICHANNELS_RESULTS`).
@@ -52,11 +53,44 @@ pub fn banner(title: &str) {
     println!("==== {title} ====");
 }
 
-/// The per-campaign one-liner `campaign analyze` and the `repro_all`
-/// analysis stage print: trial/cell counts, the pooled error rate with
-/// its bootstrap CI, the mean model capacity, and the most sensitive
-/// grid axis.
-pub fn print_analysis_summary(report: &ichannels_analysis::CampaignAnalysis) {
+/// Runs the `ichannels-analysis` statistics layer over each
+/// `(campaign, trial stream)`, prints one summary per campaign, and
+/// writes the concatenated report to `out`. Returns the report.
+/// `campaign analyze` and the `repro_all` analysis stage both call
+/// this, so their `analysis.jsonl` bytes are identical.
+///
+/// Campaigns are analyzed in name order, so the report's bytes never
+/// depend on the order the caller found the streams in (directory
+/// enumeration, catalog order).
+///
+/// # Errors
+///
+/// An unreadable stream, the first line of a stream that is not a trial
+/// row (`path:line: why`), or a failed write.
+pub fn analyze_streams(
+    mut streams: Vec<(String, PathBuf)>,
+    config: AnalysisConfig,
+    out: &Path,
+) -> Result<String, String> {
+    streams.sort();
+    let mut document = String::new();
+    for (campaign, path) in &streams {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let report = ichannels_analysis::analyze_stream(campaign, &text, config)
+            .map_err(|(line, e)| format!("{}:{line}: {e}", path.display()))?
+            .finish();
+        print_analysis_summary(&report);
+        document.push_str(&report.to_jsonl());
+    }
+    std::fs::write(out, &document).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    Ok(document)
+}
+
+/// The per-campaign one-liner of [`analyze_streams`]: trial/cell
+/// counts, the pooled error rate with its bootstrap CI, the mean model
+/// capacity, and the most sensitive grid axis.
+fn print_analysis_summary(report: &ichannels_analysis::CampaignAnalysis) {
     print!(
         "{}: {} trial(s), {} cell(s), {} errored",
         report.campaign,

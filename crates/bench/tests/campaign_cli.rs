@@ -62,6 +62,35 @@ fn malformed_shard_specs_are_rejected() {
 }
 
 #[test]
+fn bad_run_and_profile_arguments_exit_2_and_write_nothing() {
+    let dir = temp_dir("bad_args");
+    for bad in [
+        // A value flag with no value.
+        &["--quick", "--campaign"][..],
+        &["--quick", "-c"],
+        &["--quick", "--threads"],
+        &["--quick", "-j"],
+        &["--quick", "--telemetry"],
+        &["profile", "--quick", "--threads"],
+        &["profile", "--quick", "--campaign"],
+        // A worker count of zero.
+        &["--quick", "--threads", "0"],
+        &["profile", "--quick", "--threads", "0"],
+        // An unknown campaign.
+        &["profile", "--quick", "--campaign", "nope"],
+    ] {
+        let out = run_in(&dir, bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?} was accepted");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).is_empty(),
+            "{bad:?} ran: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    assert!(!dir.exists(), "rejected invocations must not write results");
+}
+
+#[test]
 fn sharded_processes_merge_byte_identical_to_unsharded() {
     let full_dir = temp_dir("merge_full");
     let shard_dir = temp_dir("merge_shards");

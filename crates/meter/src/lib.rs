@@ -1,10 +1,7 @@
 //! # `ichannels-meter` — measurement substrate
 //!
-//! The stand-in for the paper's NI-DAQ measurement infrastructure (§5.1)
-//! plus the statistics used throughout the evaluation.
+//! The statistics, series and export used throughout the evaluation.
 //!
-//! * [`daq`] — a simulated NI-PCIe-6376 card: 3.5 MS/s uniform sampling
-//!   of the SoC trace with 99.94 % accuracy noise.
 //! * [`stats`] — summaries, percentiles, histograms/PDFs (Figures 8(a),
 //!   11(a), 13), confusion matrices / BER / mutual information
 //!   (Figure 14, channel capacity).
@@ -32,13 +29,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod daq;
 pub mod export;
 pub mod parse;
 pub mod series;
 pub mod stats;
 
-pub use daq::{Daq, DaqConfig, DaqSample};
 pub use export::CsvTable;
 pub use parse::parse_jsonl_line;
 pub use series::{Series, Step};

@@ -10,13 +10,9 @@
 //! * [`regulator`] — MBVR/FIVR/LDO voltage regulator state machines with
 //!   command latency and linear slew; the µs-scale ramp times are the
 //!   root cause of the multi-level throttling period.
-//! * [`svid`] — the serializing SVID bus; queueing behind another core's
-//!   transition is the root cause of *Multi-Throttling-Cores*.
 //! * [`limits`] — Vccmax/Iccmax protection (Figure 7).
 //! * [`power_gate`] — AVX-unit power gates with staggered wake (8–15 ns,
 //!   ~0.1 % of the throttling period — Key Conclusion 3).
-//! * [`droop`] — di/dt transient droops and the Vccmin emergency check
-//!   the guardband exists to prevent (Key Conclusion 1).
 //! * [`current`] — dynamic + base + leakage package current model.
 //!
 //! # Example
@@ -41,21 +37,17 @@
 #![warn(missing_debug_implementations)]
 
 pub mod current;
-pub mod droop;
 pub mod guardband;
 pub mod limits;
 pub mod loadline;
 pub mod power_gate;
 pub mod regulator;
-pub mod svid;
 pub mod vf_curve;
 
 pub use current::{CoreActivity, CurrentModel};
-pub use droop::DroopModel;
 pub use guardband::{CdynTable, GuardbandModel};
 pub use limits::{ElectricalLimits, LimitViolation};
 pub use loadline::LoadLine;
 pub use power_gate::{GateState, PowerGate};
 pub use regulator::{Vr, VrKind, VrModel};
-pub use svid::{SvidBus, SvidGrant};
 pub use vf_curve::{VfCurve, VfCurveError};

@@ -10,7 +10,6 @@
 //!   Figure 7(b) and the 454.calculix-like trace of Figure 6(b).
 //! * [`apps`] — §6.3 noise applications: the random-level PHI injector
 //!   and a 7-zip-like AVX2 compressor.
-//! * [`virus`] — power-virus workloads probing the worst-case guardband.
 //!
 //! # Example
 //!
@@ -35,7 +34,6 @@
 pub mod apps;
 pub mod loops;
 pub mod phases;
-pub mod virus;
 
 pub use apps::{RandomPhiApp, SevenZipApp};
 pub use loops::{instructions_for_duration, MeasuredLoop, PrecededLoop, Recorder};

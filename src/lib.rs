@@ -13,7 +13,7 @@
 //! * [`ichannels_pmu`] / [`ichannels_pdn`] / [`ichannels_uarch`] — the
 //!   power-management, power-delivery, and microarchitecture substrates;
 //! * [`ichannels_workload`] — measured loops, phase programs, apps;
-//! * [`ichannels_meter`] — the DAQ model and statistics;
+//! * [`ichannels_meter`] — statistics, time series, and CSV/JSONL export;
 //! * [`ichannels_obs`] — the deterministic-safe telemetry layer
 //!   (metrics registry, phase spans, mergeable snapshots);
 //! * [`ichannels_analysis`] — streaming capacity statistics over

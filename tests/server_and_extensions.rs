@@ -1,5 +1,5 @@
 //! §6.4 (server processors) and the repository's extensions: sync
-//! recovery, multi-level modulation, droop safety.
+//! recovery and multi-level modulation.
 
 use ichannels_repro::ichannels::ber::random_symbols;
 use ichannels_repro::ichannels::channel::{ChannelConfig, ChannelKind, IChannel};
