@@ -306,6 +306,7 @@ impl SymbolRun {
             ichannels_obs::observe("soc.step_ns", ns);
             ichannels_obs::counter_add("soc.slots_simulated", symbols.len() as u64);
             ichannels_obs::counter_add("soc.rearms", 1);
+            ichannels_obs::counter_add("soc.steps", soc.steps());
         }
         let durations = recorder.values();
         if durations.len() != symbols.len() {

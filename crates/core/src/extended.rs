@@ -252,6 +252,7 @@ impl MultiLevelChannel {
                 ichannels_obs::observe("soc.step_ns", ns);
                 ichannels_obs::counter_add("soc.slots_simulated", 1);
                 ichannels_obs::counter_add("soc.rearms", 1);
+                ichannels_obs::counter_add("soc.steps", soc.steps());
             }
             out.push(rec.values()[0]);
         }

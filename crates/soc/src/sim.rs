@@ -140,6 +140,9 @@ pub struct Soc {
     /// `spawn`/halt so `all_idle` (checked once per event in
     /// `run_until_idle`) is a comparison instead of a full scan.
     live_programs: usize,
+    /// Events processed since construction or the last re-arm: one per
+    /// `step` that advanced the clock. A pure function of the work set.
+    steps: u64,
 }
 
 impl Soc {
@@ -206,6 +209,7 @@ impl Soc {
             rate_scratch: Vec::new(),
             next_noise_due: SimTime::ZERO,
             live_programs: 0,
+            steps: 0,
         }
     }
 
@@ -256,6 +260,7 @@ impl Soc {
         self.rate_scratch.clear();
         self.next_noise_due = SimTime::ZERO;
         self.live_programs = 0;
+        self.steps = 0;
     }
 
     // ----- accessors -------------------------------------------------
@@ -330,6 +335,11 @@ impl Soc {
     /// Total instructions retired by a hardware thread.
     pub fn inst_retired(&self, core: usize, smt: usize) -> f64 {
         self.cores[core].ctxs[smt].inst_retired
+    }
+
+    /// Events processed since construction or the last re-arm.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// True if every spawned program has halted.
@@ -608,6 +618,7 @@ impl Soc {
         if self.now >= limit {
             return false;
         }
+        self.steps += 1;
         // --- 1. find the next event time ---
         // Retirement rates computed during the event search are cached
         // per hardware thread and replayed in phase 2: rates are

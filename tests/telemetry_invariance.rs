@@ -147,6 +147,33 @@ fn rerunning_a_scenario_trains_again() {
     assert_eq!(first, second, "(row, soc.rearms, soc.slots_simulated)");
 }
 
+/// SoC events (`soc.steps`) in one quick-catalog pass. The count is a
+/// pure function of the work set, so it must not depend on the worker
+/// count, and a change that only makes stepping cheaper must leave it
+/// unchanged; a moved count means the simulator now does different
+/// work.
+const QUICK_CATALOG_SOC_STEPS: u64 = 22_955;
+
+/// The quick catalog steps the SoC exactly `QUICK_CATALOG_SOC_STEPS`
+/// times on 1 and on 2 worker threads.
+#[test]
+fn quick_catalog_soc_step_count_is_pinned() {
+    let _guard = ObsGuard::acquire();
+    for threads in [1, 2] {
+        obs::set_enabled(true);
+        obs::reset();
+        for (_, grid) in campaigns::catalog(true) {
+            Executor::new(threads).run(&grid.scenarios());
+        }
+        obs::set_enabled(false);
+        assert_eq!(
+            obs::global().snapshot().counter("soc.steps"),
+            QUICK_CATALOG_SOC_STEPS,
+            "{threads} threads"
+        );
+    }
+}
+
 /// Splits `snap`-shaped recordings across shards: each shard registry
 /// records a disjoint slice of the same event stream.
 fn record_events(registry: &obs::MetricsRegistry, events: &[(u8, u64)]) {
