@@ -201,6 +201,14 @@ pub struct ExecGrant {
 pub struct CentralPmu {
     cfg: PmuConfig,
     licenses: Vec<CoreLicense>,
+    /// Ascending indices of the cores with any [`Self::on_execute`]
+    /// since construction or the last [`Self::reset`]. Every other
+    /// license is still fresh: Scalar64, whose guardband term is
+    /// `+0.0` and which never lowers the package max class, with no
+    /// pending decay. So the shared-rail target and `next_decay` visit
+    /// only these cores, in the same ascending order as a full scan,
+    /// and compute bit-identical results.
+    licensed: Vec<usize>,
     rails: Vec<VrRail>,
     base_mv: f64,
     freq: Freq,
@@ -243,6 +251,7 @@ impl CentralPmu {
         CentralPmu {
             cfg,
             licenses,
+            licensed: Vec::new(),
             rails,
             base_mv,
             freq,
@@ -277,6 +286,7 @@ impl CentralPmu {
         for license in &mut self.licenses {
             license.reset();
         }
+        self.licensed.clear();
         self.targets_valid_until = SimTime::ZERO;
     }
 
@@ -346,7 +356,10 @@ impl CentralPmu {
                 self.freq,
             )
         } else {
-            let classes = self.licenses.iter().map(|l| Some(l.effective_class(now)));
+            let classes = self
+                .licensed
+                .iter()
+                .map(|&c| Some(self.licenses[c].effective_class(now)));
             self.cfg
                 .guardband
                 .package_guardband_iter_mv(classes, self.base_mv, self.freq)
@@ -369,6 +382,9 @@ impl CentralPmu {
         let current = self.licenses[core].effective_level(now);
         let need = class.intensity_rank();
         self.licenses[core].record_execution(class, now);
+        if let Err(at) = self.licensed.binary_search(&core) {
+            self.licensed.insert(at, core);
+        }
         // Even a same-level execution extends the license window, which
         // moves the pending decay — the cached decay-scan horizon is
         // stale either way.
@@ -390,7 +406,10 @@ impl CentralPmu {
 
     /// The next instant at which any core's license decays, if any.
     pub fn next_decay(&self, now: SimTime) -> Option<SimTime> {
-        self.licenses.iter().filter_map(|l| l.next_decay(now)).min()
+        self.licensed
+            .iter()
+            .filter_map(|&c| self.licenses[c].next_decay(now))
+            .min()
     }
 
     /// Processes license decays at `now`: recomputes rail targets and
@@ -460,6 +479,74 @@ mod tests {
 
     fn pmu() -> CentralPmu {
         CentralPmu::new(cfg(), Freq::from_ghz(1.4), 760.0)
+    }
+
+    /// A Scalar64 execution recorded on every core puts every core on
+    /// the licensed list, so the PMU then visits all cores as a full
+    /// scan would. Grants, rail setpoints, rail voltages and pending
+    /// decays must match a PMU that only saw the real schedule, bit for
+    /// bit, on a shared rail, per-core rails and in secure mode.
+    #[test]
+    fn scalar_execution_on_every_core_changes_nothing() {
+        enum Op {
+            Exec(usize, InstClass),
+            Decays,
+            OperatingPoint(f64, f64),
+        }
+        let schedule = [
+            (0.5, Op::OperatingPoint(1.8, 800.0)),
+            (1.0, Op::Exec(4, InstClass::Heavy512)),
+            (1.2, Op::Exec(1, InstClass::Heavy128)),
+            (20.0, Op::Decays),
+            (30.0, Op::Exec(4, InstClass::Light256)),
+            (90.0, Op::OperatingPoint(2.0, 820.0)),
+            (400.0, Op::Exec(1, InstClass::Heavy512)),
+            (651.0, Op::Decays),
+            (700.0, Op::Exec(5, InstClass::Light512)),
+            (1_051.0, Op::Decays),
+            (1_400.0, Op::Decays),
+            (2_000.0, Op::Decays),
+        ];
+        for (per_core_vr, secure_mode) in [(false, false), (true, false), (false, true)] {
+            let cfg = PmuConfig {
+                n_cores: 6,
+                per_core_vr,
+                secure_mode,
+                ..cfg()
+            };
+            let mut sparse = CentralPmu::new(cfg, Freq::from_ghz(1.4), 760.0);
+            let mut full = sparse.clone();
+            for core in 0..6 {
+                full.on_execute(core, InstClass::Scalar64, SimTime::ZERO);
+            }
+            for (t_us, op) in &schedule {
+                let t = SimTime::from_us(*t_us);
+                match *op {
+                    Op::Exec(core, class) => assert_eq!(
+                        sparse.on_execute(core, class, t),
+                        full.on_execute(core, class, t),
+                        "grant at {t}"
+                    ),
+                    Op::Decays => {
+                        assert_eq!(sparse.process_decays(t), full.process_decays(t));
+                    }
+                    Op::OperatingPoint(ghz, mv) => {
+                        sparse.set_operating_point(t, Freq::from_ghz(ghz), mv);
+                        full.set_operating_point(t, Freq::from_ghz(ghz), mv);
+                    }
+                }
+                assert_eq!(sparse.next_decay(t), full.next_decay(t), "decay at {t}");
+                for core in 0..6 {
+                    let (a, b) = (sparse.rail(core), full.rail(core));
+                    assert_eq!(a.setpoint_mv().to_bits(), b.setpoint_mv().to_bits());
+                    assert_eq!(a.free_at(), b.free_at());
+                    for dt in [0.0, 0.5, 3.0, 12.0] {
+                        let at = t + SimTime::from_us(dt);
+                        assert_eq!(a.voltage_at(at).to_bits(), b.voltage_at(at).to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

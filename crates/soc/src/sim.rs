@@ -143,6 +143,15 @@ pub struct Soc {
     /// Events processed since construction or the last re-arm: one per
     /// `step` that advanced the clock. A pure function of the work set.
     steps: u64,
+    /// Ascending indices of the cores `spawn` has placed a program on
+    /// since construction or the last re-arm. Every other core is still
+    /// as constructed: idle contexts with no program, no throttle, a
+    /// fresh PMU license and gate. Such a core adds nothing to any
+    /// per-event loop (its activity is `IDLE`, its guardband term is
+    /// `+0.0`, it has no event or noise to consider), so those loops
+    /// visit only these cores, in the ascending order of a full scan,
+    /// and every sum and minimum keeps its operands and their order.
+    engaged: Vec<usize>,
 }
 
 impl Soc {
@@ -210,6 +219,7 @@ impl Soc {
             next_noise_due: SimTime::ZERO,
             live_programs: 0,
             steps: 0,
+            engaged: Vec::new(),
         }
     }
 
@@ -261,6 +271,7 @@ impl Soc {
         self.next_noise_due = SimTime::ZERO;
         self.live_programs = 0;
         self.steps = 0;
+        self.engaged.clear();
     }
 
     // ----- accessors -------------------------------------------------
@@ -367,6 +378,9 @@ impl Soc {
         );
         self.cores[core].ctxs[smt].program = Some(program);
         self.live_programs += 1;
+        if let Err(at) = self.engaged.binary_search(&core) {
+            self.engaged.insert(at, core);
+        }
         self.activate(core, smt);
     }
 
@@ -458,7 +472,8 @@ impl Soc {
             if !self.cfg.per_core_vr {
                 let ready = grant.ready_at;
                 let now = self.now;
-                for other in self.cores.iter_mut() {
+                for &ci in &self.engaged {
+                    let other = &mut self.cores[ci];
                     if other.throttled_until > now {
                         other.throttled_until = other.throttled_until.max(ready);
                     }
@@ -480,7 +495,8 @@ impl Soc {
     /// allocation (the event-loop path).
     fn core_activities_into(&self, out: &mut Vec<CoreActivity>) {
         out.clear();
-        out.extend(self.cores.iter().map(|core| {
+        out.extend(self.engaged.iter().map(|&ci| {
+            let core = &self.cores[ci];
             let mut best: Option<InstClass> = None;
             for ctx in &core.ctxs {
                 if let CtxState::Running { class, .. } = ctx.state {
@@ -511,17 +527,20 @@ impl Soc {
         let mut projected = std::mem::take(&mut self.proj_scratch);
         let mut acts = std::mem::take(&mut self.proj_acts_scratch);
         let p = &self.cfg.platform;
-        // One pass over the cores gathers everything the search needs:
-        // the demanded turbo license, the active-core count, and the
-        // worst-case projection (Key Conclusion 2) — unthrottled
+        // One pass over the engaged cores gathers everything the search
+        // needs: the demanded turbo license, the active-core count, and
+        // the worst-case projection (Key Conclusion 2) — unthrottled
         // activity, and the license each core is *about* to hold (its
         // current effective license or the class it is running,
-        // whichever is higher).
+        // whichever is higher). A core never spawned on would add only
+        // a Scalar64 projection (guardband `+0.0`) and an `IDLE`
+        // activity (current `+0.0`).
         projected.clear();
         acts.clear();
         let mut lic = self.turbo.current();
         let mut active = 0usize;
-        for (i, core) in self.cores.iter().enumerate() {
+        for &i in &self.engaged {
+            let core = &self.cores[i];
             let licensed = self.pmu.effective_class(i, self.now);
             let mut running: Option<InstClass> = None;
             for x in &core.ctxs {
@@ -637,7 +656,8 @@ impl Soc {
                 t_next = t;
             }
         };
-        for (ci, core) in self.cores.iter().enumerate() {
+        for &ci in &self.engaged {
+            let core = &self.cores[ci];
             if core.throttled_until > now {
                 consider(core.throttled_until);
             }
@@ -715,7 +735,7 @@ impl Soc {
         self.acts_scratch = acts;
         let dt_secs = dt.as_secs();
         let mut slot = 0;
-        for ci in 0..self.cores.len() {
+        for &ci in &self.engaged {
             for si in 0..self.cores[ci].ctxs.len() {
                 let rate = rates[slot];
                 slot += 1;
@@ -760,7 +780,7 @@ impl Soc {
         if self.pmu.process_decays(now) {
             // Close AVX power-gates on cores whose license dropped below
             // the 256-bit classes.
-            for ci in 0..self.cores.len() {
+            for &ci in &self.engaged {
                 if self.pmu.effective_level(ci, now) < InstClass::Light256.intensity_rank() {
                     self.cores[ci].avx_gate.close();
                 }
@@ -780,7 +800,7 @@ impl Soc {
         // every per-context due-check below would be false).
         let noise = self.cfg.noise;
         if self.next_noise_due <= now {
-            for ci in 0..self.cores.len() {
+            for &ci in &self.engaged {
                 for si in 0..self.cores[ci].ctxs.len() {
                     if self.cores[ci].ctxs[si].program.is_none() {
                         continue;
@@ -806,7 +826,10 @@ impl Soc {
         }
 
         // (e) Block completions and (f) wait expiries → reactivate.
-        for ci in 0..self.cores.len() {
+        // Indexed: `activate` needs `&mut self`, and only `spawn` ever
+        // changes `engaged`.
+        for k in 0..self.engaged.len() {
+            let ci = self.engaged[k];
             for si in 0..self.cores[ci].ctxs.len() {
                 let due = match self.cores[ci].ctxs[si].state {
                     CtxState::Running { remaining, .. } => {
