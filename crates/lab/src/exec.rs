@@ -1,7 +1,8 @@
 //! The multi-threaded campaign executor.
 //!
 //! A plain `std::thread` worker pool drains a shared atomic work index
-//! over the work list; each worker runs items hermetically (every
+//! over the work list (a one-worker pool runs on the calling thread
+//! instead of spawning); each worker runs items hermetically (every
 //! trial re-derives all of its randomness from the scenario seed) and
 //! deposits the result at the item's slot. Results therefore come
 //! back in input order and are **bit-identical** for any worker count —
@@ -93,46 +94,65 @@ impl Executor {
         // lint:allow(D002): telemetry-gated pool timing; off by default
         // and never part of campaign bytes.
         let pool_started = telemetry.then(std::time::Instant::now);
+        let workers = self.threads.min(items.len());
+        if telemetry {
+            ichannels_obs::gauge_max("exec.threads", workers as u64);
+        }
+        let results = if workers == 1 {
+            // One worker runs on the calling thread: no spawn, no
+            // channel, and the sink sees each result as it is made.
+            let mut clock = BusyClock::new(telemetry);
+            let results = items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    let result = clock.time(|| f(item));
+                    sink(i, &result);
+                    result
+                })
+                .collect();
+            clock.flush();
+            results
+        } else {
+            Self::pool(items, &f, &mut sink, workers, telemetry)
+        };
+        if let Some(started) = pool_started {
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            ichannels_obs::observe("exec.pool_wall_ns", ns);
+        }
+        results
+    }
+
+    /// The multi-worker path of [`Executor::map_streamed`]: `workers`
+    /// scoped threads drain the shared work index while the calling
+    /// thread reorders completions for the sink.
+    fn pool<T, R, F, S>(items: &[T], f: &F, sink: &mut S, workers: usize, telemetry: bool) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+        S: FnMut(usize, &R),
+    {
         let next = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-        let f = &f;
         let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
-            let workers = self.threads.min(items.len());
-            if telemetry {
-                ichannels_obs::gauge_max("exec.threads", workers as u64);
-            }
             for _ in 0..workers {
                 let next = Arc::clone(&next);
                 let tx = tx.clone();
                 scope.spawn(move || {
-                    let mut busy_ns = 0u64;
-                    let mut done = 0u64;
+                    let mut clock = BusyClock::new(telemetry);
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;
                         }
-                        // lint:allow(D002): telemetry-gated worker
-                        // busy-time sample; never in campaign bytes.
-                        let item_started = telemetry.then(std::time::Instant::now);
-                        let result = f(&items[i]);
-                        if let Some(started) = item_started {
-                            busy_ns = busy_ns.saturating_add(
-                                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
-                            done += 1;
-                        }
+                        let result = clock.time(|| f(&items[i]));
                         if tx.send((i, result)).is_err() {
                             break;
                         }
                     }
-                    if telemetry {
-                        // One sample per worker: the distribution shows
-                        // pool balance, the sum total busy time.
-                        ichannels_obs::observe("exec.worker_busy_ns", busy_ns);
-                        ichannels_obs::counter_add("exec.items", done);
-                    }
+                    clock.flush();
                 });
             }
             drop(tx);
@@ -147,16 +167,54 @@ impl Executor {
                 }
             }
         });
-        if let Some(started) = pool_started {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ichannels_obs::observe("exec.pool_wall_ns", ns);
-        }
         slots
             .into_iter()
             // lint:allow(R001): the drain loop above runs until every
             // worker sent its result, so each slot is Some.
             .map(|slot| slot.expect("every slot filled"))
             .collect()
+    }
+}
+
+/// One worker's busy-time telemetry: the time spent inside the mapped
+/// function and the number of items it finished. Inert unless
+/// telemetry was on when the run started.
+struct BusyClock {
+    enabled: bool,
+    busy_ns: u64,
+    done: u64,
+}
+
+impl BusyClock {
+    fn new(enabled: bool) -> Self {
+        BusyClock {
+            enabled,
+            busy_ns: 0,
+            done: 0,
+        }
+    }
+
+    fn time<R>(&mut self, work: impl FnOnce() -> R) -> R {
+        // lint:allow(D002): telemetry-gated worker busy-time sample;
+        // never in campaign bytes.
+        let started = self.enabled.then(std::time::Instant::now);
+        let result = work();
+        if let Some(started) = started {
+            self.busy_ns = self
+                .busy_ns
+                .saturating_add(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            self.done += 1;
+        }
+        result
+    }
+
+    /// Records one sample per worker: the distribution shows pool
+    /// balance, the sum total busy time.
+    fn flush(self) {
+        if self.enabled {
+            ichannels_obs::observe("exec.worker_busy_ns", self.busy_ns);
+            ichannels_obs::counter_add("exec.items", self.done);
+        }
     }
 }
 
