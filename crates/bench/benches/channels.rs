@@ -1,10 +1,10 @@
 //! Criterion microbenchmarks of the covert-channel hot paths: one full
-//! transaction per channel kind, calibration, and symbol coding.
+//! transaction per channel kind, calibration, symbol coding and
+//! decoding.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ichannels::ber::random_symbols;
 use ichannels::channel::IChannel;
-use ichannels::ecc::{Hamming74, Repetition3};
 use ichannels::symbols::{bits_to_symbols, symbols_to_bits, Symbol};
 
 fn bench_transactions(c: &mut Criterion) {
@@ -15,11 +15,11 @@ fn bench_transactions(c: &mut Criterion) {
         ("icc_smt_covert", IChannel::icc_smt_covert()),
         ("icc_cores_covert", IChannel::icc_cores_covert()),
     ] {
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let symbols = random_symbols(4, 7);
         group.bench_function(name, |b| {
             b.iter(|| {
-                let tx = ch.transmit_symbols(&symbols, &cal);
+                let tx = ch.try_transmit_symbols(&symbols, &cal).unwrap();
                 assert_eq!(tx.sent.len(), 4);
                 tx
             })
@@ -32,7 +32,9 @@ fn bench_calibration(c: &mut Criterion) {
     let mut group = c.benchmark_group("calibration");
     group.sample_size(10);
     let ch = IChannel::icc_thread_covert();
-    group.bench_function("calibrate_2_reps", |b| b.iter(|| ch.calibrate(2)));
+    group.bench_function("calibrate_2_reps", |b| {
+        b.iter(|| ch.try_calibrate(2).unwrap())
+    });
     group.finish();
 }
 
@@ -44,20 +46,8 @@ fn bench_coding(c: &mut Criterion) {
             symbols_to_bits(&symbols)
         })
     });
-    c.bench_function("hamming74_1kbit", |b| {
-        b.iter(|| {
-            let coded = Hamming74.encode(&bits);
-            Hamming74.decode(&coded)
-        })
-    });
-    c.bench_function("repetition3_1kbit", |b| {
-        b.iter(|| {
-            let coded = Repetition3.encode(&bits);
-            Repetition3.decode(&coded)
-        })
-    });
     let ch = IChannel::icc_thread_covert();
-    let cal = ch.calibrate(2);
+    let cal = ch.try_calibrate(2).unwrap();
     c.bench_function("nearest_mean_decode", |b| {
         b.iter(|| {
             let mut acc = 0u8;

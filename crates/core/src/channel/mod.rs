@@ -91,7 +91,7 @@ mod tests {
             IChannel::icc_smt_covert(),
             IChannel::icc_cores_covert(),
         ] {
-            let cal = ch.calibrate(3);
+            let cal = ch.try_calibrate(3).unwrap();
             let msg = [
                 Symbol::new(2),
                 Symbol::new(0),
@@ -100,7 +100,7 @@ mod tests {
                 Symbol::new(3),
                 Symbol::new(0),
             ];
-            let tx = ch.transmit_symbols(&msg, &cal);
+            let tx = ch.try_transmit_symbols(&msg, &cal).unwrap();
             assert_eq!(tx.received, msg, "{} failed", ch.kind());
             assert_eq!(tx.bit_error_rate(), 0.0);
         }
@@ -109,9 +109,9 @@ mod tests {
     #[test]
     fn throughput_is_about_2_9_kbps() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let msg = vec![Symbol::new(1); 10];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.try_transmit_symbols(&msg, &cal).unwrap();
         let bps = tx.throughput_bps();
         assert!((2_800.0..3_000.0).contains(&bps), "throughput = {bps} b/s");
     }
@@ -119,16 +119,18 @@ mod tests {
     #[test]
     fn transmit_bits_api() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let bits = [true, false, false, true, true, true];
-        let tx = ch.transmit_bits(&bits, &cal);
+        let tx = ch
+            .try_transmit_symbols(&crate::symbols::bits_to_symbols(&bits), &cal)
+            .unwrap();
         assert_eq!(crate::symbols::symbols_to_bits(&tx.received), bits);
     }
 
     #[test]
     fn calibration_separation_exceeds_2k_cycles() {
         let ch = IChannel::icc_thread_covert();
-        let cal = ch.calibrate(3);
+        let cal = ch.try_calibrate(3).unwrap();
         assert!(
             cal.min_separation_cycles() > 1800.0,
             "separation = {}",
@@ -196,11 +198,14 @@ mod tests {
         let legacy = IChannel::new(ChannelKind::Cores, legacy_cfg);
         assert!(calibrated.tuning().is_legacy());
         let msg = [Symbol::new(1), Symbol::new(3), Symbol::new(0)];
-        let (ca, cb) = (calibrated.calibrate(2), legacy.calibrate(2));
+        let (ca, cb) = (
+            calibrated.try_calibrate(2).unwrap(),
+            legacy.try_calibrate(2).unwrap(),
+        );
         assert_eq!(ca, cb);
         let (ta, tb) = (
-            calibrated.transmit_symbols(&msg, &ca),
-            legacy.transmit_symbols(&msg, &cb),
+            calibrated.try_transmit_symbols(&msg, &ca).unwrap(),
+            legacy.try_transmit_symbols(&msg, &cb).unwrap(),
         );
         assert_eq!(ta.durations, tb.durations);
         assert_eq!(ta.received, tb.received);
@@ -216,9 +221,9 @@ mod tests {
         assert!(!tuning.is_legacy());
         let votes = tuning.votes as usize;
         assert_eq!(ch.slots_per_symbol(), votes);
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let msg = [Symbol::new(0), Symbol::new(3), Symbol::new(2)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.try_transmit_symbols(&msg, &cal).unwrap();
         assert_eq!(tx.received, msg, "voted decode should be clean");
         assert_eq!(tx.durations.len(), msg.len() * votes);
         assert_eq!(
@@ -256,9 +261,9 @@ mod tests {
         let mut cfg = ChannelConfig::default_cannon_lake();
         cfg.soc = SocConfig::pinned(PlatformSpec::coffee_lake(), Freq::from_ghz(2.0));
         let ch = IChannel::new(ChannelKind::Cores, cfg);
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let msg = [Symbol::new(0), Symbol::new(3), Symbol::new(2)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.try_transmit_symbols(&msg, &cal).unwrap();
         assert_eq!(tx.received, msg);
     }
 

@@ -329,9 +329,10 @@ impl SymbolRun {
 /// use ichannels::symbols::Symbol;
 ///
 /// let ch = IChannel::new(ChannelKind::Thread, ChannelConfig::default_cannon_lake());
-/// let cal = ch.calibrate(3);
-/// let tx = ch.transmit_symbols(&[Symbol::new(0), Symbol::new(3)], &cal);
+/// let cal = ch.try_calibrate(3)?;
+/// let tx = ch.try_transmit_symbols(&[Symbol::new(0), Symbol::new(3)], &cal)?;
 /// assert_eq!(tx.sent.len(), 2);
+/// # Ok::<(), ichannels::channel::ChannelError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct IChannel {
@@ -436,21 +437,9 @@ impl IChannel {
 
     /// Calibrates the channel: transmits each of the four levels
     /// `reps` times with known symbols and records the mean duration per
-    /// level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is zero or a training run fails; use
-    /// [`IChannel::try_calibrate`] to handle a broken configuration.
-    pub fn calibrate(&self, reps: usize) -> Calibration {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_calibrate for harness/figure code.
-        self.try_calibrate(reps).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::calibrate`]: the four per-level
-    /// training runs share one re-armed [`SymbolRun`], so the schedule
-    /// derivation and SoC construction are paid once.
+    /// level. The four per-level training runs share one re-armed
+    /// [`SymbolRun`], so the schedule derivation and SoC construction
+    /// are paid once.
     ///
     /// # Errors
     ///
@@ -475,19 +464,6 @@ impl IChannel {
 
     /// Transmits symbols and decodes them with the calibration.
     ///
-    /// # Panics
-    ///
-    /// Panics if the run fails; use [`IChannel::try_transmit_symbols`]
-    /// to handle a broken configuration.
-    pub fn transmit_symbols(&self, symbols: &[Symbol], cal: &Calibration) -> Transmission {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_transmit_symbols for harness/figure code.
-        self.try_transmit_symbols(symbols, cal)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::transmit_symbols`].
-    ///
     /// # Errors
     ///
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
@@ -500,30 +476,8 @@ impl IChannel {
         self.try_transmit_symbols_with(symbols, cal, |_| {})
     }
 
-    /// Like [`IChannel::transmit_symbols`], with a SoC setup hook for
-    /// concurrent noise applications (§6.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run fails; use
-    /// [`IChannel::try_transmit_symbols_with`] to handle a broken
-    /// configuration.
-    pub fn transmit_symbols_with<F>(
-        &self,
-        symbols: &[Symbol],
-        cal: &Calibration,
-        setup: F,
-    ) -> Transmission
-    where
-        F: FnOnce(&mut Soc),
-    {
-        // lint:allow(R001): documented panicking wrapper over
-        // try_transmit_symbols_with for harness/figure code.
-        self.try_transmit_symbols_with(symbols, cal, setup)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`IChannel::transmit_symbols_with`].
+    /// Like [`IChannel::try_transmit_symbols`], with a SoC setup hook
+    /// for concurrent noise applications (§6.3).
     ///
     /// With a repeat-and-vote tuning (`votes > 1`) every payload symbol
     /// is transmitted over that many consecutive transaction slots and
@@ -570,15 +524,5 @@ impl IChannel {
             durations,
             elapsed: self.cfg.slot_period.scale(slots.len() as f64),
         })
-    }
-
-    /// Transmits raw bits (even count) — the end-to-end covert channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bit count is odd or the run fails.
-    pub fn transmit_bits(&self, bits: &[bool], cal: &Calibration) -> Transmission {
-        let symbols = crate::symbols::bits_to_symbols(bits);
-        self.transmit_symbols(&symbols, cal)
     }
 }

@@ -21,12 +21,11 @@
 //! Figure 3) at ~2.9 kb/s. Supporting modules:
 //!
 //! * [`symbols`] — the 2-bit symbol ↔ PHI-level coding;
-//! * [`ber`] — BER / capacity evaluation harness (§6.2, §6.3);
+//! * [`ber`] — random payload streams and the effective symbol rate
+//!   the campaign engine scores capacity with (§6.2, §6.3);
 //! * [`baselines`] — NetSpectre, TurboCC, DFScovert, POWERT comparators
 //!   (Figure 12, Table 2);
-//! * [`mitigations`] — the §7 mitigations and the Table 1 evaluation;
-//! * [`ecc`] — repetition/Hamming/CRC coding for noisy operation (§6.3);
-//! * [`attack`] — the §6.5 instruction-type inference side channel;
+//! * [`mitigations`] — the §7 mitigations and the Table 1 verdicts;
 //! * [`sync`] — §4.3.3 wall-clock synchronization with preamble-based
 //!   offset recovery;
 //! * [`extended`] — beyond the paper: 6/7-level modulation exploiting
@@ -35,36 +34,30 @@
 //! # Quickstart
 //!
 //! ```
-//! use ichannels::channel::IChannel;
+//! use ichannels::channel::{ChannelError, IChannel};
 //! use ichannels::symbols::{bits_to_symbols, symbols_to_bits};
 //!
 //! // Exfiltrate one secret byte across SMT threads.
 //! let channel = IChannel::icc_smt_covert();
-//! let cal = channel.calibrate(3);
+//! let cal = channel.try_calibrate(3)?;
 //! let secret = [true, false, true, true, false, false, true, false];
-//! let tx = channel.transmit_bits(&secret, &cal);
+//! let tx = channel.try_transmit_symbols(&bits_to_symbols(&secret), &cal)?;
 //! assert_eq!(symbols_to_bits(&tx.received), secret);
 //! assert!(tx.throughput_bps() > 2_500.0); // ~2.9 kb/s
-//! # let _ = bits_to_symbols(&secret);
+//! # Ok::<(), ChannelError>(())
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod attack;
 pub mod baselines;
 pub mod ber;
 pub mod channel;
-pub mod ecc;
 pub mod extended;
 pub mod mitigations;
-pub mod protocol;
 pub mod symbols;
 pub mod sync;
 
-pub use attack::{InstructionSpy, SpyPlacement};
-pub use ber::{evaluate, ChannelEval};
 pub use channel::{Calibration, ChannelConfig, ChannelKind, IChannel, Transmission};
 pub use extended::{LevelAlphabet, MultiLevelChannel};
 pub use mitigations::{Effectiveness, Mitigation};
-pub use protocol::{FramedLink, LinkStats};
 pub use symbols::Symbol;

@@ -1,4 +1,4 @@
-//! The paper's §7 mitigations and their evaluation (Table 1).
+//! The paper's §7 mitigations and their Table 1 verdicts.
 //!
 //! * **Per-core VR** — LDO rails per core: removes the cross-core SVID
 //!   serialization entirely and shrinks same-thread/SMT throttling
@@ -12,8 +12,7 @@
 use ichannels_soc::config::PlatformSpec;
 use ichannels_uarch::isa::InstClass;
 
-use crate::ber::{evaluate, ChannelEval};
-use crate::channel::{ChannelConfig, ChannelKind, IChannel};
+use crate::channel::ChannelConfig;
 
 /// One of the three proposed mitigations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,15 +89,9 @@ impl std::fmt::Display for Effectiveness {
     }
 }
 
-/// Classifies a mitigated channel evaluation against the unmitigated
-/// capacity.
-pub fn classify(mitigated: &ChannelEval, baseline: &ChannelEval) -> Effectiveness {
-    classify_capacity(mitigated.capacity_bps, baseline.capacity_bps)
-}
-
-/// Classifies from bare capacities (bits/s) — the entry point for
-/// callers that aggregate trials outside [`ChannelEval`] (for example
-/// the `ichannels-lab` campaign engine).
+/// Classifies a mitigated channel's capacity (bits/s) against the
+/// unmitigated one — the Table 1 verdict the `ichannels-lab` campaign
+/// engine scores each mitigation cell with.
 pub fn classify_capacity(mitigated_bps: f64, baseline_bps: f64) -> Effectiveness {
     let residual = if baseline_bps > 0.0 {
         mitigated_bps / baseline_bps
@@ -111,50 +104,6 @@ pub fn classify_capacity(mitigated_bps: f64, baseline_bps: f64) -> Effectiveness
         Effectiveness::Partial
     } else {
         Effectiveness::None
-    }
-}
-
-/// Evaluation of one (mitigation, channel) cell of Table 1.
-#[derive(Debug, Clone)]
-pub struct MitigationOutcome {
-    /// The mitigation applied.
-    pub mitigation: Mitigation,
-    /// The channel evaluated.
-    pub channel: ChannelKind,
-    /// Unmitigated reference evaluation.
-    pub baseline: ChannelEval,
-    /// Evaluation with the mitigation applied.
-    pub mitigated: ChannelEval,
-    /// Verdict.
-    pub effectiveness: Effectiveness,
-}
-
-/// Evaluates one Table 1 cell with `n_symbols` random symbols.
-/// The mitigated channel is *recalibrated* first — the attacker adapts.
-pub fn evaluate_mitigation(
-    mitigation: Mitigation,
-    kind: ChannelKind,
-    base_cfg: &ChannelConfig,
-    n_symbols: usize,
-    calib_reps: usize,
-    seed: u64,
-) -> MitigationOutcome {
-    let base_channel = IChannel::new(kind, base_cfg.clone());
-    let base_cal = base_channel.calibrate(calib_reps);
-    let baseline = evaluate(&base_channel, &base_cal, n_symbols, seed);
-
-    let mit_cfg = mitigation.apply(base_cfg.clone());
-    let mit_channel = IChannel::new(kind, mit_cfg);
-    let mit_cal = mit_channel.calibrate(calib_reps);
-    let mitigated = evaluate(&mit_channel, &mit_cal, n_symbols, seed);
-
-    let effectiveness = classify(&mitigated, &baseline);
-    MitigationOutcome {
-        mitigation,
-        channel: kind,
-        baseline,
-        mitigated,
-        effectiveness,
     }
 }
 
@@ -177,68 +126,6 @@ pub fn secure_mode_power_overhead(platform: &PlatformSpec, widest: InstClass) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn cfg() -> ChannelConfig {
-        ChannelConfig::default_cannon_lake()
-    }
-
-    #[test]
-    fn secure_mode_kills_every_channel() {
-        for kind in [ChannelKind::Thread, ChannelKind::Smt, ChannelKind::Cores] {
-            let o = evaluate_mitigation(Mitigation::SecureMode, kind, &cfg(), 60, 2, 5);
-            assert_eq!(
-                o.effectiveness,
-                Effectiveness::Full,
-                "{kind}: residual capacity {}",
-                o.mitigated.capacity_bps
-            );
-        }
-    }
-
-    #[test]
-    fn improved_throttling_kills_smt_channel_only() {
-        let smt = evaluate_mitigation(
-            Mitigation::ImprovedThrottling,
-            ChannelKind::Smt,
-            &cfg(),
-            60,
-            2,
-            6,
-        );
-        assert_eq!(smt.effectiveness, Effectiveness::Full, "SMT should die");
-        let thread = evaluate_mitigation(
-            Mitigation::ImprovedThrottling,
-            ChannelKind::Thread,
-            &cfg(),
-            60,
-            2,
-            6,
-        );
-        assert_eq!(
-            thread.effectiveness,
-            Effectiveness::None,
-            "same-thread channel throttles itself and survives"
-        );
-    }
-
-    #[test]
-    fn per_core_vr_kills_cross_core_channel() {
-        let cores =
-            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Cores, &cfg(), 60, 2, 7);
-        assert_eq!(cores.effectiveness, Effectiveness::Full);
-    }
-
-    #[test]
-    fn per_core_vr_weakens_thread_channel() {
-        let thread =
-            evaluate_mitigation(Mitigation::PerCoreVr, ChannelKind::Thread, &cfg(), 60, 3, 8);
-        assert_ne!(
-            thread.effectiveness,
-            Effectiveness::None,
-            "LDO TPs are sub-µs: channel must be at least weakened (residual {})",
-            thread.mitigated.capacity_bps / thread.baseline.capacity_bps
-        );
-    }
 
     #[test]
     fn secure_mode_overhead_matches_paper_band() {

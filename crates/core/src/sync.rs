@@ -14,7 +14,7 @@
 
 use ichannels_uarch::time::SimTime;
 
-use crate::channel::{Calibration, ChannelConfig, ChannelKind, IChannel};
+use crate::channel::{Calibration, ChannelConfig, ChannelError, ChannelKind, IChannel};
 use crate::symbols::Symbol;
 
 /// The default preamble: a level sweep repeated twice. Maximally
@@ -54,28 +54,36 @@ pub fn with_receiver_offset(mut cfg: ChannelConfig, offset: SimTime) -> ChannelC
 
 /// Scores one candidate offset: transmit the preamble with the receiver
 /// shifted by `offset` and count correct decodes.
+///
+/// # Errors
+///
+/// The [`ChannelError`] of the preamble transmission.
 pub fn score_offset(
     kind: ChannelKind,
     base_cfg: &ChannelConfig,
     cal: &Calibration,
     preamble: &[Symbol],
     offset: SimTime,
-) -> f64 {
+) -> Result<f64, ChannelError> {
     let cfg = with_receiver_offset(base_cfg.clone(), offset);
     let ch = IChannel::new(kind, cfg);
-    let tx = ch.transmit_symbols(preamble, cal);
+    let tx = ch.try_transmit_symbols(preamble, cal)?;
     let correct = tx
         .sent
         .iter()
         .zip(&tx.received)
         .filter(|(a, b)| a == b)
         .count();
-    correct as f64 / preamble.len() as f64
+    Ok(correct as f64 / preamble.len() as f64)
 }
 
 /// Sweeps candidate offsets in `[0, range)` at the given step and
 /// returns the best-scoring one. Models a receiver that does not know
 /// the true slot phase and recovers it from the preamble.
+///
+/// # Errors
+///
+/// The [`ChannelError`] of the first failing preamble transmission.
 ///
 /// # Panics
 ///
@@ -87,7 +95,7 @@ pub fn recover_offset(
     preamble: &[Symbol],
     range: SimTime,
     step: SimTime,
-) -> SyncResult {
+) -> Result<SyncResult, ChannelError> {
     assert!(!step.is_zero(), "sweep step must be non-zero");
     assert!(range >= step, "sweep range must cover at least one step");
     let mut scores = Vec::new();
@@ -95,7 +103,7 @@ pub fn recover_offset(
     let mut best_score = -1.0;
     let mut offset = SimTime::ZERO;
     while offset < range {
-        let score = score_offset(kind, base_cfg, cal, preamble, offset);
+        let score = score_offset(kind, base_cfg, cal, preamble, offset)?;
         scores.push((offset, score));
         if score > best_score {
             best_score = score;
@@ -103,11 +111,11 @@ pub fn recover_offset(
         }
         offset += step;
     }
-    SyncResult {
+    Ok(SyncResult {
         best_offset,
         best_score,
         scores,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -120,9 +128,10 @@ mod tests {
     fn large_skew_breaks_decoding() {
         let base = ChannelConfig::default_cannon_lake();
         let ch = IChannel::new(ChannelKind::Cores, base.clone());
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let preamble = default_preamble();
-        let aligned = score_offset(ChannelKind::Cores, &base, &cal, &preamble, SimTime::ZERO);
+        let aligned =
+            score_offset(ChannelKind::Cores, &base, &cal, &preamble, SimTime::ZERO).unwrap();
         assert_eq!(aligned, 1.0);
         // Start the receiver ~25 µs late: past the sender's transition,
         // so the queueing signal is gone.
@@ -132,7 +141,8 @@ mod tests {
             &cal,
             &preamble,
             SimTime::from_us(25.0),
-        );
+        )
+        .unwrap();
         assert!(skewed < 0.8, "skewed score = {skewed}");
     }
 
@@ -141,7 +151,7 @@ mod tests {
     fn preamble_sweep_recovers_alignment() {
         let base = ChannelConfig::default_cannon_lake();
         let ch = IChannel::new(ChannelKind::Cores, base.clone());
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let preamble = default_preamble();
         let result = recover_offset(
             ChannelKind::Cores,
@@ -150,13 +160,14 @@ mod tests {
             &preamble,
             SimTime::from_us(20.0),
             SimTime::from_us(4.0),
-        );
+        )
+        .unwrap();
         assert_eq!(result.best_score, 1.0, "scores = {:?}", result.scores);
         // With the recovered offset, payload transfer works.
         let cfg = with_receiver_offset(base, result.best_offset);
         let ch = IChannel::new(ChannelKind::Cores, cfg);
         let msg = [Symbol::new(2), Symbol::new(0), Symbol::new(3)];
-        let tx = ch.transmit_symbols(&msg, &cal);
+        let tx = ch.try_transmit_symbols(&msg, &cal).unwrap();
         assert_eq!(tx.received, msg);
     }
 }

@@ -125,7 +125,9 @@ impl Executor {
 
     /// The multi-worker path of [`Executor::map_streamed`]: `workers`
     /// scoped threads drain the shared work index while the calling
-    /// thread reorders completions for the sink.
+    /// thread reorders completions for the sink. The workers are joined
+    /// after the drain, and a worker's panic is re-raised on the
+    /// calling thread with its own payload.
     fn pool<T, R, F, S>(items: &[T], f: &F, sink: &mut S, workers: usize, telemetry: bool) -> Vec<R>
     where
         T: Sync,
@@ -137,24 +139,26 @@ impl Executor {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
         let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let next = Arc::clone(&next);
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut clock = BusyClock::new(telemetry);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let next = Arc::clone(&next);
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        let mut clock = BusyClock::new(telemetry);
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= items.len() {
+                                break;
+                            }
+                            let result = clock.time(|| f(&items[i]));
+                            if tx.send((i, result)).is_err() {
+                                break;
+                            }
                         }
-                        let result = clock.time(|| f(&items[i]));
-                        if tx.send((i, result)).is_err() {
-                            break;
-                        }
-                    }
-                    clock.flush();
-                });
-            }
+                        clock.flush();
+                    })
+                })
+                .collect();
             drop(tx);
             // The calling thread drains completions, emitting the
             // in-order prefix as it fills in.
@@ -164,6 +168,11 @@ impl Executor {
                 while let Some(Some(ready)) = slots.get(emitted) {
                     sink(emitted, ready);
                     emitted += 1;
+                }
+            }
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
                 }
             }
         });
@@ -244,6 +253,23 @@ mod tests {
         assert_eq!(out, items.iter().map(|v| v * v).collect::<Vec<_>>());
         let expected: Vec<(usize, u64)> = items.iter().map(|&v| (v as usize, v * v)).collect();
         assert_eq!(seen, expected, "sink saw out-of-order or missing results");
+    }
+
+    #[test]
+    fn worker_panic_is_reraised_with_its_payload() {
+        let items: Vec<u64> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            Executor::new(2).map(&items, |&v| {
+                assert!(v != 3, "boom at {v}");
+                v
+            })
+        })
+        .expect_err("the worker panic must reach the caller");
+        let message = caught
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| caught.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("boom at 3"));
     }
 
     #[test]

@@ -34,13 +34,6 @@ impl PlatformId {
         PlatformId::SkylakeServer,
     ];
 
-    /// The client platforms (paper §5.1).
-    pub const CLIENTS: [PlatformId; 3] = [
-        PlatformId::CannonLake,
-        PlatformId::CoffeeLake,
-        PlatformId::Haswell,
-    ];
-
     /// Materializes the platform description.
     pub fn spec(self) -> PlatformSpec {
         match self {

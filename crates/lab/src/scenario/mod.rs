@@ -251,6 +251,20 @@ mod tests {
     }
 
     #[test]
+    fn quiet_system_has_near_zero_ber() {
+        let mut s = base_scenario();
+        s.payload_symbols = 40;
+        s.calib_reps = 3;
+        let metrics = s.run().metrics;
+        assert!(metrics.ber < 0.02, "ber = {}", metrics.ber);
+        assert!(
+            metrics.capacity_bps > 2_500.0,
+            "cap = {}",
+            metrics.capacity_bps
+        );
+    }
+
+    #[test]
     fn trials_are_pure_functions_of_the_scenario() {
         let s = base_scenario();
         let a = s.run();

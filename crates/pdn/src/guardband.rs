@@ -63,11 +63,6 @@ impl CdynTable {
     pub fn cdyn_nf(&self, class: InstClass) -> f64 {
         self.nf[class.intensity_rank() as usize]
     }
-
-    /// Extra capacitance of `class` relative to the scalar baseline (nF).
-    pub fn delta_from_scalar_nf(&self, class: InstClass) -> f64 {
-        self.cdyn_nf(class) - self.cdyn_nf(InstClass::Scalar64)
-    }
 }
 
 /// Equation 1 of the paper: the guardband `ΔV` (mV) required when the

@@ -206,11 +206,6 @@ impl Vr {
     pub fn setpoint_mv(&self) -> f64 {
         self.settled_mv
     }
-
-    /// Time at which the most recent transition was issued.
-    pub fn last_issued_at(&self) -> Option<SimTime> {
-        self.transition.map(|t| t.issued_at)
-    }
 }
 
 #[cfg(test)]

@@ -91,12 +91,6 @@ impl VfCurve {
         &self.points
     }
 
-    /// Lowest frequency on the curve.
-    pub fn min_freq(&self) -> Freq {
-        // Construction rejects curves with fewer than two points.
-        self.points[0].0
-    }
-
     /// Highest frequency on the curve.
     pub fn max_freq(&self) -> Freq {
         self.points[self.points.len() - 1].0

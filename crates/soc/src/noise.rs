@@ -73,11 +73,6 @@ impl NoiseConfig {
         n.ctx_switch_rate_hz = rate_hz;
         n
     }
-
-    /// True if both rates are zero.
-    pub fn is_quiet(&self) -> bool {
-        self.interrupt_rate_hz == 0.0 && self.ctx_switch_rate_hz == 0.0
-    }
 }
 
 /// Kind of OS noise event.

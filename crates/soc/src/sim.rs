@@ -318,11 +318,6 @@ impl Soc {
         &self.pmu
     }
 
-    /// Current turbo license.
-    pub fn turbo_license(&self) -> TurboLicense {
-        self.turbo.current()
-    }
-
     /// The simulator configuration.
     pub fn config(&self) -> &SocConfig {
         &self.cfg
@@ -331,11 +326,6 @@ impl Soc {
     /// The recorded trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Consumes the SoC, returning the trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
     }
 
     /// Whether `core` is throttled right now.

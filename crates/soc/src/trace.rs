@@ -83,27 +83,11 @@ impl Trace {
             .collect()
     }
 
-    /// Current series as `(seconds, A)` pairs.
-    pub fn icc_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.time.as_secs(), s.icc_a))
-            .collect()
-    }
-
     /// Frequency series as `(seconds, GHz)` pairs.
     pub fn freq_series(&self) -> Vec<(f64, f64)> {
         self.samples
             .iter()
             .map(|s| (s.time.as_secs(), s.freq.as_ghz()))
-            .collect()
-    }
-
-    /// Temperature series as `(seconds, °C)` pairs.
-    pub fn temp_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .map(|s| (s.time.as_secs(), s.temp_c))
             .collect()
     }
 

@@ -160,11 +160,6 @@ impl Idq {
         }
     }
 
-    /// Whether the gate is currently engaged.
-    pub fn is_throttled(&self) -> bool {
-        self.throttled
-    }
-
     /// Per-thread performance counters.
     pub fn counters(&self, thread: SmtId) -> &PerfCounters {
         &self.counters[thread.0 as usize]

@@ -54,13 +54,6 @@ pub fn effective_ipc(class: InstClass, throttled: bool, sibling_active: bool) ->
     }
 }
 
-/// Uops per instruction for each class (register-only loops decode to a
-/// single uop per instruction on these cores).
-pub fn uops_per_inst(class: InstClass) -> f64 {
-    let _ = class;
-    1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

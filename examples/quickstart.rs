@@ -8,10 +8,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use ichannels::channel::IChannel;
-use ichannels::symbols::{bits_to_bytes, bytes_to_bits, symbols_to_bits};
+use ichannels::channel::{ChannelError, IChannel};
+use ichannels::symbols::{bits_to_bytes, bits_to_symbols, bytes_to_bits, symbols_to_bits};
 
-fn main() {
+fn main() -> Result<(), ChannelError> {
     let secret = b"IChannels!";
     println!("secret message: {:?}", String::from_utf8_lossy(secret));
 
@@ -25,7 +25,7 @@ fn main() {
     );
 
     // 2. Calibrate: learn the four throttling-period levels.
-    let cal = channel.calibrate(3);
+    let cal = channel.try_calibrate(3)?;
     println!("calibrated level means (TSC cycles): {:?}", cal.means());
     println!(
         "minimum level separation: {:.0} cycles (paper: > 2000)",
@@ -34,7 +34,7 @@ fn main() {
 
     // 3. Transmit.
     let bits = bytes_to_bits(secret);
-    let tx = channel.transmit_bits(&bits, &cal);
+    let tx = channel.try_transmit_symbols(&bits_to_symbols(&bits), &cal)?;
     let received = bits_to_bytes(&symbols_to_bits(&tx.received));
     println!(
         "received:       {:?}  (BER = {:.4}, {:.0} b/s)",
@@ -44,4 +44,5 @@ fn main() {
     );
     assert_eq!(received, secret, "transmission corrupted");
     println!("covert transmission succeeded");
+    Ok(())
 }

@@ -15,9 +15,9 @@
 //! and commit the regenerated files with a note explaining why the
 //! numbers moved.
 //!
-//! The goldens were recorded after the PR-2 engine migration (and thus
-//! on top of PR 1's FramedLink fresh-noise fix); they are the first
-//! golden snapshot of the repository, not an update to an older one.
+//! The goldens were recorded after the campaign-engine migration; they
+//! are the first golden snapshot of the repository, not an update to an
+//! older one.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,20 +1,24 @@
 //! Integration tests for the Table 1 mitigation matrix and the
 //! Figure 12 baseline comparisons.
 
+use ichannels_bench::figs;
 use ichannels_repro::ichannels::baselines::dfscovert::DfsCovertChannel;
 use ichannels_repro::ichannels::baselines::netspectre::NetSpectreChannel;
 use ichannels_repro::ichannels::baselines::powert::PowerTChannel;
 use ichannels_repro::ichannels::baselines::turbocc::TurboCcChannel;
 use ichannels_repro::ichannels::channel::{ChannelConfig, ChannelKind, IChannel};
-use ichannels_repro::ichannels::mitigations::{evaluate_mitigation, Effectiveness, Mitigation};
+use ichannels_repro::ichannels::mitigations::{Effectiveness, Mitigation};
 
-/// Table 1, row by row. Expected matrix (from the paper):
+/// Table 1, row by row, on the campaign path: the grid `figs::table1`
+/// runs (quick sizes), each cell scored by `classify_capacity`.
+/// Expected matrix (from the paper):
 ///   Per-core VR:         Thread partial, SMT partial, Cores full
 ///   Improved throttling: Thread no,      SMT full,    Cores no
 ///   Secure mode:         Thread full,    SMT full,    Cores full
 #[test]
 fn table1_matrix_matches_paper() {
-    let base = ChannelConfig::default_cannon_lake();
+    let cells = figs::table1::run(true);
+    assert_eq!(cells.len(), 9);
     let expect = [
         (
             Mitigation::PerCoreVr,
@@ -49,15 +53,18 @@ fn table1_matrix_matches_paper() {
     ];
     for (mitigation, rows) in expect {
         for (kind, allowed) in rows {
-            let o = evaluate_mitigation(mitigation, kind, &base, 60, 2, 0xF00);
+            let o = cells
+                .iter()
+                .find(|c| c.mitigation == mitigation && c.channel == kind)
+                .expect("the grid covers every cell");
             assert!(
                 allowed.contains(&o.effectiveness),
                 "{} vs {}: got {:?} (residual {:.0}/{:.0} b/s)",
                 mitigation,
                 kind,
                 o.effectiveness,
-                o.mitigated.capacity_bps,
-                o.baseline.capacity_bps,
+                o.mitigated_capacity_bps,
+                o.baseline_capacity_bps,
             );
         }
     }
@@ -108,10 +115,10 @@ fn turbocc_requires_turbo_but_ichannels_does_not() {
     let mut cfg = ChannelConfig::default_cannon_lake();
     cfg.soc = SocConfig::pinned(PlatformSpec::cannon_lake(), Freq::from_ghz(1.4));
     let ch = IChannel::new(ChannelKind::Thread, cfg);
-    let cal = ch.calibrate(2);
+    let cal = ch.try_calibrate(2).unwrap();
     let symbols: Vec<_> = (0..4u8)
         .map(ichannels_repro::ichannels::symbols::Symbol::new)
         .collect();
-    let tx = ch.transmit_symbols(&symbols, &cal);
+    let tx = ch.try_transmit_symbols(&symbols, &cal).unwrap();
     assert_eq!(tx.received, symbols);
 }

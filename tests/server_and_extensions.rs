@@ -20,9 +20,9 @@ fn server_cfg(freq_ghz: f64) -> ChannelConfig {
 fn all_three_channels_work_on_the_server_part() {
     for kind in [ChannelKind::Thread, ChannelKind::Smt, ChannelKind::Cores] {
         let ch = IChannel::new(kind, server_cfg(2.0));
-        let cal = ch.calibrate(2);
+        let cal = ch.try_calibrate(2).unwrap();
         let symbols = random_symbols(8, 64);
-        let tx = ch.transmit_symbols(&symbols, &cal);
+        let tx = ch.try_transmit_symbols(&symbols, &cal).unwrap();
         assert_eq!(tx.received, symbols, "{kind} failed on the server part");
     }
 }
@@ -35,9 +35,9 @@ fn server_cross_core_channel_is_socket_wide() {
     // important property is that 26 other idle cores do not disturb it,
     // and that PHI noise from a *far* core does.
     let ch = IChannel::new(ChannelKind::Cores, server_cfg(2.0));
-    let cal = ch.calibrate(2);
+    let cal = ch.try_calibrate(2).unwrap();
     let symbols = random_symbols(6, 65);
-    let tx = ch.transmit_symbols(&symbols, &cal);
+    let tx = ch.try_transmit_symbols(&symbols, &cal).unwrap();
     assert_eq!(tx.received, symbols);
 
     // A heavy PHI app on core 27 (far side of the socket) shifts the
@@ -47,22 +47,24 @@ fn server_cross_core_channel_is_socket_wide() {
     use ichannels_repro::ichannels_uarch::isa::InstClass;
     use ichannels_repro::ichannels_workload::apps::RandomPhiApp;
     let thread_ch = IChannel::new(ChannelKind::Thread, server_cfg(2.0));
-    let thread_cal = thread_ch.calibrate(2);
+    let thread_cal = thread_ch.try_calibrate(2).unwrap();
     let low = vec![Symbol::new(0); 10];
     let deadline = thread_ch.config().start_offset + thread_ch.config().slot_period.scale(12.0);
-    let tx = thread_ch.transmit_symbols_with(&low, &thread_cal, |soc| {
-        soc.spawn(
-            27,
-            0,
-            Box::new(RandomPhiApp::new(
-                3_000.0,
-                20_000,
-                vec![InstClass::Heavy512],
-                deadline,
-                5,
-            )),
-        );
-    });
+    let tx = thread_ch
+        .try_transmit_symbols_with(&low, &thread_cal, |soc| {
+            soc.spawn(
+                27,
+                0,
+                Box::new(RandomPhiApp::new(
+                    3_000.0,
+                    20_000,
+                    vec![InstClass::Heavy512],
+                    deadline,
+                    5,
+                )),
+            );
+        })
+        .unwrap();
     assert!(
         tx.bit_error_rate() > 0.1,
         "far-core PHI noise should corrupt low-level symbols (BER = {})",
@@ -87,7 +89,7 @@ fn six_level_modulation_beats_two_bits() {
 fn desynchronized_receiver_recovers_via_preamble() {
     let base = ChannelConfig::default_cannon_lake();
     let ch = IChannel::new(ChannelKind::Cores, base.clone());
-    let cal = ch.calibrate(2);
+    let cal = ch.try_calibrate(2).unwrap();
     let preamble = sync::default_preamble();
     let result = sync::recover_offset(
         ChannelKind::Cores,
@@ -96,6 +98,7 @@ fn desynchronized_receiver_recovers_via_preamble() {
         &preamble,
         SimTime::from_us(16.0),
         SimTime::from_us(4.0),
-    );
+    )
+    .unwrap();
     assert_eq!(result.best_score, 1.0);
 }
