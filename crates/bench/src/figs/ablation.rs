@@ -1,6 +1,6 @@
-//! Ablation studies over the design parameters DESIGN.md calls out:
-//! what property of the hardware actually gives the channel its
-//! capacity, and which knob a defender would want to turn.
+//! Ablation studies over the model's design parameters: what property
+//! of the hardware actually gives the channel its capacity, and which
+//! knob a defender would want to turn.
 //!
 //! * **VR slew rate** — faster ramps compress the TP levels toward the
 //!   noise floor (the quantitative version of the §7 LDO argument).

@@ -7,7 +7,7 @@
 //! DFScovert and POWERT are modelled directly over the governor/P-state
 //! and power-limit state machines (their original attack surfaces —
 //! sysfs writes and package power budgeting — have no in-process
-//! counterpart; see DESIGN.md).
+//! counterpart).
 
 pub mod dfscovert;
 pub mod netspectre;
@@ -18,3 +18,29 @@ pub use dfscovert::{DfsCovertChannel, DfsCovertConfig};
 pub use netspectre::{NetSpectreChannel, NetSpectreTx};
 pub use powert::{PowerTChannel, PowerTConfig};
 pub use turbocc::{TurboCcChannel, TurboCcConfig, TurboCcTx};
+
+/// Fraction of `sent` bits that were not received correctly. A bit the
+/// receiver never recorded (`received` shorter than `sent`) counts as
+/// wrong, so a receiver that misses transactions cannot report a clean
+/// channel. Returns 0 when nothing was sent.
+pub fn bit_error_rate(sent: &[bool], received: &[bool]) -> f64 {
+    if sent.is_empty() {
+        return 0.0;
+    }
+    let flipped = sent.iter().zip(received).filter(|(a, b)| a != b).count();
+    let missing = sent.len().saturating_sub(received.len());
+    (flipped + missing) as f64 / sent.len() as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn missing_bits_count_as_errors() {
+        assert_eq!(bit_error_rate(&[], &[]), 0.0);
+        assert_eq!(bit_error_rate(&[true, false], &[true, false]), 0.0);
+        assert_eq!(bit_error_rate(&[true, false], &[false, false]), 0.5);
+        assert_eq!(bit_error_rate(&[true, false, true, true], &[true]), 0.75);
+    }
+}

@@ -42,18 +42,10 @@ pub struct NetSpectreTx {
 }
 
 impl NetSpectreTx {
-    /// Fraction of wrong bits.
+    /// Fraction of wrong bits; a bit the receiver missed counts as
+    /// wrong.
     pub fn bit_error_rate(&self) -> f64 {
-        if self.sent.is_empty() {
-            return 0.0;
-        }
-        let wrong = self
-            .sent
-            .iter()
-            .zip(&self.received)
-            .filter(|(a, b)| a != b)
-            .count();
-        wrong as f64 / self.sent.len() as f64
+        super::bit_error_rate(&self.sent, &self.received)
     }
 }
 
@@ -242,5 +234,24 @@ mod tests {
         // Bit 0 (no prior AVX2) leaves the full ramp to the receiver ⇒
         // longer duration.
         assert!(zero > one + 2_000.0, "one = {one}, zero = {zero}");
+    }
+
+    #[test]
+    fn missed_transactions_are_bit_errors() {
+        // A 1 µs slot is far shorter than one transaction, so the
+        // receiver records only a few of the 24 bits; every missing bit
+        // counts as wrong instead of vanishing from the rate.
+        let mut cfg = ChannelConfig::default_cannon_lake();
+        cfg.slot_period = ichannels_uarch::time::SimTime::from_us(1.0);
+        let ch = NetSpectreChannel::new(cfg);
+        let bits: Vec<bool> = (0..24).map(|i| i % 3 != 0).collect();
+        let tx = ch.transmit(&bits, (0.0, 1e12));
+        let missing = bits.len() - tx.received.len();
+        assert!(missing > 0, "received {} of 24", tx.received.len());
+        assert!(
+            tx.bit_error_rate() >= missing as f64 / bits.len() as f64,
+            "BER {} with {missing} missing bits",
+            tx.bit_error_rate()
+        );
     }
 }

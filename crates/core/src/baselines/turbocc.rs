@@ -61,18 +61,10 @@ pub struct TurboCcTx {
 }
 
 impl TurboCcTx {
-    /// Fraction of wrong bits.
+    /// Fraction of wrong bits; a bit the receiver missed counts as
+    /// wrong.
     pub fn bit_error_rate(&self) -> f64 {
-        if self.sent.is_empty() {
-            return 0.0;
-        }
-        let wrong = self
-            .sent
-            .iter()
-            .zip(&self.received)
-            .filter(|(a, b)| a != b)
-            .count();
-        wrong as f64 / self.sent.len() as f64
+        super::bit_error_rate(&self.sent, &self.received)
     }
 }
 

@@ -1,17 +1,14 @@
 //! Ready-made campaigns: named grids answering the evaluation questions
 //! the ROADMAP keeps asking, plus the run-and-export drivers.
 //!
-//! Two execution paths:
-//!
-//! * [`run`] — in-memory: run a grid, get a [`CampaignReport`] (what
-//!   the figure harnesses use);
-//! * [`run_to_dir`] — streaming: trial rows land in the campaign's
-//!   JSONL **in enumeration order while the run executes**, optionally
-//!   restricted to one [`ShardSpec`] slice and optionally resuming a
-//!   previous partial stream (completed trials are loaded, verified
-//!   against their scenario seeds, and skipped). [`merge_files`] is
-//!   the inverse of sharding: N shard streams back into the
-//!   byte-identical unsharded artifacts.
+//! [`run_to_dir`] is the one writer of campaign artifacts: trial rows
+//! land in the campaign's JSONL **in enumeration order while the run
+//! executes**, optionally restricted to one [`ShardSpec`] slice and
+//! optionally resuming a previous partial stream (completed trials are
+//! loaded, verified against their scenario seeds, and skipped).
+//! [`merge_files`] is the inverse of sharding: N shard streams back
+//! into the byte-identical unsharded artifacts. [`run`] runs a grid in
+//! memory and writes nothing (the figure harnesses read its records).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -25,52 +22,25 @@ use ichannels_meter::export::JsonlWriter;
 use crate::exec::Executor;
 use crate::grid::Grid;
 use crate::report::{
-    rows_to_csv, summaries_to_csv, summarize_cells, summarize_rows, CellSummary, TrialRecord,
-    TrialRow,
+    rows_to_csv, summaries_to_csv, summarize_rows, CellSummary, TrialRecord, TrialRow,
 };
 use crate::scenario::{AlphabetSpec, ChannelSelect, NoiseSpec, PlatformId, ReceiverSpec, Scenario};
 use crate::shard::{merge_streams, MergeError, ShardSpec, ShardStream};
 
-/// A completed campaign: raw trials plus per-cell aggregates.
+/// A completed in-memory campaign: its raw trials.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
-    /// Campaign name (used for export file names).
+    /// Campaign name.
     pub name: String,
     /// Raw trial records, in grid enumeration order.
     pub records: Vec<TrialRecord>,
-    /// Per-cell aggregates, sorted by cell key.
-    pub cells: Vec<CellSummary>,
 }
 
-impl CampaignReport {
-    /// Writes `{name}_trials.jsonl`, `{name}_trials.csv`, and
-    /// `{name}_cells.csv` under `dir`; returns the paths.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to(&self, dir: impl AsRef<Path>) -> io::Result<Vec<PathBuf>> {
-        let dir = dir.as_ref();
-        let jsonl_path = dir.join(format!("{}_trials.jsonl", self.name));
-        let mut writer = JsonlWriter::create(&jsonl_path)?;
-        for record in &self.records {
-            writer.write_row(&record.jsonl_row())?;
-        }
-        writer.finish()?;
-        let rows: Vec<TrialRow> = self.records.iter().map(TrialRow::from_record).collect();
-        let [trials_path, cells_path] = write_trial_csvs(&rows, &self.cells, dir, &self.name)?;
-        Ok(vec![jsonl_path, trials_path, cells_path])
-    }
-}
-
-/// Runs a grid on `executor` and aggregates it into a report.
+/// Runs a grid on `executor` in memory.
 pub fn run(name: &str, grid: &Grid, executor: Executor) -> CampaignReport {
-    let records = executor.run(&grid.scenarios());
-    let cells = summarize_cells(&records);
     CampaignReport {
         name: name.to_string(),
-        records,
-        cells,
+        records: executor.run(&grid.scenarios()),
     }
 }
 
@@ -778,20 +748,25 @@ mod tests {
         assert_eq!(run_out.executed, 8);
         assert_eq!(run_out.resumed, 0);
         assert_eq!(run_out.paths.len(), 3, "jsonl + trials csv + cells csv");
-        let report = run("unit", &grid, Executor::serial());
-        let report_dir = temp_dir("run_to_dir_report");
-        let report_paths = report.write_to(&report_dir).unwrap();
-        for (a, b) in run_out.paths.iter().zip(&report_paths) {
+        let rows: Vec<TrialRow> = run("unit", &grid, Executor::serial())
+            .records
+            .iter()
+            .map(TrialRow::from_record)
+            .collect();
+        let expected = [
+            crate::report::rows_to_jsonl(&rows),
+            rows_to_csv(&rows).to_csv(),
+            summaries_to_csv(&summarize_rows(&rows)).to_csv(),
+        ];
+        for (path, want) in run_out.paths.iter().zip(&expected) {
             assert_eq!(
-                std::fs::read_to_string(a).unwrap(),
-                std::fs::read_to_string(b).unwrap(),
-                "{} diverges from {}",
-                a.display(),
-                b.display()
+                &std::fs::read_to_string(path).unwrap(),
+                want,
+                "{} diverges from the in-memory rows",
+                path.display()
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&report_dir);
     }
 
     #[test]
@@ -895,23 +870,6 @@ mod tests {
         let rerun = run_to_dir("unit", &reseeded, Executor::serial(), &dir, resume).unwrap();
         assert_eq!(rerun.resumed, 0, "stale rows must not satisfy resume");
         assert_eq!(rerun.executed, 8);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn report_files_round_trip() {
-        let grid = Grid::new().payload_symbols(4);
-        let report = run("unit", &grid, Executor::serial());
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.cells.len(), 1);
-        let dir = std::env::temp_dir().join("ichannels_lab_report_test");
-        let paths = report.write_to(&dir).unwrap();
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            assert!(p.exists(), "{} missing", p.display());
-        }
-        let jsonl = std::fs::read_to_string(&paths[0]).unwrap();
-        assert_eq!(jsonl.lines().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

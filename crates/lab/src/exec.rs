@@ -231,7 +231,7 @@ impl BusyClock {
 mod tests {
     use super::*;
     use crate::grid::Grid;
-    use crate::report::records_to_jsonl;
+    use crate::report::{rows_to_jsonl, TrialRecord, TrialRow};
     use ichannels::channel::ChannelKind;
 
     #[test]
@@ -281,6 +281,14 @@ mod tests {
         let scenarios = grid.scenarios();
         let serial = Executor::serial().run(&scenarios);
         let parallel = Executor::new(4).run(&scenarios);
-        assert_eq!(records_to_jsonl(&serial), records_to_jsonl(&parallel));
+        let jsonl = |records: &[TrialRecord]| {
+            rows_to_jsonl(
+                &records
+                    .iter()
+                    .map(TrialRow::from_record)
+                    .collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(jsonl(&serial), jsonl(&parallel));
     }
 }

@@ -82,13 +82,6 @@ pub struct TrialRecord {
     pub error: Option<String>,
 }
 
-impl TrialRecord {
-    /// Renders the record as one JSONL row (stable field order).
-    pub fn jsonl_row(&self) -> JsonlRow {
-        TrialRow::from_record(self).jsonl_row()
-    }
-}
-
 /// The exported field set of one trial: what a JSONL/CSV row carries.
 ///
 /// A `TrialRow` is a [`TrialRecord`] stripped to its serialized axis
@@ -241,7 +234,7 @@ fn csv_float(v: f64) -> String {
     }
 }
 
-/// The CSV header shared by [`records_to_csv`].
+/// The CSV header of [`rows_to_csv`].
 pub const TRIAL_CSV_HEADER: [&str; 18] = [
     "cell",
     "platform",
@@ -292,23 +285,10 @@ pub fn rows_to_csv(rows: &[TrialRow]) -> CsvTable {
     table
 }
 
-/// Renders raw trial records as one CSV table.
-pub fn records_to_csv(records: &[TrialRecord]) -> CsvTable {
-    let rows: Vec<TrialRow> = records.iter().map(TrialRow::from_record).collect();
-    rows_to_csv(&rows)
-}
-
 /// Renders trial rows as one in-memory JSONL document.
 pub fn rows_to_jsonl(rows: &[TrialRow]) -> String {
     let rendered: Vec<JsonlRow> = rows.iter().map(TrialRow::jsonl_row).collect();
     ichannels_meter::export::jsonl_to_string(rendered.iter())
-}
-
-/// Renders records as one in-memory JSONL document (used by the
-/// determinism tests and `--stdout` tooling).
-pub fn records_to_jsonl(records: &[TrialRecord]) -> String {
-    let rows: Vec<JsonlRow> = records.iter().map(TrialRecord::jsonl_row).collect();
-    ichannels_meter::export::jsonl_to_string(rows.iter())
 }
 
 /// Aggregated statistics of one grid cell (all trials of one axis
@@ -340,15 +320,8 @@ fn finite(rows: &[&TrialRow], f: impl Fn(&TrialMetrics) -> f64) -> Vec<f64> {
         .collect()
 }
 
-/// Groups records by cell key and aggregates each group. Output is
+/// Groups trial rows by cell key and aggregates each group. Output is
 /// sorted by cell key, so summaries are deterministic.
-pub fn summarize_cells(records: &[TrialRecord]) -> Vec<CellSummary> {
-    let rows: Vec<TrialRow> = records.iter().map(TrialRow::from_record).collect();
-    summarize_rows(&rows)
-}
-
-/// Groups trial rows by cell key and aggregates each group — the same
-/// math as [`summarize_cells`], applied to a reloaded (merged) stream.
 pub fn summarize_rows(rows: &[TrialRow]) -> Vec<CellSummary> {
     let mut groups: BTreeMap<String, Vec<&TrialRow>> = BTreeMap::new();
     for r in rows {
@@ -437,10 +410,14 @@ mod tests {
         crate::exec::Executor::serial().run(&grid.scenarios())
     }
 
+    fn to_rows(records: &[TrialRecord]) -> Vec<TrialRow> {
+        records.iter().map(TrialRow::from_record).collect()
+    }
+
     #[test]
     fn jsonl_rows_carry_every_axis() {
         let records = sample_records();
-        let json = records_to_jsonl(&records);
+        let json = rows_to_jsonl(&to_rows(&records));
         assert_eq!(json.lines().count(), records.len());
         let first = json.lines().next().unwrap();
         for key in [
@@ -453,14 +430,14 @@ mod tests {
     #[test]
     fn csv_has_one_row_per_record() {
         let records = sample_records();
-        let table = records_to_csv(&records);
+        let table = rows_to_csv(&to_rows(&records));
         assert_eq!(table.len(), records.len());
     }
 
     #[test]
     fn cells_group_trials() {
         let records = sample_records();
-        let cells = summarize_cells(&records);
+        let cells = summarize_rows(&to_rows(&records));
         assert_eq!(cells.len(), 2, "quiet and low noise cells");
         for c in &cells {
             assert_eq!(c.trials, 2);
@@ -477,22 +454,18 @@ mod tests {
         let mut records = sample_records();
         // Exercise the NaN → null → NaN path too.
         records[0].metrics.capacity_bps = f64::NAN;
-        let rows: Vec<TrialRow> = records.iter().map(TrialRow::from_record).collect();
+        let rows = to_rows(&records);
         let rendered = rows_to_jsonl(&rows);
-        assert_eq!(rendered, records_to_jsonl(&records));
         let reparsed: Vec<TrialRow> = rendered
             .lines()
             .map(|l| TrialRow::parse(l).expect("row parses"))
             .collect();
         // Byte-identical re-rendering (JSONL and CSV), identical cells.
         assert_eq!(rows_to_jsonl(&reparsed), rendered);
-        assert_eq!(
-            rows_to_csv(&reparsed).to_csv(),
-            records_to_csv(&records).to_csv()
-        );
+        assert_eq!(rows_to_csv(&reparsed).to_csv(), rows_to_csv(&rows).to_csv());
         assert_eq!(
             summaries_to_csv(&summarize_rows(&reparsed)).to_csv(),
-            summaries_to_csv(&summarize_cells(&records)).to_csv()
+            summaries_to_csv(&summarize_rows(&rows)).to_csv()
         );
         // Keys match the scenario labels resume looks up.
         for (row, record) in reparsed.iter().zip(&records) {
@@ -504,7 +477,7 @@ mod tests {
     #[test]
     fn truncated_rows_fail_to_parse() {
         let records = sample_records();
-        let line = records_to_jsonl(&records[..1]);
+        let line = rows_to_jsonl(&to_rows(&records[..1]));
         let line = line.trim_end();
         assert!(TrialRow::parse(line).is_ok());
         for cut in [1, line.len() / 2, line.len() - 1] {
@@ -544,12 +517,13 @@ mod tests {
     fn nan_metrics_render_as_null_and_empty() {
         let mut records = sample_records();
         records[0].metrics.capacity_bps = f64::NAN;
-        let json = records_to_jsonl(&records[..1]);
+        let rows = to_rows(&records[..1]);
+        let json = rows_to_jsonl(&rows);
         assert!(json.contains("\"capacity_bps\":null"), "{json}");
-        let table = records_to_csv(&records[..1]);
+        let table = rows_to_csv(&rows);
         // The NaN capacity column renders empty between its neighbors.
         assert!(table.to_csv().lines().nth(1).unwrap().contains(",,"));
-        let cells = summarize_cells(&records[..1]);
+        let cells = summarize_rows(&rows);
         assert!(cells[0].capacity.is_none());
     }
 }

@@ -7,6 +7,7 @@
 //! that configuration, so a rerun of the same scenario repeats exactly
 //! the same simulation work.
 
+use ichannels::baselines::bit_error_rate;
 use ichannels::baselines::dfscovert::DfsCovertChannel;
 use ichannels::baselines::netspectre::NetSpectreChannel;
 use ichannels::baselines::powert::PowerTChannel;
@@ -224,9 +225,7 @@ impl<'a> TrialContext<'a> {
                 let dfs = DfsCovertChannel::default();
                 let bits: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
                 let (dec, bps) = dfs.transmit(&bits);
-                let ber = bits.iter().zip(&dec).filter(|(a, b)| a != b).count() as f64
-                    / bits.len() as f64;
-                (bps, ber, bits.len())
+                (bps, bit_error_rate(&bits, &dec), bits.len())
             }
             BaselineKind::TurboCc => {
                 let turbo = TurboCcChannel::default();
@@ -239,9 +238,7 @@ impl<'a> TrialContext<'a> {
                 let pt = PowerTChannel::default();
                 let bits: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
                 let (dec, bps) = pt.transmit(&bits);
-                let ber = bits.iter().zip(&dec).filter(|(a, b)| a != b).count() as f64
-                    / bits.len() as f64;
-                (bps, ber, bits.len())
+                (bps, bit_error_rate(&bits, &dec), bits.len())
             }
         };
         TrialMetrics {

@@ -218,11 +218,6 @@ impl JsonlWriter {
         self.out.flush()
     }
 
-    /// Number of rows written so far.
-    pub fn rows_written(&self) -> usize {
-        self.rows
-    }
-
     /// Flushes and closes the stream.
     ///
     /// # Errors
@@ -322,7 +317,6 @@ mod tests {
         for i in 0..3u64 {
             w.write_row(&JsonlRow::new().int("i", i)).unwrap();
         }
-        assert_eq!(w.rows_written(), 3);
         assert_eq!(w.finish().unwrap(), 3);
         let content = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = content.lines().collect();

@@ -2,11 +2,10 @@
 //!
 //! The statistics, series and export used throughout the evaluation.
 //!
-//! * [`stats`] — summaries, percentiles, histograms/PDFs (Figures 8(a),
-//!   11(a), 13), confusion matrices / BER / mutual information
-//!   (Figure 14, channel capacity).
-//! * [`series`] — time-series utilities (moving averages, automatic
-//!   step detection for the Figure 6 voltage staircase).
+//! * [`stats`] — summaries, percentiles, confusion matrices / BER /
+//!   mutual information (Figure 14, channel capacity).
+//! * [`series`] — time series with automatic step detection for the
+//!   Figure 6 voltage staircase.
 //! * [`export`] — CSV tables for `results/*.csv` and the JSONL trial
 //!   stream writer.
 //! * [`parse`] — the JSONL read side: the flat-row rule on top of the
@@ -37,4 +36,4 @@ pub mod stats;
 pub use export::CsvTable;
 pub use parse::parse_jsonl_line;
 pub use series::{Series, Step};
-pub use stats::{ConfusionMatrix, Histogram, Summary};
+pub use stats::{ConfusionMatrix, Summary};

@@ -1,6 +1,6 @@
-//! Time-series analysis for the characterization traces: uniform
-//! resampling, moving averages, and automatic step detection (used to
-//! quantify the Figure 6 voltage steps without eyeballing plots).
+//! Time-series analysis for the characterization traces: automatic step
+//! detection (used to quantify the Figure 6 voltage steps without
+//! eyeballing plots).
 
 /// A uniformly or non-uniformly sampled `(t_seconds, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -58,32 +58,6 @@ impl Series {
     /// True if the series is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Value at `t` (zero-order hold; clamps at the ends).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty series.
-    pub fn value_at(&self, t: f64) -> f64 {
-        assert!(!self.points.is_empty(), "value_at on empty series");
-        match self.points.iter().rev().find(|(pt, _)| *pt <= t) {
-            Some((_, v)) => *v,
-            None => self.points[0].1,
-        }
-    }
-
-    /// Centred moving average over a window of `2k+1` points.
-    pub fn moving_average(&self, k: usize) -> Series {
-        let n = self.points.len();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let lo = i.saturating_sub(k);
-            let hi = (i + k + 1).min(n);
-            let mean = self.points[lo..hi].iter().map(|(_, v)| v).sum::<f64>() / (hi - lo) as f64;
-            out.push((self.points[i].0, mean));
-        }
-        Series { points: out }
     }
 
     /// Detects level steps: positions where the mean of the next `w`
@@ -177,24 +151,6 @@ mod tests {
     fn no_steps_in_flat_series() {
         let s: Series = (0..100).map(|i| (i as f64, 5.0)).collect();
         assert!(s.detect_steps(10, 1.0).is_empty());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let noisy: Series = (0..100)
-            .map(|i| (i as f64, if i % 2 == 0 { 1.0 } else { -1.0 }))
-            .collect();
-        let smooth = noisy.moving_average(5);
-        assert!(smooth.points().iter().all(|(_, v)| v.abs() < 0.2));
-    }
-
-    #[test]
-    fn value_at_zero_order_hold() {
-        let s = Series::new(vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
-        assert_eq!(s.value_at(0.5), 1.0);
-        assert_eq!(s.value_at(1.0), 2.0);
-        assert_eq!(s.value_at(9.0), 3.0);
-        assert_eq!(s.value_at(-1.0), 1.0);
     }
 
     #[test]

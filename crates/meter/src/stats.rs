@@ -1,8 +1,6 @@
 //! Statistics utilities for the characterization and channel evaluation:
-//! summaries, histograms/PDFs (Figures 8(a), 11(a), 13), confusion
-//! matrices and bit-error rates (Figure 14).
-
-use std::collections::BTreeMap;
+//! summaries, percentiles, confusion matrices and bit-error rates
+//! (Figure 14).
 
 /// Summary statistics of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,83 +70,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// Median (50th percentile).
 pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
-}
-
-/// A fixed-width histogram over a closed range; out-of-range samples are
-/// clamped into the edge bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "invalid histogram range [{lo}, {hi}]");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, v: f64) {
-        let bins = self.counts.len();
-        let idx = if v <= self.lo {
-            0
-        } else if v >= self.hi {
-            bins - 1
-        } else {
-            (((v - self.lo) / (self.hi - self.lo)) * bins as f64) as usize
-        };
-        self.counts[idx.min(bins - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Adds many samples.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        for v in values {
-            self.add(v);
-        }
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Number of samples added.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// `(bin_center, probability_density)` pairs — the PDF estimate used
-    /// by Figures 8(a), 11(a), and 13.
-    pub fn pdf(&self) -> Vec<(f64, f64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        let total = self.total.max(1) as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.bin_center(i), c as f64 / total / w))
-            .collect()
-    }
 }
 
 /// A square confusion matrix over `k` symbol classes.
@@ -294,65 +215,16 @@ impl ConfusionMatrix {
     }
 }
 
-/// Simple 1-D k-means-style level clustering: given sorted-ish samples
-/// known to come from `k` levels, returns the `k` cluster means (used for
-/// threshold calibration sanity checks).
-///
-/// # Panics
-///
-/// Panics if `values.len() < k` or `k == 0`.
-pub fn cluster_means(values: &[f64], k: usize) -> Vec<f64> {
-    assert!(k > 0, "need at least one cluster");
-    assert!(values.len() >= k, "fewer samples than clusters");
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    // Initialize means from quantiles, then run a few Lloyd iterations.
-    let mut means: Vec<f64> = (0..k)
-        .map(|i| v[(i * (v.len() - 1)) / (k.max(2) - 1).max(1)])
-        .collect();
-    for _ in 0..32 {
-        let mut sums = vec![0.0; k];
-        let mut counts = vec![0u64; k];
-        for &x in &v {
-            let (best, _) = means
-                .iter()
-                .enumerate()
-                .map(|(i, m)| (i, (x - m).abs()))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                .expect("k >= 1");
-            sums[best] += x;
-            counts[best] += 1;
-        }
-        let mut changed = false;
-        for i in 0..k {
-            if counts[i] > 0 {
-                let nm = sums[i] / counts[i] as f64;
-                if (nm - means[i]).abs() > 1e-12 {
-                    changed = true;
-                }
-                means[i] = nm;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    means
-}
-
 /// Counts distinct "levels" among values: greedy clustering with the
 /// given separation tolerance. Used to verify the "at least five
 /// throttling levels" claim (Key Conclusion 4).
 pub fn distinct_levels(values: &[f64], tolerance: f64) -> usize {
-    let mut centers: BTreeMap<i64, f64> = BTreeMap::new();
     let mut out: Vec<f64> = Vec::new();
     for &v in values {
         if !out.iter().any(|c| (c - v).abs() <= tolerance) {
             out.push(v);
         }
     }
-    let _ = &mut centers;
     out.len()
 }
 
@@ -377,24 +249,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), 10.0);
         assert_eq!(percentile(&v, 100.0), 40.0);
         assert_eq!(median(&v), 25.0);
-    }
-
-    #[test]
-    fn histogram_pdf_integrates_to_one() {
-        let mut h = Histogram::new(0.0, 10.0, 20);
-        h.extend((0..1000).map(|i| (i % 10) as f64 + 0.5));
-        let w = 0.5;
-        let integral: f64 = h.pdf().iter().map(|(_, d)| d * w).sum();
-        assert!((integral - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_clamps_outliers() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.add(-5.0);
-        h.add(7.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[3], 1);
     }
 
     #[test]
@@ -452,20 +306,6 @@ mod tests {
             }
         }
         assert!((p.mutual_information_bits_corrected() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cluster_means_recovers_levels() {
-        let mut vals = Vec::new();
-        for c in [5.0, 10.0, 20.0, 40.0] {
-            for i in 0..50 {
-                vals.push(c + (i % 5) as f64 * 0.01);
-            }
-        }
-        let means = cluster_means(&vals, 4);
-        for (m, c) in means.iter().zip([5.0, 10.0, 20.0, 40.0]) {
-            assert!((m - c).abs() < 0.5, "means = {means:?}");
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use ichannels_uarch::time::Freq;
 /// instructions of that class.
 ///
 /// The absolute values are calibrated so that the derived throttling
-/// periods land in the paper's measured ranges (see DESIGN.md §1):
+/// periods land in the paper's measured ranges:
 /// AVX2 (`256b Heavy`) at 3 GHz / ~1 V / 1.6 mΩ gives ΔV ≈ 30 mV and a
 /// 12–15 µs TP on an MBVR platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn avx2_guardband_matches_calibration_target() {
-        // DESIGN.md: AVX2 at 3 GHz / ~1 V / 1.6 mΩ → ΔV ≈ 30 mV.
+        // Calibration target: AVX2 at 3 GHz / ~1 V / 1.6 mΩ → ΔV ≈ 30 mV.
         let m = GuardbandModel::new(CdynTable::default(), 1.6);
         let dv = m.core_guardband_mv(InstClass::Heavy256, 1000.0, Freq::from_ghz(3.0));
         assert!((25.0..36.0).contains(&dv), "dv = {dv} mV");

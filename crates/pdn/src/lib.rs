@@ -7,9 +7,9 @@
 //! * [`vf_curve`] — fused voltage/frequency operating curves.
 //! * [`guardband`] — the adaptive multi-level voltage guardband and
 //!   Equation 1 (`ΔV = (Cdyn2 − Cdyn1)·Vcc·F·RLL`).
-//! * [`regulator`] — MBVR/FIVR/LDO voltage regulator state machines with
-//!   command latency and linear slew; the µs-scale ramp times are the
-//!   root cause of the multi-level throttling period.
+//! * [`regulator`] — MBVR/FIVR/LDO voltage regulator models with command
+//!   latency and linear slew; the µs-scale ramp times are the root cause
+//!   of the multi-level throttling period.
 //! * [`limits`] — Vccmax/Iccmax protection (Figure 7).
 //! * [`power_gate`] — AVX-unit power gates with staggered wake (8–15 ns,
 //!   ~0.1 % of the throttling period — Key Conclusion 3).
@@ -49,5 +49,5 @@ pub use guardband::{CdynTable, GuardbandModel};
 pub use limits::{ElectricalLimits, LimitViolation};
 pub use loadline::LoadLine;
 pub use power_gate::{GateState, PowerGate};
-pub use regulator::{Vr, VrKind, VrModel};
+pub use regulator::{VrKind, VrModel};
 pub use vf_curve::{VfCurve, VfCurveError};

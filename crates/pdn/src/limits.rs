@@ -84,16 +84,6 @@ impl ElectricalLimits {
             None
         }
     }
-
-    /// Headroom to the voltage limit (mV); negative when violated.
-    pub fn vcc_headroom_mv(&self, vcc_mv: f64) -> f64 {
-        self.vccmax_mv - vcc_mv
-    }
-
-    /// Headroom to the current limit (A); negative when violated.
-    pub fn icc_headroom_a(&self, icc_a: f64) -> f64 {
-        self.iccmax_a - icc_a
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +112,6 @@ mod tests {
     fn vccmax_takes_priority() {
         let lim = ElectricalLimits::new(1000.0, 10.0);
         assert_eq!(lim.check(1100.0, 20.0), Some(LimitViolation::VccMax));
-    }
-
-    #[test]
-    fn headroom() {
-        let lim = ElectricalLimits::new(1150.0, 29.0);
-        assert_eq!(lim.vcc_headroom_mv(1100.0), 50.0);
-        assert!(lim.icc_headroom_a(33.0) < 0.0);
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl LoadLine {
         vcc_mv - self.drop_mv(icc_a)
     }
 
-    /// The guardband (extra VR output voltage) needed so that the load
-    /// still sees `vccmin_mv` at current `icc_a`.
-    pub fn guardband_for_mv(&self, vccmin_mv: f64, icc_a: f64) -> f64 {
-        vccmin_mv + self.drop_mv(icc_a)
-    }
-
     /// The weakest client load-line of the paper's platform catalog
     /// (Coffee Lake's 1.6 mΩ) — the reference rail against which
     /// cross-core separation compression is measured.
@@ -104,13 +98,6 @@ mod tests {
     fn zero_impedance_is_ideal() {
         let ll = LoadLine::new(0.0);
         assert_eq!(ll.vccload_mv(800.0, 100.0), 800.0);
-    }
-
-    #[test]
-    fn guardband_inverts_drop() {
-        let ll = LoadLine::new(1.6);
-        let gb = ll.guardband_for_mv(650.0, 30.0);
-        assert!((ll.vccload_mv(gb, 30.0) - 650.0).abs() < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! against) communicates *through* them.
 
 use crate::pstate::PStateTable;
-use ichannels_uarch::time::{Freq, SimTime};
+use ichannels_uarch::time::Freq;
 
 /// A Linux-style CPU frequency governor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,27 +22,12 @@ pub enum Governor {
     /// Always request the highest P-state (turbo); the hardware limit
     /// mechanisms may still cap it.
     Performance,
-    /// Demand-driven: high load ⇒ max frequency, low load ⇒ min, with a
-    /// sampling period (the DFScovert channel modulates exactly this).
-    Ondemand {
-        /// Governor sampling period (Linux default ~10 ms).
-        sampling_period: SimTime,
-        /// Load threshold ∈ \[0,1\] above which the governor jumps to max.
-        up_threshold: f64,
-    },
 }
 
 impl Governor {
-    /// The standard ondemand configuration.
-    pub fn ondemand_default() -> Self {
-        Governor::Ondemand {
-            sampling_period: SimTime::from_ms(10.0),
-            up_threshold: 0.8,
-        }
-    }
-
     /// The frequency this governor requests, given the P-state table and
-    /// the measured load ∈ \[0,1\] over the last sampling period.
+    /// the measured load ∈ \[0,1\]. None of the three policies reads
+    /// the load; it is still validated.
     ///
     /// # Panics
     ///
@@ -53,27 +38,6 @@ impl Governor {
             Governor::Userspace(f) => table.highest_not_above(*f),
             Governor::Powersave => table.min(),
             Governor::Performance => table.max(),
-            Governor::Ondemand { up_threshold, .. } => {
-                if load >= *up_threshold {
-                    table.max()
-                } else {
-                    // Proportional scaling, snapped down to a real P-state.
-                    let span = table.max().as_hz() - table.min().as_hz();
-                    let f = table.min().as_hz() as f64 + span as f64 * (load / up_threshold);
-                    table.highest_not_above(Freq::from_hz(f as u64))
-                }
-            }
-        }
-    }
-
-    /// Sampling period after which the governor re-evaluates (None for
-    /// static policies).
-    pub fn sampling_period(&self) -> Option<SimTime> {
-        match self {
-            Governor::Ondemand {
-                sampling_period, ..
-            } => Some(*sampling_period),
-            _ => None,
         }
     }
 }
@@ -81,6 +45,7 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ichannels_uarch::time::SimTime;
 
     fn table() -> PStateTable {
         PStateTable::new(
@@ -110,26 +75,6 @@ mod tests {
         assert_eq!(
             Governor::Performance.requested_freq(&table(), 0.0),
             Freq::from_ghz(3.6)
-        );
-    }
-
-    #[test]
-    fn ondemand_tracks_load() {
-        let g = Governor::ondemand_default();
-        let t = table();
-        assert_eq!(g.requested_freq(&t, 1.0), Freq::from_ghz(3.6));
-        assert_eq!(g.requested_freq(&t, 0.9), Freq::from_ghz(3.6));
-        let mid = g.requested_freq(&t, 0.4);
-        assert!(mid < Freq::from_ghz(3.6) && mid >= Freq::from_ghz(1.0));
-        assert_eq!(g.requested_freq(&t, 0.0), Freq::from_ghz(1.0));
-    }
-
-    #[test]
-    fn sampling_period() {
-        assert!(Governor::Performance.sampling_period().is_none());
-        assert_eq!(
-            Governor::ondemand_default().sampling_period(),
-            Some(SimTime::from_ms(10.0))
         );
     }
 

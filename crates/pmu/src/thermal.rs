@@ -119,12 +119,6 @@ impl ThermalModel {
         };
         self.temp_c = target + (self.temp_c - target) * alpha;
     }
-
-    /// True if the junction is at/over Tjmax (PROCHOT would assert; never
-    /// reached in the paper's experiments).
-    pub fn over_tjmax(&self) -> bool {
-        self.temp_c >= self.tjmax_c
-    }
 }
 
 #[cfg(test)]
@@ -165,7 +159,7 @@ mod tests {
             "T = {}",
             th.temp_c()
         );
-        assert!(!th.over_tjmax());
+        assert!(th.temp_c() < th.tjmax_c());
     }
 
     #[test]
@@ -176,14 +170,5 @@ mod tests {
         th.advance(0.0, SimTime::from_secs(30.0));
         assert!(th.temp_c() < hot);
         assert!(th.temp_c() > 39.9);
-    }
-
-    #[test]
-    fn over_tjmax_detection() {
-        let mut th = ThermalModel::new(40.0, 3.0, SimTime::from_secs(1.0), 100.0);
-        for _ in 0..60 {
-            th.advance(40.0, SimTime::from_secs(1.0));
-        }
-        assert!(th.over_tjmax());
     }
 }

@@ -6,10 +6,10 @@
 //! thermal model, and OS noise — under a single continuous timeline.
 //!
 //! State only changes at *events* (block start/end, voltage-ramp
-//! completion, hysteresis expiry, P-state settle, noise arrival, governor
-//! tick, trace sample); between events every rate is constant, so
-//! progress advances analytically. This is what makes the paper's 60 s
-//! covert-channel runs (§6.3) tractable at picosecond resolution.
+//! completion, hysteresis expiry, P-state settle, noise arrival, trace
+//! sample); between events every rate is constant, so progress advances
+//! analytically. This is what makes the paper's 60 s covert-channel runs
+//! (§6.3) tractable at picosecond resolution.
 
 use ichannels_pdn::current::{CoreActivity, CurrentModel};
 use ichannels_pdn::power_gate::PowerGate;
@@ -121,7 +121,6 @@ pub struct Soc {
     cores: Vec<CoreState>,
     trace: Trace,
     next_sample: Option<SimTime>,
-    next_governor_tick: Option<SimTime>,
     rng: SmallRng,
     /// Scratch buffers reused across events so the hot paths (`step`,
     /// `retarget_frequency`, `record_sample`) never allocate. Cleared
@@ -194,7 +193,6 @@ impl Soc {
             })
             .collect();
         let next_sample = cfg.trace.sample_period.map(|p| SimTime::ZERO.max(p));
-        let next_governor_tick = cfg.governor.sampling_period();
         let current_model = p.current_model();
         let thermal = cfg.thermal_model();
         let tsc = Tsc::new(p.tsc_freq);
@@ -209,7 +207,6 @@ impl Soc {
             cores,
             trace: Trace::new(),
             next_sample,
-            next_governor_tick,
             rng,
             cfg,
             acts_scratch: Vec::new(),
@@ -263,7 +260,6 @@ impl Soc {
         }
         self.trace.clear();
         self.next_sample = self.cfg.trace.sample_period.map(|p| SimTime::ZERO.max(p));
-        self.next_governor_tick = self.cfg.governor.sampling_period();
         self.acts_scratch.clear();
         self.proj_scratch.clear();
         self.proj_acts_scratch.clear();
@@ -706,9 +702,6 @@ impl Soc {
         if let Some(t) = self.turbo.next_event(&self.cfg.platform.turbo) {
             consider(t);
         }
-        if let Some(t) = self.next_governor_tick {
-            consider(t);
-        }
         if let Some(t) = self.next_sample {
             consider(t);
         }
@@ -835,19 +828,9 @@ impl Soc {
             }
         }
 
-        // (g) Governor sampling tick. A pending tick implies a sampling
-        // period was configured; destructuring both keeps that tie
-        // structural instead of asserted.
-        if let (Some(t), Some(period)) =
-            (self.next_governor_tick, self.cfg.governor.sampling_period())
-        {
-            if t <= now {
-                self.retarget_frequency();
-                self.next_governor_tick = Some(now + period);
-            }
-        }
-
-        // (h) Trace sample (same pending-implies-period structure).
+        // (g) Trace sample. A pending sample implies a sampling period
+        // was configured; destructuring both keeps that tie structural
+        // instead of asserted.
         if let (Some(t), Some(period)) = (self.next_sample, self.cfg.trace.sample_period) {
             if t <= now {
                 self.record_sample();

@@ -91,14 +91,6 @@ impl Trace {
             .collect()
     }
 
-    /// Minimum recorded voltage (mV); `None` if the trace is empty.
-    pub fn vcc_min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.vcc_mv)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Maximum recorded voltage (mV); `None` if the trace is empty.
     pub fn vcc_max(&self) -> Option<f64> {
         self.samples
@@ -142,7 +134,6 @@ mod tests {
         t.push(sample(0.0, 780.0));
         t.push(sample(1.0, 790.0));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.vcc_min(), Some(780.0));
         assert_eq!(t.vcc_max(), Some(790.0));
         assert_eq!(t.vcc_series()[1].1, 790.0);
     }
@@ -170,6 +161,6 @@ mod tests {
     fn empty_trace() {
         let t = Trace::new();
         assert!(t.is_empty());
-        assert_eq!(t.vcc_min(), None);
+        assert_eq!(t.vcc_max(), None);
     }
 }

@@ -66,57 +66,6 @@ impl PerfCounters {
         }
         self.inst_retired as f64 / self.cpu_clk_unhalted as f64
     }
-
-    /// Difference of two snapshots (`self` taken after `earlier`), the
-    /// usual read-PMC-before-and-after-a-loop pattern of §5.6.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any counter of `earlier` exceeds the corresponding
-    /// counter of `self` (snapshots out of order).
-    pub fn delta_since(&self, earlier: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            cpu_clk_unhalted: self
-                .cpu_clk_unhalted
-                .checked_sub(earlier.cpu_clk_unhalted)
-                // lint:allow(R001): documented panic — snapshot ordering is the
-                // caller's contract, and wrapping would fabricate counts.
-                .expect("counter snapshots out of order"),
-            idq_uops_not_delivered: self
-                .idq_uops_not_delivered
-                .checked_sub(earlier.idq_uops_not_delivered)
-                // lint:allow(R001): documented panic — snapshot ordering is the
-                // caller's contract, and wrapping would fabricate counts.
-                .expect("counter snapshots out of order"),
-            uops_delivered: self
-                .uops_delivered
-                .checked_sub(earlier.uops_delivered)
-                // lint:allow(R001): documented panic — snapshot ordering is the
-                // caller's contract, and wrapping would fabricate counts.
-                .expect("counter snapshots out of order"),
-            inst_retired: self
-                .inst_retired
-                .checked_sub(earlier.inst_retired)
-                // lint:allow(R001): documented panic — snapshot ordering is the
-                // caller's contract, and wrapping would fabricate counts.
-                .expect("counter snapshots out of order"),
-            slots_visible: self
-                .slots_visible
-                .checked_sub(earlier.slots_visible)
-                // lint:allow(R001): documented panic — snapshot ordering is the
-                // caller's contract, and wrapping would fabricate counts.
-                .expect("counter snapshots out of order"),
-        }
-    }
-
-    /// Accumulates another delta into this snapshot.
-    pub fn accumulate(&mut self, delta: &PerfCounters) {
-        self.cpu_clk_unhalted += delta.cpu_clk_unhalted;
-        self.idq_uops_not_delivered += delta.idq_uops_not_delivered;
-        self.uops_delivered += delta.uops_delivered;
-        self.inst_retired += delta.inst_retired;
-        self.slots_visible += delta.slots_visible;
-    }
 }
 
 #[cfg(test)]
@@ -136,54 +85,5 @@ mod tests {
             ..Default::default()
         };
         assert!((c.ipc() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delta_since() {
-        let early = PerfCounters {
-            cpu_clk_unhalted: 100,
-            idq_uops_not_delivered: 10,
-            uops_delivered: 390,
-            inst_retired: 390,
-            slots_visible: 400,
-        };
-        let late = PerfCounters {
-            cpu_clk_unhalted: 300,
-            idq_uops_not_delivered: 20,
-            uops_delivered: 1170,
-            inst_retired: 1170,
-            slots_visible: 1200,
-        };
-        let d = late.delta_since(&early);
-        assert_eq!(d.cpu_clk_unhalted, 200);
-        assert_eq!(d.idq_uops_not_delivered, 10);
-        assert_eq!(d.uops_delivered, 780);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn delta_since_out_of_order_panics() {
-        let a = PerfCounters {
-            cpu_clk_unhalted: 10,
-            ..Default::default()
-        };
-        let b = PerfCounters::default();
-        let _ = b.delta_since(&a);
-    }
-
-    #[test]
-    fn accumulate() {
-        let mut acc = PerfCounters::default();
-        let d = PerfCounters {
-            cpu_clk_unhalted: 4,
-            idq_uops_not_delivered: 3,
-            uops_delivered: 1,
-            inst_retired: 1,
-            slots_visible: 4,
-        };
-        acc.accumulate(&d);
-        acc.accumulate(&d);
-        assert_eq!(acc.cpu_clk_unhalted, 8);
-        assert_eq!(acc.idq_uops_not_delivered, 6);
     }
 }

@@ -14,7 +14,6 @@
 //! `256b Heavy`, `512b Light`, `512b Heavy`.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Vector register width of an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -203,144 +202,6 @@ impl fmt::Display for InstClass {
     }
 }
 
-/// Error returned when parsing an [`InstClass`] from a string fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseInstClassError {
-    input: String,
-}
-
-impl fmt::Display for ParseInstClassError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown instruction class `{}`", self.input)
-    }
-}
-
-impl std::error::Error for ParseInstClassError {}
-
-impl FromStr for InstClass {
-    type Err = ParseInstClassError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let norm = s.trim().to_ascii_lowercase().replace(['-', '_'], " ");
-        let class = match norm.as_str() {
-            "64b" | "scalar" | "64b light" => InstClass::Scalar64,
-            "128b light" => InstClass::Light128,
-            "128b heavy" => InstClass::Heavy128,
-            "256b light" => InstClass::Light256,
-            "256b heavy" => InstClass::Heavy256,
-            "512b light" => InstClass::Light512,
-            "512b heavy" => InstClass::Heavy512,
-            _ => {
-                return Err(ParseInstClassError {
-                    input: s.to_string(),
-                })
-            }
-        };
-        Ok(class)
-    }
-}
-
-/// A concrete x86 mnemonic mapped to its computational-intensity class.
-///
-/// The table mirrors the micro-benchmarks used in the paper (customized
-/// Agner Fog loops, §5.1) plus the specific examples called out in the
-/// text (`VORPD-256`, `VMULPD-512`, `MOV32`, `FMA256`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Mnemonic {
-    name: &'static str,
-    class: InstClass,
-}
-
-impl Mnemonic {
-    /// Assembly mnemonic (including width suffix where relevant).
-    pub const fn name(self) -> &'static str {
-        self.name
-    }
-
-    /// Computational-intensity class of the instruction.
-    pub const fn class(self) -> InstClass {
-        self.class
-    }
-
-    /// Looks up a mnemonic by (case-insensitive) name.
-    pub fn lookup(name: &str) -> Option<Mnemonic> {
-        MNEMONICS
-            .iter()
-            .find(|m| m.name.eq_ignore_ascii_case(name))
-            .copied()
-    }
-
-    /// All mnemonics of a given class (useful for workload generation).
-    pub fn of_class(class: InstClass) -> impl Iterator<Item = Mnemonic> {
-        MNEMONICS.iter().copied().filter(move |m| m.class == class)
-    }
-}
-
-impl fmt::Display for Mnemonic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
-    }
-}
-
-macro_rules! mnemonic_table {
-    ($(($name:literal, $class:ident)),+ $(,)?) => {
-        /// The built-in mnemonic table.
-        pub const MNEMONICS: &[Mnemonic] = &[
-            $(Mnemonic { name: $name, class: InstClass::$class }),+
-        ];
-    };
-}
-
-mnemonic_table![
-    // 64-bit scalar.
-    ("MOV32", Scalar64),
-    ("MOV64", Scalar64),
-    ("ADD64", Scalar64),
-    ("SUB64", Scalar64),
-    ("XOR64", Scalar64),
-    ("AND64", Scalar64),
-    ("SHL64", Scalar64),
-    ("LEA64", Scalar64),
-    // 128-bit light: integer/logic/shuffle SSE.
-    ("PXOR-128", Light128),
-    ("POR-128", Light128),
-    ("PADDD-128", Light128),
-    ("PSHUFB-128", Light128),
-    ("PBLENDW-128", Light128),
-    ("PAND-128", Light128),
-    // 128-bit heavy: FP or multiply.
-    ("ADDPS-128", Heavy128),
-    ("SUBPS-128", Heavy128),
-    ("MULPS-128", Heavy128),
-    ("PMULLD-128", Heavy128),
-    ("ADDPD-128", Heavy128),
-    ("VFMADD132PS-128", Heavy128),
-    // 256-bit light.
-    ("VPOR-256", Light256),
-    ("VORPD-256", Light256),
-    ("VPADDD-256", Light256),
-    ("VPSHUFB-256", Light256),
-    ("VPBLENDW-256", Light256),
-    ("VPAND-256", Light256),
-    // 256-bit heavy (AVX2 PHIs).
-    ("VADDPD-256", Heavy256),
-    ("VSUBPS-256", Heavy256),
-    ("VMULPD-256", Heavy256),
-    ("VPMULLD-256", Heavy256),
-    ("VFMADD132PD-256", Heavy256),
-    ("FMA256", Heavy256),
-    // 512-bit light.
-    ("VPORD-512", Light512),
-    ("VPXORD-512", Light512),
-    ("VPADDD-512", Light512),
-    ("VPERMW-512", Light512),
-    // 512-bit heavy (AVX-512 PHIs).
-    ("VADDPD-512", Heavy512),
-    ("VMULPD-512", Heavy512),
-    ("VFMADD132PD-512", Heavy512),
-    ("VPMULLQ-512", Heavy512),
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,20 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_paper_spellings() {
-        assert_eq!("64b".parse::<InstClass>().unwrap(), InstClass::Scalar64);
-        assert_eq!(
-            "256b_Heavy".parse::<InstClass>().unwrap(),
-            InstClass::Heavy256
-        );
-        assert_eq!(
-            "512b-heavy".parse::<InstClass>().unwrap(),
-            InstClass::Heavy512
-        );
-        assert!("1024b heavy".parse::<InstClass>().is_err());
-    }
-
-    #[test]
     fn phi_and_avx_flags() {
         assert!(!InstClass::Scalar64.is_phi());
         assert!(InstClass::Light128.is_phi());
@@ -419,28 +266,6 @@ mod tests {
                 InstClass::Heavy512
             ]
         );
-    }
-
-    #[test]
-    fn mnemonic_lookup() {
-        let m = Mnemonic::lookup("vmulpd-512").unwrap();
-        assert_eq!(m.class(), InstClass::Heavy512);
-        assert_eq!(Mnemonic::lookup("NOPE-128"), None);
-        // Paper: VORPD-256 is light, VMULPD-512 is heavy (§1, Observation 1).
-        assert_eq!(
-            Mnemonic::lookup("VORPD-256").unwrap().class(),
-            InstClass::Light256
-        );
-    }
-
-    #[test]
-    fn every_class_has_mnemonics() {
-        for class in InstClass::ALL {
-            assert!(
-                Mnemonic::of_class(class).count() >= 4,
-                "class {class} needs at least 4 mnemonics for workload variety"
-            );
-        }
     }
 
     #[test]

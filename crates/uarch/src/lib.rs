@@ -6,7 +6,7 @@
 //! * [`time`] — picosecond simulation time ([`time::SimTime`]) and clock
 //!   frequencies ([`time::Freq`]).
 //! * [`isa`] — the seven computational-intensity instruction classes of
-//!   Figure 10 ([`isa::InstClass`]) and a mnemonic table.
+//!   Figure 10 ([`isa::InstClass`]).
 //! * [`ipc`] — the analytic IPC model (nominal rates, the 1/4 throttle
 //!   factor of Key Conclusion 5, SMT slot sharing).
 //! * [`idq`] — a cycle-accurate IDQ→back-end interface with the 1-of-4
@@ -49,6 +49,6 @@ pub mod tsc;
 
 pub use counters::PerfCounters;
 pub use idq::{Idq, SmtId, ThreadDemand, ThrottlePolicy};
-pub use isa::{InstClass, Mnemonic, Width};
+pub use isa::{InstClass, Width};
 pub use time::{Freq, SimTime};
 pub use tsc::Tsc;

@@ -319,16 +319,6 @@ impl Freq {
         self.0 as f64 * dt.as_secs()
     }
 
-    /// Duration of one clock cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the zero frequency.
-    pub fn cycle_period(self) -> SimTime {
-        assert!(self.0 > 0, "cycle period of zero frequency");
-        SimTime::from_ps((PS_PER_S as f64 / self.0 as f64).round() as u64)
-    }
-
     /// Time needed for `cycles` clock cycles at this frequency.
     ///
     /// # Panics
@@ -420,12 +410,6 @@ mod tests {
         assert!((cycles - 14_000.0).abs() < 1e-6);
         let t = f.time_for_cycles(14_000.0);
         assert!((t.as_us() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn freq_cycle_period() {
-        let f = Freq::from_ghz(2.0);
-        assert_eq!(f.cycle_period().as_ps(), 500);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   campaign trial streams (bootstrap CIs, model capacity, axis
 //!   sensitivity).
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See `README.md` for a quickstart, `docs/ARCHITECTURE.md` for the
+//! crate layering and the byte contract, and `docs/METHODOLOGY.md` for
+//! how the campaign statistics are computed.
 
 pub use ichannels;
 pub use ichannels_analysis;

@@ -5,12 +5,19 @@
 //! on a 4-thread pool).
 
 use ichannels_repro::ichannels::channel::ChannelKind;
-use ichannels_repro::ichannels_lab::report::{records_to_jsonl, summaries_to_csv, summarize_cells};
+use ichannels_repro::ichannels_lab::campaigns::RunConfig;
+use ichannels_repro::ichannels_lab::report::{rows_to_jsonl, summaries_to_csv, summarize_rows};
 use ichannels_repro::ichannels_lab::scenario::{
     ChannelSelect, Knob, NoiseSpec, PayloadSpec, PlatformId,
 };
-use ichannels_repro::ichannels_lab::{campaigns, AlphabetSpec, Executor, Grid};
+use ichannels_repro::ichannels_lab::{
+    campaigns, AlphabetSpec, Executor, Grid, TrialRecord, TrialRow,
+};
 use proptest::prelude::*;
+
+fn rows(records: &[TrialRecord]) -> Vec<TrialRow> {
+    records.iter().map(TrialRow::from_record).collect()
+}
 
 fn acceptance_grid() -> Grid {
     Grid::new()
@@ -38,14 +45,16 @@ fn four_thread_pool_matches_serial_bit_for_bit() {
     let serial = Executor::serial().run(&scenarios);
     let parallel = Executor::new(4).run(&scenarios);
     // Identical JSONL trial rows…
-    assert_eq!(records_to_jsonl(&serial), records_to_jsonl(&parallel));
-    // …and identical aggregate rows.
-    let serial_cells = campaigns::run("det", &acceptance_grid(), Executor::serial()).cells;
-    let parallel_cells = campaigns::run("det", &acceptance_grid(), Executor::new(4)).cells;
     assert_eq!(
-        summaries_to_csv(&serial_cells).to_csv(),
-        summaries_to_csv(&parallel_cells).to_csv()
+        rows_to_jsonl(&rows(&serial)),
+        rows_to_jsonl(&rows(&parallel))
     );
+    // …and identical aggregate rows.
+    let cells = |executor| {
+        let report = campaigns::run("det", &acceptance_grid(), executor);
+        summaries_to_csv(&summarize_rows(&rows(&report.records))).to_csv()
+    };
+    assert_eq!(cells(Executor::serial()), cells(Executor::new(4)));
 }
 
 #[test]
@@ -75,7 +84,7 @@ fn acceptance_campaign_covers_all_three_channel_kinds() {
         }
     }
     // Aggregation produced one summary row per cell.
-    assert_eq!(report.cells.len(), 10);
+    assert_eq!(summarize_rows(&rows(&report.records)).len(), 10);
 }
 
 #[test]
@@ -89,13 +98,13 @@ fn every_catalog_campaign_is_parallel_serial_identical() {
         let serial = Executor::serial().run(&scenarios);
         let parallel = Executor::new(4).run(&scenarios);
         assert_eq!(
-            records_to_jsonl(&serial),
-            records_to_jsonl(&parallel),
+            rows_to_jsonl(&rows(&serial)),
+            rows_to_jsonl(&rows(&parallel)),
             "{name} diverged across worker counts"
         );
         assert_eq!(parallel.len(), scenarios.len(), "{name} dropped records");
         assert!(
-            !summarize_cells(&parallel).is_empty(),
+            !summarize_rows(&rows(&parallel)).is_empty(),
             "{name} has no cells"
         );
     }
@@ -181,17 +190,24 @@ proptest! {
 fn campaign_report_streams_jsonl_and_csv() {
     let dir = std::env::temp_dir().join("ichannels_campaign_engine_test");
     let _ = std::fs::remove_dir_all(&dir);
-    let report = campaigns::run("itest", &acceptance_grid(), Executor::new(2));
-    let paths = report.write_to(&dir).expect("report written");
+    let run = campaigns::run_to_dir(
+        "itest",
+        &acceptance_grid(),
+        Executor::new(2),
+        &dir,
+        RunConfig::default(),
+    )
+    .expect("campaign written");
+    let paths = &run.paths;
     assert_eq!(paths.len(), 3);
     let jsonl = std::fs::read_to_string(&paths[0]).expect("jsonl readable");
-    assert_eq!(jsonl.lines().count(), report.records.len());
+    assert_eq!(jsonl.lines().count(), run.rows.len());
     // Every line is one self-describing JSON object.
     for line in jsonl.lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         assert!(line.contains("\"cell\":"), "{line}");
     }
     let cells_csv = std::fs::read_to_string(&paths[2]).expect("cells csv readable");
-    assert_eq!(cells_csv.lines().count(), report.cells.len() + 1);
+    assert_eq!(cells_csv.lines().count(), run.cells.len() + 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

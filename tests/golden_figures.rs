@@ -102,9 +102,9 @@ fn golden_figure_outputs_match() {
     let _ = figs::table1::run(true);
     let _ = figs::table2::run(true);
     figs::ablation::run(true);
+    // The same writer `campaign` and `repro_all` use.
     for (name, grid) in campaigns::catalog(true) {
-        campaigns::run(name, &grid, Executor::auto())
-            .write_to(&out)
+        campaigns::run_to_dir(name, &grid, Executor::auto(), &out, Default::default())
             .expect("campaign artifacts written");
     }
 

@@ -1,6 +1,8 @@
 //! Property-based invariants of the SoC simulator under randomized
 //! workloads: whatever programs run, physics and bookkeeping must hold.
 
+use ichannels_repro::ichannels_pdn::regulator::VrModel;
+use ichannels_repro::ichannels_pmu::central::VrRail;
 use ichannels_repro::ichannels_soc::config::{PlatformSpec, SocConfig};
 use ichannels_repro::ichannels_soc::noise::NoiseConfig;
 use ichannels_repro::ichannels_soc::program::{Action, Script};
@@ -129,5 +131,38 @@ proptest! {
         let tp1 = measure(base_insts);
         let tp2 = measure(base_insts * extra * 2);
         prop_assert!((tp1 - tp2).abs() < 0.2, "tp1 = {tp1}, tp2 = {tp2}");
+    }
+
+    /// A voltage rail never leaves the envelope of its initial voltage
+    /// and its targets, and it sits exactly at its setpoint once it is
+    /// free, for random schedules on every VR style. Requests come both
+    /// while a ramp is in flight (they queue) and after the rail has
+    /// settled.
+    #[test]
+    fn vr_rail_stays_inside_its_envelope(
+        model in 0usize..3,
+        initial_mv in 650.0f64..850.0,
+        requests in proptest::collection::vec((0.0f64..60.0, 650.0f64..850.0), 1..12),
+        probes in proptest::collection::vec(0.0f64..1.2, 1..24),
+    ) {
+        let model = [VrModel::mbvr(), VrModel::fivr(), VrModel::ldo()][model];
+        let mut rail = VrRail::new(model, initial_mv);
+        let (mut lo, mut hi) = (initial_mv, initial_mv);
+        let mut now = SimTime::ZERO;
+        for (gap_us, target_mv) in requests {
+            now += SimTime::from_us(gap_us);
+            rail.schedule(now, target_mv);
+            lo = lo.min(target_mv);
+            hi = hi.max(target_mv);
+            prop_assert_eq!(rail.voltage_at(rail.free_at()), rail.setpoint_mv());
+        }
+        for frac in probes {
+            let t = rail.free_at().scale(frac);
+            let v = rail.voltage_at(t);
+            prop_assert!(
+                v >= lo - 1e-9 && v <= hi + 1e-9,
+                "{v} mV at {t:?} outside [{lo}, {hi}]"
+            );
+        }
     }
 }

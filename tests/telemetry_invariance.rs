@@ -11,12 +11,21 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ichannels_repro::ichannels_lab::report::records_to_jsonl;
-use ichannels_repro::ichannels_lab::{campaigns, Executor};
+use ichannels_repro::ichannels_lab::report::rows_to_jsonl;
+use ichannels_repro::ichannels_lab::{campaigns, Executor, TrialRecord, TrialRow};
 use ichannels_repro::ichannels_obs as obs;
 use proptest::prelude::*;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn records_jsonl(records: &[TrialRecord]) -> String {
+    rows_to_jsonl(
+        &records
+            .iter()
+            .map(TrialRow::from_record)
+            .collect::<Vec<_>>(),
+    )
+}
 
 /// Serializes obs-global tests and restores the default (disabled)
 /// switch however the test exits.
@@ -51,8 +60,8 @@ fn catalog_jsonl_is_byte_identical_with_telemetry_on_and_off() {
         let on = Executor::new(4).run(&scenarios);
         obs::set_enabled(false);
         assert_eq!(
-            records_to_jsonl(&off),
-            records_to_jsonl(&on),
+            records_jsonl(&off),
+            records_jsonl(&on),
             "{name}: telemetry leaked into trial bytes"
         );
     }
@@ -131,7 +140,7 @@ fn rerunning_a_scenario_trains_again() {
     let executor = Executor::new(1);
     let run_once = || {
         obs::reset();
-        let row = records_to_jsonl(&executor.run(std::slice::from_ref(&scenario)));
+        let row = records_jsonl(&executor.run(std::slice::from_ref(&scenario)));
         let snap = obs::global().snapshot();
         (
             row,
