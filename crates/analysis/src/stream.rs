@@ -22,8 +22,9 @@
 
 use std::collections::BTreeMap;
 
-use ichannels_lab::shard::parse_header_line;
+use ichannels_lab::shard::header_from_fields;
 use ichannels_lab::TrialRow;
+use ichannels_meter::parse::parse_jsonl_line;
 
 use crate::bootstrap::fnv1a;
 use crate::report::{AxisSensitivity, AxisValueReport, CampaignAnalysis, CellReport, MetricReport};
@@ -285,11 +286,16 @@ impl Analysis {
         if row.error.is_some() {
             self.errored += 1;
         }
-        let cap = self.config.reservoir;
-        self.cells
-            .entry(row.cell.clone())
-            .or_insert_with(|| CellAccumulator::new(row, cap))
-            .add(row);
+        // Look the cell up by reference: its key is cloned only when the
+        // cell is new.
+        match self.cells.get_mut(&row.cell) {
+            Some(acc) => acc.add(row),
+            None => {
+                let mut acc = CellAccumulator::new(row, self.config.reservoir);
+                acc.add(row);
+                self.cells.insert(row.cell.clone(), acc);
+            }
+        }
     }
 
     /// Parses and aggregates one JSONL line.
@@ -297,15 +303,18 @@ impl Analysis {
     /// # Errors
     ///
     /// Rejects shard header lines (a lone shard is a slice, not a
-    /// campaign — merge first) and lines that are not trial rows.
+    /// campaign — merge first) and lines that are not trial rows. The
+    /// line is parsed once; the header check and the trial row read the
+    /// same fields, with the messages [`TrialRow::parse`] gives.
     pub fn add_jsonl_line(&mut self, line: &str) -> Result<(), StreamError> {
-        if let Some((campaign, spec, _)) = parse_header_line(line) {
+        let fields = parse_jsonl_line(line).map_err(|e| StreamError::BadRow(e.to_string()))?;
+        if let Some((campaign, spec, _)) = header_from_fields(&fields) {
             return Err(StreamError::ShardHeader {
                 campaign,
                 shard: spec.to_string(),
             });
         }
-        let row = TrialRow::parse(line).map_err(StreamError::BadRow)?;
+        let row = TrialRow::from_fields(&fields).map_err(StreamError::BadRow)?;
         self.add_row(&row);
         Ok(())
     }
@@ -469,6 +478,42 @@ mod tests {
         assert!(msg.contains("campaign merge"), "{msg}");
         assert!(msg.contains("noise_robustness"), "{msg}");
         assert!(analysis.add_jsonl_line("{not json").is_err());
+        assert_eq!(analysis.rows(), 0);
+    }
+
+    #[test]
+    fn add_jsonl_line_errors_are_pinned() {
+        // A header, a torn line, and a header-shaped line that is not a
+        // valid header (0 shards) and so is read as a trial row: the
+        // header check and the row read share one parse, and each case
+        // keeps its own error.
+        let mut analysis = Analysis::new("unit", AnalysisConfig::default());
+        let header = ichannels_lab::ShardSpec::new(1, 3)
+            .unwrap()
+            .header_row("noise_robustness", 9)
+            .to_json();
+        assert_eq!(
+            analysis.add_jsonl_line(&header),
+            Err(StreamError::ShardHeader {
+                campaign: "noise_robustness".to_string(),
+                shard: "1/3".to_string(),
+            })
+        );
+        let truncated = "{\"cell\":\"cannon_lake/IccThreadCovert/quiet\",\"trial\":3,\"pla";
+        assert_eq!(
+            analysis.add_jsonl_line(truncated),
+            Err(StreamError::BadRow(
+                "unterminated string at byte 58".to_string()
+            ))
+        );
+        let zero_shards = "{\"shard_campaign\":\"noise_robustness\",\"shard_index\":0,\
+                           \"shard_count\":0,\"shard_total\":9}";
+        assert_eq!(
+            analysis.add_jsonl_line(zero_shards),
+            Err(StreamError::BadRow(
+                "missing string field `cell`".to_string()
+            ))
+        );
         assert_eq!(analysis.rows(), 0);
     }
 }

@@ -126,8 +126,7 @@ impl Finding {
 /// Renders findings as one in-memory JSONL document (rows in the
 /// given order — callers keep case-index order).
 pub fn findings_to_jsonl(findings: &[Finding]) -> String {
-    let rows: Vec<JsonlRow> = findings.iter().map(Finding::jsonl_row).collect();
-    jsonl_to_string(rows.iter())
+    jsonl_to_string(findings.iter().map(Finding::jsonl_row))
 }
 
 /// Merges shard findings back into unsharded byte order: every finding

@@ -181,19 +181,30 @@ impl TrialRow {
     /// interrupted campaign land here and are skipped by resume.
     pub fn parse(line: &str) -> Result<Self, String> {
         let fields = parse_jsonl_line(line).map_err(|e| e.to_string())?;
+        TrialRow::from_fields(&fields)
+    }
+
+    /// Reads a row from the `(key, value)` fields of an already parsed
+    /// JSONL line ([`parse_jsonl_line`]), so a caller that also checks
+    /// the line for another schema parses it only once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first missing or mistyped field.
+    pub fn from_fields(fields: &[(String, Value)]) -> Result<Self, String> {
         let text = |key: &str| -> Result<String, String> {
-            field(&fields, key)
+            field(fields, key)
                 .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| format!("missing string field `{key}`"))
         };
         let uint = |key: &str| -> Result<u64, String> {
-            field(&fields, key)
+            field(fields, key)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("missing integer field `{key}`"))
         };
         let float = |key: &str| -> Result<f64, String> {
-            field(&fields, key)
+            field(fields, key)
                 .and_then(Value::as_f64_or_nan)
                 .ok_or_else(|| format!("missing numeric field `{key}`"))
         };
@@ -208,7 +219,7 @@ impl TrialRow {
             trial: uint("trial")?,
             seed: uint("seed")?,
             // Optional: only errored trials carry the field.
-            error: field(&fields, "error")
+            error: field(fields, "error")
                 .and_then(Value::as_str)
                 .map(str::to_string),
             metrics: TrialMetrics {
@@ -262,24 +273,24 @@ pub fn rows_to_csv(rows: &[TrialRow]) -> CsvTable {
     for r in rows {
         let m = &r.metrics;
         table.push_row([
-            r.cell.clone(),
-            r.platform.clone(),
-            r.channel.clone(),
-            r.noise.clone(),
-            r.mitigations.clone(),
-            r.app.clone(),
-            r.payload.clone(),
-            r.trial.to_string(),
-            r.seed.to_string(),
-            m.n_symbols.to_string(),
-            csv_float(m.ber),
-            csv_float(m.ser),
-            csv_float(m.throughput_bps),
-            csv_float(m.capacity_bps),
-            csv_float(m.mi_bits_per_symbol),
-            csv_float(m.min_separation_cycles),
-            csv_float(m.probe_value),
-            csv_float(m.probe_aux),
+            &r.cell,
+            &r.platform,
+            &r.channel,
+            &r.noise,
+            &r.mitigations,
+            &r.app,
+            &r.payload,
+            &r.trial.to_string(),
+            &r.seed.to_string(),
+            &m.n_symbols.to_string(),
+            &csv_float(m.ber),
+            &csv_float(m.ser),
+            &csv_float(m.throughput_bps),
+            &csv_float(m.capacity_bps),
+            &csv_float(m.mi_bits_per_symbol),
+            &csv_float(m.min_separation_cycles),
+            &csv_float(m.probe_value),
+            &csv_float(m.probe_aux),
         ]);
     }
     table
@@ -287,8 +298,7 @@ pub fn rows_to_csv(rows: &[TrialRow]) -> CsvTable {
 
 /// Renders trial rows as one in-memory JSONL document.
 pub fn rows_to_jsonl(rows: &[TrialRow]) -> String {
-    let rendered: Vec<JsonlRow> = rows.iter().map(TrialRow::jsonl_row).collect();
-    ichannels_meter::export::jsonl_to_string(rendered.iter())
+    ichannels_meter::export::jsonl_to_string(rows.iter().map(TrialRow::jsonl_row))
 }
 
 /// Aggregated statistics of one grid cell (all trials of one axis

@@ -172,11 +172,17 @@ impl fmt::Display for ShardSpec {
 /// this to recognize (and then verify) the stream it is about to
 /// trust.
 pub fn parse_header_line(line: &str) -> Option<(String, ShardSpec, usize)> {
-    let fields = parse_jsonl_line(line).ok()?;
-    let campaign = field(&fields, "shard_campaign")
+    header_from_fields(&parse_jsonl_line(line).ok()?)
+}
+
+/// Reads a shard header from the `(key, value)` fields of an already
+/// parsed JSONL line, if they are one: the check [`parse_header_line`]
+/// makes, for a caller that also reads the line as a trial row.
+pub fn header_from_fields(fields: &[(String, Value)]) -> Option<(String, ShardSpec, usize)> {
+    let campaign = field(fields, "shard_campaign")
         .and_then(Value::as_str)?
         .to_string();
-    let uint = |key: &str| field(&fields, key).and_then(Value::as_u64);
+    let uint = |key: &str| field(fields, key).and_then(Value::as_u64);
     let spec = ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize).ok()?;
     let total = uint("shard_total")? as usize;
     Some((campaign, spec, total))

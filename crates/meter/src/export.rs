@@ -5,28 +5,51 @@
 //! experiment-campaign engine (`ichannels-lab`) additionally streams one
 //! JSON object per trial to `results/*.jsonl` via [`JsonlWriter`].
 
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::io::Write as _;
 use std::path::Path;
 
-use ichannels_obs::json::escape;
+use ichannels_obs::json::escape_into;
 
 /// A rectangular table destined for CSV.
-#[derive(Debug, Clone, Default)]
+///
+/// Cells are quoted and rendered into one text as rows are pushed, so a
+/// table holds its CSV bytes, not a string per cell.
+#[derive(Debug, Clone)]
 pub struct CsvTable {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+    /// The header line and one line per row, each ending in `\n`.
+    text: String,
+    width: usize,
+    rows: usize,
 }
 
 impl CsvTable {
     /// Creates a table with the given column names.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
-        CsvTable {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
+    pub fn new<S: AsRef<str>, I: IntoIterator<Item = S>>(header: I) -> Self {
+        let mut table = CsvTable {
+            text: String::new(),
+            width: 0,
+            rows: 0,
+        };
+        table.width = table.push_line(header);
+        table
+    }
+
+    /// Renders one line of cells and returns how many it had.
+    fn push_line<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> usize {
+        let mut width = 0;
+        for cell in cells {
+            if width > 0 {
+                self.text.push(',');
+            }
+            push_csv_field(&mut self.text, cell.as_ref());
+            width += 1;
         }
+        self.text.push('\n');
+        width
     }
 
     /// Appends a row.
@@ -34,52 +57,39 @@ impl CsvTable {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn push_row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, row: I) {
-        let row: Vec<String> = row.into_iter().map(Into::into).collect();
+    pub fn push_row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, row: I) {
+        let start = self.text.len();
+        let width = self.push_line(row);
+        if width != self.width {
+            self.text.truncate(start);
+        }
         assert_eq!(
-            row.len(),
-            self.header.len(),
-            "row width {} != header width {}",
-            row.len(),
-            self.header.len()
+            width, self.width,
+            "row width {width} != header width {}",
+            self.width
         );
-        self.rows.push(row);
+        self.rows += 1;
     }
 
     /// Appends a row of floats, formatted with 6 significant digits.
     pub fn push_floats<I: IntoIterator<Item = f64>>(&mut self, row: I) {
-        let row: Vec<String> = row.into_iter().map(|v| format!("{v:.6}")).collect();
-        self.push_row(row);
+        self.push_row(row.into_iter().map(|v| format!("{v:.6}")));
     }
 
     /// Number of data rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// True if the table has no data rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
     }
 
     /// Renders the CSV text (RFC-4180-style quoting of fields containing
-    /// commas, quotes, or newlines).
+    /// commas, quotes, carriage returns, or newlines).
     pub fn to_csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        let render =
-            |cells: &[String]| cells.iter().map(|c| field(c)).collect::<Vec<_>>().join(",");
-        let _ = writeln!(out, "{}", render(&self.header));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", render(row));
-        }
-        out
+        self.text.clone()
     }
 
     /// Writes the CSV to `path`, creating parent directories.
@@ -92,75 +102,120 @@ impl CsvTable {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        fs::write(path, self.to_csv())
+        fs::write(path, &self.text)
     }
 }
 
+impl Default for CsvTable {
+    /// A table with no columns: its CSV is one empty header line.
+    fn default() -> Self {
+        CsvTable::new::<&str, _>([])
+    }
+}
+
+/// Appends one CSV cell, quoted when it holds a `,`, `"`, `\r` or `\n`.
+fn push_csv_field(out: &mut String, cell: &str) {
+    if !cell.contains([',', '"', '\r', '\n']) {
+        out.push_str(cell);
+        return;
+    }
+    out.push('"');
+    for (i, part) in cell.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Starting capacity of a [`JsonlRow`] body: campaign trial rows render
+/// to 400–550 bytes, so most are built without growing the buffer.
+const ROW_CAPACITY: usize = 512;
+
 /// One JSON object assembled field by field, preserving insertion order
 /// (so identical runs produce byte-identical lines).
+///
+/// Each field is rendered into one body string as it is appended; the
+/// object's braces are added only when the row is written out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JsonlRow {
-    fields: Vec<(String, String)>, // key → pre-rendered JSON value
+    /// The rendered `"key":value` fields, comma-separated.
+    body: String,
+    fields: usize,
 }
 
 impl JsonlRow {
     /// An empty row.
     pub fn new() -> Self {
-        JsonlRow::default()
+        JsonlRow {
+            body: String::with_capacity(ROW_CAPACITY),
+            fields: 0,
+        }
     }
 
-    fn push(mut self, key: &str, rendered: String) -> Self {
-        self.fields.push((key.to_string(), rendered));
-        self
+    /// Renders the next field's `"key":` and returns the body to append
+    /// its value to.
+    fn key(&mut self, key: &str) -> &mut String {
+        if self.fields > 0 {
+            self.body.push(',');
+        }
+        self.fields += 1;
+        self.body.push('"');
+        escape_into(&mut self.body, key);
+        self.body.push_str("\":");
+        &mut self.body
     }
 
     /// Appends a string field.
-    pub fn str(self, key: &str, value: &str) -> Self {
-        let rendered = format!("\"{}\"", escape(value));
-        self.push(key, rendered)
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        let body = self.key(key);
+        body.push('"');
+        escape_into(body, value);
+        body.push('"');
+        self
     }
 
     /// Appends a float field (`null` for non-finite values).
-    pub fn num(self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
+    pub fn num(mut self, key: &str, value: f64) -> Self {
+        let body = self.key(key);
+        if value.is_finite() {
             // Shortest round-trip formatting keeps rows compact and
             // byte-stable across runs.
-            format!("{value}")
+            let _ = write!(body, "{value}");
         } else {
-            "null".to_string()
-        };
-        self.push(key, rendered)
+            body.push_str("null");
+        }
+        self
     }
 
     /// Appends an integer field.
-    pub fn int(self, key: &str, value: u64) -> Self {
-        self.push(key, value.to_string())
+    pub fn int(mut self, key: &str, value: u64) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
     }
 
     /// Appends a boolean field.
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.push(key, value.to_string())
+    pub fn bool(mut self, key: &str, value: bool) -> Self {
+        let _ = write!(self.key(key), "{value}");
+        self
     }
 
     /// Number of fields.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.fields
     }
 
     /// True if the row has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.fields == 0
     }
 
     /// Renders the row as one JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape(k), v);
-        }
+        let mut out = String::with_capacity(self.body.len() + 2);
+        out.push('{');
+        out.push_str(&self.body);
         out.push('}');
         out
     }
@@ -199,7 +254,9 @@ impl JsonlWriter {
     ///
     /// Propagates the underlying write error.
     pub fn write_row(&mut self, row: &JsonlRow) -> io::Result<()> {
-        writeln!(self.out, "{}", row.to_json())?;
+        self.out.write_all(b"{")?;
+        self.out.write_all(row.body.as_bytes())?;
+        self.out.write_all(b"}\n")?;
         self.rows += 1;
         Ok(())
     }
@@ -229,11 +286,23 @@ impl JsonlWriter {
     }
 }
 
-/// Renders rows to one JSONL string (for in-memory comparisons).
-pub fn jsonl_to_string<'a, I: IntoIterator<Item = &'a JsonlRow>>(rows: I) -> String {
+/// Renders rows to one JSONL string (for in-memory comparisons). Rows
+/// may be borrowed or rendered on the fly; the string is sized from the
+/// first row, so rows of similar length are appended without regrowing.
+pub fn jsonl_to_string<R: Borrow<JsonlRow>, I: IntoIterator<Item = R>>(rows: I) -> String {
+    let push = |out: &mut String, row: R| {
+        out.push('{');
+        out.push_str(&row.borrow().body);
+        out.push_str("}\n");
+    };
+    let mut rows = rows.into_iter();
     let mut out = String::new();
+    if let Some(first) = rows.next() {
+        push(&mut out, first);
+        out.reserve(out.len() * rows.size_hint().0);
+    }
     for row in rows {
-        let _ = writeln!(out, "{}", row.to_json());
+        push(&mut out, row);
     }
     out
 }
@@ -241,6 +310,8 @@ pub fn jsonl_to_string<'a, I: IntoIterator<Item = &'a JsonlRow>>(rows: I) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ichannels_obs::json::escape;
+    use proptest::prelude::*;
 
     #[test]
     fn renders_header_and_rows() {
@@ -344,5 +415,206 @@ mod tests {
     fn jsonl_to_string_matches_writer_output() {
         let rows = [JsonlRow::new().int("i", 0), JsonlRow::new().str("x", "y")];
         assert_eq!(jsonl_to_string(rows.iter()), "{\"i\":0}\n{\"x\":\"y\"}\n");
+    }
+
+    #[test]
+    fn default_table_is_one_empty_header_line() {
+        let mut t = CsvTable::default();
+        assert_eq!(t.to_csv(), "\n");
+        t.push_row(Vec::<String>::new());
+        assert_eq!((t.len(), t.to_csv().as_str()), (1, "\n\n"));
+    }
+
+    #[test]
+    fn carriage_returns_are_quoted() {
+        let mut t = CsvTable::new(["x", "y"]);
+        t.push_row(["a\rb", "plain"]);
+        t.push_row(["\"\r\n", ""]);
+        assert_eq!(t.to_csv(), "x,y\n\"a\rb\",plain\n\"\"\"\r\n\",\n");
+    }
+
+    /// The per-field renderer `JsonlRow` replaced, kept as the oracle
+    /// the one-buffer renderer must match byte for byte.
+    mod oracle {
+        use std::fmt::Write as _;
+
+        pub fn escape(s: &str) -> String {
+            let mut out = String::new();
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        #[derive(Default)]
+        pub struct Row {
+            fields: Vec<(String, String)>,
+        }
+
+        impl Row {
+            pub fn str(&mut self, key: &str, value: &str) {
+                let rendered = format!("\"{}\"", escape(value));
+                self.fields.push((key.to_string(), rendered));
+            }
+
+            pub fn num(&mut self, key: &str, value: f64) {
+                let rendered = if value.is_finite() {
+                    format!("{value}")
+                } else {
+                    "null".to_string()
+                };
+                self.fields.push((key.to_string(), rendered));
+            }
+
+            pub fn int(&mut self, key: &str, value: u64) {
+                self.fields.push((key.to_string(), value.to_string()));
+            }
+
+            pub fn bool(&mut self, key: &str, value: bool) {
+                self.fields.push((key.to_string(), value.to_string()));
+            }
+
+            pub fn to_json(&self) -> String {
+                let mut out = String::from("{");
+                for (i, (k, v)) in self.fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "\"{}\":{}", escape(k), v);
+                }
+                out.push('}');
+                out
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum FieldValue {
+        Str(String),
+        Num(f64),
+        Int(u64),
+        Bool(bool),
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                0u32..0x20,
+                0x20u32..0x80,
+                0x80u32..0x11_0000,
+                Just('"' as u32),
+                Just('\\' as u32),
+                Just(0x7f),
+            ],
+            0..12,
+        )
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    fn float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0),
+            Just(0.0),
+            Just(f64::MAX),
+            Just(f64::MIN),
+            Just(f64::MIN_POSITIVE),
+            Just(f64::from_bits(1)),
+            (1u64..0x000f_ffff_ffff_ffff).prop_map(f64::from_bits),
+            any::<u64>().prop_map(f64::from_bits),
+            any::<f64>(),
+            0.0f64..1.0,
+        ]
+    }
+
+    fn field_value() -> impl Strategy<Value = FieldValue> {
+        prop_oneof![
+            text().prop_map(FieldValue::Str),
+            float().prop_map(FieldValue::Num),
+            prop_oneof![Just(u64::MAX), Just(0), any::<u64>()].prop_map(FieldValue::Int),
+            any::<bool>().prop_map(FieldValue::Bool),
+        ]
+    }
+
+    fn render(fields: &[(String, FieldValue)]) -> (JsonlRow, oracle::Row) {
+        let mut row = JsonlRow::new();
+        let mut expected = oracle::Row::default();
+        for (key, value) in fields {
+            row = match value {
+                FieldValue::Str(v) => {
+                    expected.str(key, v);
+                    row.str(key, v)
+                }
+                FieldValue::Num(v) => {
+                    expected.num(key, *v);
+                    row.num(key, *v)
+                }
+                FieldValue::Int(v) => {
+                    expected.int(key, *v);
+                    row.int(key, *v)
+                }
+                FieldValue::Bool(v) => {
+                    expected.bool(key, *v);
+                    row.bool(key, *v)
+                }
+            };
+        }
+        (row, expected)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn one_buffer_rows_match_the_per_field_renderer(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((text(), field_value()), 0..8),
+                1..4,
+            )
+        ) {
+            let rendered: Vec<(JsonlRow, oracle::Row)> =
+                rows.iter().map(|fields| render(fields)).collect();
+            let mut document = String::new();
+            for ((row, expected), fields) in rendered.iter().zip(&rows) {
+                prop_assert_eq!(row.to_json(), expected.to_json());
+                prop_assert_eq!(row.len(), fields.len());
+                document.push_str(&expected.to_json());
+                document.push('\n');
+            }
+            prop_assert_eq!(jsonl_to_string(rendered.iter().map(|(row, _)| row)), document.clone());
+
+            let dir = std::env::temp_dir().join("ichannels_jsonl_oracle_test");
+            let path = dir.join("t.jsonl");
+            let mut writer = JsonlWriter::create(&path).unwrap();
+            for (row, _) in &rendered {
+                writer.write_row(row).unwrap();
+            }
+            prop_assert_eq!(writer.finish().unwrap(), rendered.len());
+            prop_assert_eq!(std::fs::read_to_string(&path).unwrap(), document);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn escape_into_matches_escape_for_every_ascii_char() {
+        for code in 0u8..0x80 {
+            let s = format!("a{}b", char::from(code));
+            let mut out = String::from("prefix");
+            escape_into(&mut out, &s);
+            assert_eq!(out, format!("prefix{}", escape(&s)), "U+{code:04X}");
+            assert_eq!(escape(&s), oracle::escape(&s), "U+{code:04X}");
+        }
     }
 }

@@ -133,20 +133,37 @@ pub fn parse(text: &str) -> Result<Value, Error> {
 /// and every control character are escaped, everything else is copied.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// Appends [`escape`]`(s)` to `out` without an intermediate string. A
+/// string with nothing to escape is pushed whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    // Every escaped character is ASCII, and ASCII bytes never occur
+    // inside a multi-byte UTF-8 sequence, so the unescaped runs between
+    // them are whole `str` slices.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match short {
+            Some(escaped) => out.push_str(escaped),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// A byte cursor over the input. It slices `text` only at ASCII bytes,
