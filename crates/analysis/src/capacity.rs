@@ -23,7 +23,7 @@
 
 /// Binary entropy `H₂(p)` in bits; `0` at `p ∈ {0, 1}`, `NaN` outside
 /// `[0, 1]` or for a NaN input.
-pub fn binary_entropy(p: f64) -> f64 {
+fn binary_entropy(p: f64) -> f64 {
     if !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
@@ -33,58 +33,10 @@ pub fn binary_entropy(p: f64) -> f64 {
     -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
 }
 
-/// The 4×4 transition matrix a bit error rate implies under
-/// independent, symmetric bit flips: `P(i→j) = p^d (1−p)^(2−d)` with
-/// `d` the Hamming distance between the 2-bit labels of `i` and `j` —
-/// the matrix a fig14 error-matrix plot of such a channel would show.
-pub fn implied_confusion_2bit(ber: f64) -> [[f64; 4]; 4] {
-    let mut m = [[f64::NAN; 4]; 4];
-    if !(0.0..=1.0).contains(&ber) {
-        return m;
-    }
-    for (tx, row) in m.iter_mut().enumerate() {
-        for (rx, cell) in row.iter_mut().enumerate() {
-            let d = ((tx ^ rx) as u32).count_ones();
-            *cell = ber.powi(d as i32) * (1.0 - ber).powi(2 - d as i32);
-        }
-    }
-    m
-}
-
-/// Mutual information (bits) of a row-stochastic transition matrix
-/// under uniform inputs: `I(X;Y)` of the joint `p(i,j) = P(i→j)/k`.
-/// Returns `NaN` for an empty or non-finite matrix.
-pub fn transition_mutual_information_bits(transition: &[Vec<f64>]) -> f64 {
-    let k = transition.len();
-    if k == 0 {
-        return f64::NAN;
-    }
-    let p_in = 1.0 / k as f64;
-    // Output marginals under uniform inputs.
-    let mut p_out = vec![0.0f64; transition.iter().map(Vec::len).max().unwrap_or(0)];
-    for row in transition {
-        for (j, &p) in row.iter().enumerate() {
-            if !p.is_finite() {
-                return f64::NAN;
-            }
-            p_out[j] += p * p_in;
-        }
-    }
-    let mut mi = 0.0;
-    for row in transition {
-        for (j, &p) in row.iter().enumerate() {
-            let joint = p * p_in;
-            if joint > 0.0 {
-                mi += joint * (joint / (p_in * p_out[j])).log2();
-            }
-        }
-    }
-    mi
-}
-
 /// Model capacity (bits/symbol) of the paper's 2-bit modulation at bit
-/// error rate `ber`: the mutual information of
-/// [`implied_confusion_2bit`], which equals `2·(1 − H₂(ber))`.
+/// error rate `ber`: the mutual information of the 4×4 transition
+/// matrix that `ber` implies under independent, symmetric bit flips,
+/// which equals `2·(1 − H₂(ber))`.
 /// `NaN` outside `[0, 1]`.
 pub fn capacity_bits_2bit_from_ber(ber: f64) -> f64 {
     if !(0.0..=1.0).contains(&ber) {
@@ -119,6 +71,59 @@ pub fn alphabet_size(channel_label: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Reference implementations the closed-form capacity is checked
+    // against: the matrix a measured BER implies, and its mutual
+    // information.
+
+    /// The 4×4 transition matrix a bit error rate implies under
+    /// independent, symmetric bit flips: `P(i→j) = p^d (1−p)^(2−d)` with
+    /// `d` the Hamming distance between the 2-bit labels of `i` and `j` —
+    /// the matrix a fig14 error-matrix plot of such a channel would show.
+    fn implied_confusion_2bit(ber: f64) -> [[f64; 4]; 4] {
+        let mut m = [[f64::NAN; 4]; 4];
+        if !(0.0..=1.0).contains(&ber) {
+            return m;
+        }
+        for (tx, row) in m.iter_mut().enumerate() {
+            for (rx, cell) in row.iter_mut().enumerate() {
+                let d = ((tx ^ rx) as u32).count_ones();
+                *cell = ber.powi(d as i32) * (1.0 - ber).powi(2 - d as i32);
+            }
+        }
+        m
+    }
+
+    /// Mutual information (bits) of a row-stochastic transition matrix
+    /// under uniform inputs: `I(X;Y)` of the joint `p(i,j) = P(i→j)/k`.
+    /// Returns `NaN` for an empty or non-finite matrix.
+    fn transition_mutual_information_bits(transition: &[Vec<f64>]) -> f64 {
+        let k = transition.len();
+        if k == 0 {
+            return f64::NAN;
+        }
+        let p_in = 1.0 / k as f64;
+        // Output marginals under uniform inputs.
+        let mut p_out = vec![0.0f64; transition.iter().map(Vec::len).max().unwrap_or(0)];
+        for row in transition {
+            for (j, &p) in row.iter().enumerate() {
+                if !p.is_finite() {
+                    return f64::NAN;
+                }
+                p_out[j] += p * p_in;
+            }
+        }
+        let mut mi = 0.0;
+        for row in transition {
+            for (j, &p) in row.iter().enumerate() {
+                let joint = p * p_in;
+                if joint > 0.0 {
+                    mi += joint * (joint / (p_in * p_out[j])).log2();
+                }
+            }
+        }
+        mi
+    }
 
     #[test]
     fn binary_entropy_endpoints_and_peak() {

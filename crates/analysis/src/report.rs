@@ -258,7 +258,7 @@ fn metric_fields(mut row: JsonlRow, prefix: &str, m: &MetricReport) -> JsonlRow 
 impl CampaignAnalysis {
     /// Renders the analysis as its JSONL records (campaign, cells,
     /// axes, sensitivity — in that order).
-    pub fn jsonl_rows(&self) -> Vec<JsonlRow> {
+    fn jsonl_rows(&self) -> Vec<JsonlRow> {
         let mut rows = Vec::with_capacity(1 + self.cells.len() + self.axes.len());
         let mut campaign = JsonlRow::new()
             .str("record", "campaign")

@@ -270,11 +270,6 @@ impl Analysis {
         }
     }
 
-    /// The campaign name.
-    pub fn campaign(&self) -> &str {
-        &self.campaign
-    }
-
     /// Rows aggregated so far.
     pub fn rows(&self) -> u64 {
         self.rows

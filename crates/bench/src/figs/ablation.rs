@@ -38,7 +38,7 @@ fn knob_sweep(
 }
 
 /// Sweeps the VR slew rate; returns `(slew_mv_per_us, capacity_bps, ber)`.
-pub fn run_slew_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
+fn run_slew_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
     banner("Ablation: VR slew rate vs channel capacity (IccThreadCovert)");
     let n = if quick { 30 } else { 80 };
     let knobs = [1.2, 2.4, 4.8, 9.6, 19.2, 80.0]
@@ -65,7 +65,7 @@ pub fn run_slew_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
 
 /// Sweeps the license hysteresis (reset-time); returns
 /// `(reset_us, throughput_bps, ber)`.
-pub fn run_reset_time_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
+fn run_reset_time_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
     banner("Ablation: reset-time vs throughput (the transaction-period floor)");
     let n = if quick { 20 } else { 60 };
     let knobs = [150.0, 325.0, 650.0, 1_300.0]
@@ -91,7 +91,7 @@ pub fn run_reset_time_sweep(quick: bool) -> Vec<(f64, f64, f64)> {
 }
 
 /// Sweeps receiver measurement jitter; returns `(sigma_ns, ber)`.
-pub fn run_jitter_sweep(quick: bool) -> Vec<(f64, f64)> {
+fn run_jitter_sweep(quick: bool) -> Vec<(f64, f64)> {
     banner("Ablation: receiver timing jitter vs BER");
     let n = if quick { 30 } else { 100 };
     let knobs = [0.0, 150.0, 400.0, 800.0, 1_600.0]

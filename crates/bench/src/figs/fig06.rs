@@ -110,7 +110,7 @@ pub fn run_avx2_steps(quick: bool) -> (CsvTable, Vec<(String, f64)>) {
 }
 
 /// Runs the Figure 6(b) calculix-like experiment; returns the series.
-pub fn run_calculix(quick: bool) -> CsvTable {
+fn run_calculix(quick: bool) -> CsvTable {
     banner("Figure 6(b): Vcc tracking 454.calculix-like AVX2 phases");
     let total = if quick {
         SimTime::from_secs(0.3)

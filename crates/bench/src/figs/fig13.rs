@@ -82,7 +82,7 @@ pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
         });
     }
     let mut means: Vec<f64> = clusters.iter().map(|c| c.mean_cycles).collect();
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    means.sort_by(f64::total_cmp);
     let min_sep = means
         .windows(2)
         .map(|w| w[1] - w[0])

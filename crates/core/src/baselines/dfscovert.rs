@@ -50,11 +50,6 @@ impl DfsCovertChannel {
         DfsCovertChannel { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DfsCovertConfig {
-        &self.cfg
-    }
-
     /// Transmits bits through governor modulation; returns the decoded
     /// bits and the throughput.
     pub fn transmit(&self, bits: &[bool]) -> (Vec<bool>, f64) {

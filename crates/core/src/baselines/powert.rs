@@ -59,11 +59,6 @@ impl PowerTChannel {
         PowerTChannel { cfg }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &PowerTConfig {
-        &self.cfg
-    }
-
     /// Transmits bits by modulating package power; returns decoded bits
     /// and throughput.
     pub fn transmit(&self, bits: &[bool]) -> (Vec<bool>, f64) {

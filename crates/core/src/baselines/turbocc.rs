@@ -69,16 +69,6 @@ impl TurboCcTx {
 }
 
 impl TurboCcChannel {
-    /// Creates a TurboCC channel.
-    pub fn new(cfg: TurboCcConfig) -> Self {
-        TurboCcChannel { cfg }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TurboCcConfig {
-        &self.cfg
-    }
-
     /// Runs a bit sequence; returns the receiver probe durations.
     pub fn run_bits(&self, bits: &[bool]) -> Vec<u64> {
         let cfg = &self.cfg;

@@ -15,7 +15,8 @@ use super::kind::ChannelKind;
 /// error-free, but where a stiffer rail compresses the levels toward
 /// each other a real attacker integrates longer and repeats the
 /// transaction, trading symbol rate for reliability. The identity
-/// tuning ([`ReceiverCalibration::LEGACY`]) reproduces the fixed
+/// tuning (`window_scale` 1, `votes` 1; see
+/// [`ReceiverCalibration::is_legacy`]) reproduces the fixed
 /// single-sample receiver bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceiverCalibration {
@@ -29,7 +30,7 @@ pub struct ReceiverCalibration {
 
 impl ReceiverCalibration {
     /// The fixed single-sample receiver (pre-calibration behavior).
-    pub const LEGACY: ReceiverCalibration = ReceiverCalibration {
+    const LEGACY: ReceiverCalibration = ReceiverCalibration {
         window_scale: 1.0,
         votes: 1,
     };
@@ -37,7 +38,7 @@ impl ReceiverCalibration {
     /// Compression factor above which the single-sample receiver is
     /// kept: every client rail in the catalog sits at 1.0, the 0.9 mΩ
     /// server rail at ≈0.56.
-    pub const COMPRESSION_FLOOR: f64 = 0.75;
+    const COMPRESSION_FLOOR: f64 = 0.75;
 
     /// True for the identity tuning — the execution path is then
     /// bit-identical to the legacy fixed-window receiver.
@@ -63,7 +64,8 @@ impl ReceiverCalibration {
     }
 
     /// Derives the tuning for a measured separation-compression factor:
-    /// identity at or above [`Self::COMPRESSION_FLOOR`], otherwise an
+    /// identity at or above 0.75 (every client rail in the catalog sits
+    /// at 1.0, the 0.9 mΩ server rail at ≈0.56), otherwise an
     /// integration window stretched by the inverse compression and a
     /// vote count growing as the levels close up.
     pub fn for_compression(compression: f64) -> Self {

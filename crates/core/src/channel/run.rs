@@ -424,11 +424,7 @@ impl IChannel {
     ///
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
     /// schedule broke down before the run deadline.
-    pub fn run_symbols_with<F>(
-        &self,
-        symbols: &[Symbol],
-        setup: F,
-    ) -> Result<Vec<u64>, ChannelError>
+    fn run_symbols_with<F>(&self, symbols: &[Symbol], setup: F) -> Result<Vec<u64>, ChannelError>
     where
         F: FnOnce(&mut Soc),
     {

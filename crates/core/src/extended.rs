@@ -74,13 +74,8 @@ impl LevelAlphabet {
         self.classes.is_empty()
     }
 
-    /// The classes.
-    pub fn classes(&self) -> &[InstClass] {
-        &self.classes
-    }
-
     /// Raw information content per transaction (bits).
-    pub fn bits_per_symbol(&self) -> f64 {
+    fn bits_per_symbol(&self) -> f64 {
         (self.len() as f64).log2()
     }
 }
@@ -123,18 +118,13 @@ impl MultiLevelChannel {
         }
     }
 
-    /// The alphabet.
-    pub fn alphabet(&self) -> &LevelAlphabet {
-        &self.alphabet
-    }
-
     /// Runs `digits` (alphabet indices) through the channel and returns
     /// the raw receiver durations.
     ///
     /// # Panics
     ///
     /// Panics if a digit is out of range for the alphabet.
-    pub fn run_digits(&self, digits: &[usize]) -> Vec<u64> {
+    fn run_digits(&self, digits: &[usize]) -> Vec<u64> {
         self.run_classes(
             &digits
                 .iter()

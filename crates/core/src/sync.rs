@@ -45,7 +45,7 @@ pub struct SyncResult {
 /// Builds a channel configuration identical to `cfg` but with the
 /// receiver's slot grid shifted by `offset` — the desynchronized
 /// receiver under test.
-pub fn with_receiver_offset(mut cfg: ChannelConfig, offset: SimTime) -> ChannelConfig {
+fn with_receiver_offset(mut cfg: ChannelConfig, offset: SimTime) -> ChannelConfig {
     // The receiver measures from its (possibly wrong) grid; shifting the
     // cross-core delay models the skew without touching the sender.
     cfg.cross_core_delay += offset;
@@ -58,7 +58,7 @@ pub fn with_receiver_offset(mut cfg: ChannelConfig, offset: SimTime) -> ChannelC
 /// # Errors
 ///
 /// The [`ChannelError`] of the preamble transmission.
-pub fn score_offset(
+fn score_offset(
     kind: ChannelKind,
     base_cfg: &ChannelConfig,
     cal: &Calibration,

@@ -560,7 +560,7 @@ pub fn client_vs_server(quick: bool) -> Grid {
 /// Noise-robustness sweep: the same-thread channel under interrupt and
 /// context-switch storms across four orders of magnitude (Figure 14(a)
 /// generalized to every rate × both event kinds at once).
-pub fn noise_robustness(quick: bool) -> Grid {
+fn noise_robustness(quick: bool) -> Grid {
     let mut noises = vec![NoiseSpec::Quiet];
     for rate in [10.0, 100.0, 1_000.0, 10_000.0] {
         noises.push(NoiseSpec::Interrupts(rate));
@@ -578,7 +578,7 @@ pub fn noise_robustness(quick: bool) -> Grid {
 /// Mitigation-coverage sweep: every §7 mitigation set (including the
 /// all-three stack) against every channel — Table 1 generalized to
 /// combined defenses.
-pub fn mitigation_coverage(quick: bool) -> Grid {
+fn mitigation_coverage(quick: bool) -> Grid {
     Grid::new()
         .kinds(&[ChannelKind::Thread, ChannelKind::Smt, ChannelKind::Cores])
         .mitigation_sets(vec![
@@ -601,7 +601,7 @@ pub fn mitigation_coverage(quick: bool) -> Grid {
 /// same-thread and cross-core channels, on a client part and the §6.4
 /// server extrapolation. Answers the ROADMAP question "how many
 /// bits/transaction survive beyond the paper's 2-bit modulation?".
-pub fn modulation_capacity(quick: bool) -> Grid {
+fn modulation_capacity(quick: bool) -> Grid {
     let mut channels = Vec::new();
     for kind in [ChannelKind::Thread, ChannelKind::Cores] {
         for alpha in [
@@ -630,7 +630,7 @@ pub fn modulation_capacity(quick: bool) -> Grid {
 /// decodes at BER ≈ 0.19, and repeat-and-vote brings the cell below
 /// 0.05 while every client cell is already clean at one sample (and
 /// stays bit-identical under the calibrated default).
-pub fn receiver_calibration(quick: bool) -> Grid {
+fn receiver_calibration(quick: bool) -> Grid {
     let mut receivers = vec![ReceiverSpec::Legacy, ReceiverSpec::Calibrated];
     for window_scale in [1.0, 2.0] {
         for votes in [3, 5] {

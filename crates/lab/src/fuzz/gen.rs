@@ -24,7 +24,7 @@ use crate::scenario::{
 };
 
 /// The per-case RNG: seeded from the fuzz base seed and case index.
-pub fn case_rng(base_seed: u64, case: u64) -> TestRng {
+fn case_rng(base_seed: u64, case: u64) -> TestRng {
     TestRng::with_seed(mix(base_seed, case))
 }
 

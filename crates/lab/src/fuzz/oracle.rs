@@ -33,7 +33,7 @@ use crate::scenario::{
 /// Reset-time overrides below the 40 µs transaction loop collapse the
 /// slot schedule; errors there are expected, anywhere else they are
 /// findings.
-pub const SCHEDULE_FLOOR_US: f64 = 40.0;
+const SCHEDULE_FLOOR_US: f64 = 40.0;
 
 /// What a flagged cell did wrong.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +117,7 @@ impl Oracle {
     /// True where a typed `ChannelError` is the *predicted* outcome: a
     /// reset-time knob below the transaction loop starves the slot
     /// schedule.
-    pub fn error_expected(&self, s: &Scenario) -> bool {
+    fn error_expected(&self, s: &Scenario) -> bool {
         matches!(s.knob, Some(Knob::ResetTimeUs(us)) if us < SCHEDULE_FLOOR_US)
     }
 
@@ -127,7 +127,7 @@ impl Oracle {
     /// golden campaign sweeps (noise_robustness, fig14c, the knob
     /// ablations, receiver_calibration) and a 2048-case fuzz sweep of
     /// the default seed.
-    pub fn allowed_error_rate(&self, s: &Scenario) -> f64 {
+    fn allowed_error_rate(&self, s: &Scenario) -> f64 {
         // Mitigations exist to destroy the channel: §7 cells routinely
         // measure 0.5–1.0, so a mitigated cell has no upper bound and
         // never flags (it still exercises the purity/error oracles).

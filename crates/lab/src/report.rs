@@ -246,7 +246,7 @@ fn csv_float(v: f64) -> String {
 }
 
 /// The CSV header of [`rows_to_csv`].
-pub const TRIAL_CSV_HEADER: [&str; 18] = [
+const TRIAL_CSV_HEADER: [&str; 18] = [
     "cell",
     "platform",
     "channel",

@@ -27,7 +27,7 @@ pub use axes::{
     NoiseSpec, PayloadSpec, PlatformId, ReceiverSpec,
 };
 pub use context::TrialContext;
-pub use probe::{inflation_to_tp_us, IdqCondition, ProbeKind, IDQ_PROBE_WINDOW_CYCLES};
+pub use probe::{IdqCondition, ProbeKind};
 
 use ichannels::channel::{ChannelConfig, ChannelKind};
 use ichannels::mitigations::Mitigation;

@@ -48,7 +48,7 @@ impl IdqCondition {
 }
 
 /// Cycles per IDQ probe window (Figure 11's measurement window).
-pub const IDQ_PROBE_WINDOW_CYCLES: u64 = 1_000;
+const IDQ_PROBE_WINDOW_CYCLES: u64 = 1_000;
 
 /// A direct micro-architectural measurement — no symbol stream, the
 /// characterization figures (§5) expressed as engine cells. The
@@ -119,7 +119,7 @@ impl ProbeKind {
 /// period: during the TP the loop retires at 1/4 rate, so the inflation
 /// is `TP · 3/4` (provided the loop outlasts the TP) and
 /// `TP = inflation / (3/4)`.
-pub fn inflation_to_tp_us(measured_us: f64, base_us: f64) -> f64 {
+fn inflation_to_tp_us(measured_us: f64, base_us: f64) -> f64 {
     (measured_us - base_us).max(0.0) / THROTTLE_BLOCKED_FRACTION
 }
 

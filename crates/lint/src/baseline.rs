@@ -16,7 +16,7 @@ use ichannels_obs::json::{self, escape, Value};
 use crate::rules::{Finding, RuleId};
 
 /// Schema tag of the baseline file.
-pub const BASELINE_SCHEMA: &str = "ichannels-lint-baseline-v1";
+const BASELINE_SCHEMA: &str = "ichannels-lint-baseline-v1";
 
 /// Grandfathered finding counts: rule name → file → count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -18,6 +18,7 @@
 //! | L001 | malformed or unjustified `lint:allow` |
 //! | R001 | `unwrap()`/`expect()`/`panic!` in non-test pipeline code |
 //! | R002 | `env::var` reads outside the documented set |
+//! | R003 | `pub fn`/`pub const`/`pub static` no other file references |
 //!
 //! Findings are suppressible only via an inline justification
 //! (`// lint:allow(D001): reason`), and `lint_baseline.json`
@@ -42,12 +43,12 @@ use std::path::{Path, PathBuf};
 
 use baseline::{count_findings, Baseline};
 use report::Report;
-use rules::run_rules;
+use rules::{run_rules, unreferenced_pub};
 use scanner::{scan_str, SourceFile};
 
 /// Directories under `crates/` that are never scanned: vendored
 /// API-compatible stand-ins are third-party idiom, not pipeline code.
-pub const SKIP_CRATES: [&str; 1] = ["compat"];
+const SKIP_CRATES: [&str; 1] = ["compat"];
 
 /// Collects every scannable `.rs` file: `src/` (the umbrella crate)
 /// plus `crates/<member>/src/` for every member except [`SKIP_CRATES`],
@@ -57,7 +58,7 @@ pub const SKIP_CRATES: [&str; 1] = ["compat"];
 /// # Errors
 ///
 /// Propagates I/O errors from the directory walk.
-pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let umbrella = root.join("src");
     if umbrella.is_dir() {
@@ -105,14 +106,41 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Scans every workspace source file under `root`.
+/// The files R003 reads for references besides [`workspace_sources`],
+/// in sorted order (see [`scan_references`]).
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the walk and the file reads.
-pub fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
+/// Propagates I/O errors from the directory walk.
+fn reference_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut dirs = vec![
+        root.join("tests"),
+        root.join("examples"),
+        root.join("perfbench/src"),
+    ];
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for entry in std::fs::read_dir(&crates)? {
+            let member = entry?.path();
+            let skipped = SKIP_CRATES
+                .iter()
+                .any(|skip| member.file_name().and_then(|n| n.to_str()) == Some(skip));
+            if !skipped {
+                dirs.extend([member.join("tests"), member.join("benches")]);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk(dir, &mut files)?;
+    }
+    files.sort();
+    Ok(files)
+}
+
+fn scan_paths(root: &Path, paths: Vec<PathBuf>) -> io::Result<Vec<SourceFile>> {
     let mut scanned = Vec::new();
-    for path in workspace_sources(root)? {
+    for path in paths {
         let text = std::fs::read_to_string(&path)?;
         let rel = path
             .strip_prefix(root)
@@ -122,6 +150,26 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
         scanned.push(scan_str(&rel, &text));
     }
     Ok(scanned)
+}
+
+/// Scans every workspace source file under `root`.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the walk and the file reads.
+pub fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
+    scan_paths(root, workspace_sources(root)?)
+}
+
+/// Scans every file R003 reads for references only, under `root`:
+/// `crates/<member>/{tests,benches}/`, `tests/`, `examples/` and
+/// `perfbench/src/`.
+///
+/// # Errors
+///
+/// Propagates I/O errors from the walk and the file reads.
+pub fn scan_references(root: &Path) -> io::Result<Vec<SourceFile>> {
+    scan_paths(root, reference_sources(root)?)
 }
 
 /// Runs the full check: scan, rules, baseline comparison.
@@ -135,6 +183,7 @@ pub fn check(root: &Path, baseline: &Baseline) -> io::Result<Report> {
     for file in &files {
         findings.extend(run_rules(file));
     }
+    findings.extend(unreferenced_pub(&files, &scan_references(root)?));
     let ratchet = baseline.compare(&count_findings(&findings));
     Ok(Report {
         files_scanned: files.len(),
@@ -192,5 +241,33 @@ mod tests {
         let mut sorted = rels.clone();
         sorted.sort();
         assert_eq!(rels, sorted, "deterministic order");
+    }
+
+    #[test]
+    fn reference_walker_covers_tests_examples_benches_and_perfbench() {
+        let root = repo_root();
+        let rels: Vec<String> = reference_sources(&root)
+            .expect("walk")
+            .iter()
+            .map(|p| {
+                p.strip_prefix(&root)
+                    .expect("under root")
+                    .to_string_lossy()
+                    .replace('\\', "/")
+            })
+            .collect();
+        for want in [
+            "tests/golden_figures.rs",
+            "examples/quickstart.rs",
+            "crates/bench/benches/channels.rs",
+            "crates/lint/tests/self_scan.rs",
+            "perfbench/src/main.rs",
+        ] {
+            assert!(rels.iter().any(|p| p == want), "{want} missing");
+        }
+        assert!(!rels
+            .iter()
+            .any(|p| p.contains("/src/") && p.starts_with("crates/")));
+        assert!(!rels.iter().any(|p| p.contains("compat")));
     }
 }

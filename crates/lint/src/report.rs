@@ -9,7 +9,7 @@ use crate::baseline::{Baseline, Delta, Ratchet};
 use crate::rules::{Finding, RuleId};
 
 /// Schema tag of the JSON report.
-pub const REPORT_SCHEMA: &str = "ichannels-lint-report-v1";
+const REPORT_SCHEMA: &str = "ichannels-lint-report-v1";
 
 /// Everything one `check` run produced.
 #[derive(Debug, Clone)]
@@ -37,7 +37,7 @@ impl Report {
     }
 
     /// (active, suppressed) finding totals per rule, in rule order.
-    pub fn totals(&self) -> Vec<(RuleId, usize, usize)> {
+    fn totals(&self) -> Vec<(RuleId, usize, usize)> {
         RuleId::ALL
             .iter()
             .map(|&rule| {

@@ -1,5 +1,7 @@
 //! The rule set: determinism hazards (D00x) and robustness hazards
-//! (R00x), each documented in `docs/LINTS.md`.
+//! (R00x), each documented in `docs/LINTS.md`. Every rule but R003
+//! looks at one file at a time ([`run_rules`]); R003 is one pass over
+//! the whole workspace ([`unreferenced_pub`]).
 //!
 //! Every rule is a line/token-level approximation — the scanner gives
 //! lexical truth (code vs comment vs string), not types. Where a rule
@@ -8,6 +10,8 @@
 //! `// lint:allow(RULE): reason` justification; where it
 //! under-approximates, the dynamic golden/invariance suites remain the
 //! backstop.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::scanner::{statement_range, Line, SourceFile};
 
@@ -30,11 +34,13 @@ pub enum RuleId {
     R001,
     /// `std::env::var` reads outside the documented variable set.
     R002,
+    /// `pub fn`/`pub const`/`pub static` that no other file references.
+    R003,
 }
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::D001,
         RuleId::D002,
         RuleId::D003,
@@ -42,6 +48,7 @@ impl RuleId {
         RuleId::L001,
         RuleId::R001,
         RuleId::R002,
+        RuleId::R003,
     ];
 
     /// The rule's stable name (`D001`, …).
@@ -54,6 +61,7 @@ impl RuleId {
             RuleId::L001 => "L001",
             RuleId::R001 => "R001",
             RuleId::R002 => "R002",
+            RuleId::R003 => "R003",
         }
     }
 
@@ -67,6 +75,7 @@ impl RuleId {
             RuleId::L001 => "malformed or unjustified lint:allow",
             RuleId::R001 => "unwrap()/expect()/panic! in non-test pipeline code",
             RuleId::R002 => "env var read outside the documented set",
+            RuleId::R003 => "pub fn/const/static referenced by no other file",
         }
     }
 
@@ -97,7 +106,7 @@ pub struct Finding {
 /// Crates whose artifacts (JSONL/CSV/goldens/stdout contracts) make
 /// unordered iteration and Debug formatting byte hazards. Matched as
 /// path prefixes on the workspace-relative path.
-pub const OUTPUT_CRATE_PREFIXES: [&str; 6] = [
+const OUTPUT_CRATE_PREFIXES: [&str; 6] = [
     "src/",
     "crates/core/",
     "crates/lab/",
@@ -109,11 +118,11 @@ pub const OUTPUT_CRATE_PREFIXES: [&str; 6] = [
 /// Files allowed to read the wall clock without justification: the obs
 /// span probe (off-by-default telemetry) and the bench crate (its whole
 /// purpose is timing).
-pub const D002_ALLOWLIST: [&str; 2] = ["crates/obs/src/span.rs", "crates/bench/"];
+const D002_ALLOWLIST: [&str; 2] = ["crates/obs/src/span.rs", "crates/bench/"];
 
 /// Environment variables the workspace documents (README): anything
 /// else read via `env::var` is an undeclared knob.
-pub const DOCUMENTED_ENV: [&str; 2] = ["ICHANNELS_REGOLDEN", "ICHANNELS_RESULTS"];
+const DOCUMENTED_ENV: [&str; 2] = ["ICHANNELS_REGOLDEN", "ICHANNELS_RESULTS"];
 
 fn is_ident(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
@@ -360,6 +369,93 @@ pub fn run_rules(file: &SourceFile) -> Vec<Finding> {
         }
     }
     findings
+}
+
+/// R003 — one pass over the workspace: flags every `pub fn`,
+/// `pub const` and `pub static` declared in non-test code of `sources`
+/// whose name appears as a code token in no other file of `sources` or
+/// `references` (test, example, bench and benchmark trees).
+///
+/// Tokens are read from the masked view, so a name in a comment or a
+/// string is no reference; neither is a `pub use` re-export, nor the
+/// name a declaration (`fn x`, `const X`, `static X`) gives itself.
+/// Types are out of scope: code often uses one through inference
+/// without ever naming it.
+pub fn unreferenced_pub(sources: &[SourceFile], references: &[SourceFile]) -> Vec<Finding> {
+    let mut decls: Vec<(&SourceFile, usize, &str)> = Vec::new();
+    for file in sources {
+        for (i, line) in file.lines.iter().enumerate() {
+            if let Some(name) = pub_value_name(&line.masked).filter(|_| !line.in_test) {
+                decls.push((file, i, name));
+            }
+        }
+    }
+    let mut users: BTreeMap<&str, BTreeSet<&str>> = decls
+        .iter()
+        .map(|&(_, _, name)| (name, BTreeSet::new()))
+        .collect();
+    for file in sources.iter().chain(references) {
+        let mut in_reexport = false;
+        for line in &file.lines {
+            let code = line.masked.trim();
+            if in_reexport || code.starts_with("pub use ") {
+                in_reexport = !code.ends_with(';');
+                continue;
+            }
+            let mut prev = "";
+            for tok in idents(code) {
+                if !matches!(prev, "fn" | "const" | "static") {
+                    if let Some(files) = users.get_mut(tok) {
+                        files.insert(&file.path);
+                    }
+                }
+                prev = tok;
+            }
+        }
+    }
+    let mut findings = Vec::new();
+    for (file, i, name) in decls {
+        if users[name].iter().all(|&p| p == file.path) {
+            push(
+                &mut findings,
+                file,
+                i,
+                RuleId::R003,
+                format!(
+                    "`{name}` is `pub` but no other file references it: narrow it to \
+                     pub(crate) or private (rustc then reports it if dead), delete it, \
+                     or justify a public-API need with lint:allow(R003)"
+                ),
+            );
+        }
+    }
+    findings
+}
+
+/// The identifier tokens of a masked line, in order.
+fn idents(masked: &str) -> impl Iterator<Item = &str> {
+    masked
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| !t.is_empty())
+}
+
+/// The name a masked line declares as a bare-`pub` function, constant
+/// or static (`pub const fn`, `pub unsafe fn`, `pub static mut` …);
+/// `None` for any other line, `pub(crate)` items included.
+fn pub_value_name(masked: &str) -> Option<&str> {
+    let rest = masked.trim_start().strip_prefix("pub ")?;
+    let mut toks = idents(rest).peekable();
+    loop {
+        match toks.next()? {
+            "fn" => return toks.next(),
+            "static" => return toks.find(|&t| t != "mut"),
+            "const" if !matches!(toks.peek(), Some(&("fn" | "unsafe" | "async" | "extern"))) => {
+                return toks.next().filter(|&t| t != "_");
+            }
+            "const" | "unsafe" | "async" | "extern" | "_" => {}
+            _ => return None,
+        }
+    }
 }
 
 /// `contains` plus an identifier-boundary check on both ends of the

@@ -292,7 +292,7 @@ fn comment_start(raw: &str, masked: &str) -> Option<usize> {
 
 /// Statement-grouping cap: a suppression or statement window never
 /// spans more than this many lines.
-pub const STATEMENT_CAP: usize = 16;
+const STATEMENT_CAP: usize = 16;
 
 fn ends_statement(masked: &str) -> bool {
     matches!(
@@ -304,7 +304,7 @@ fn ends_statement(masked: &str) -> bool {
 /// The line range (inclusive) of the statement containing line `i`:
 /// back to the previous terminator (`;`/`{`/`}`) or blank line, forward
 /// to the next, both capped at [`STATEMENT_CAP`].
-pub fn statement_range(lines: &[Line], i: usize) -> (usize, usize) {
+pub(crate) fn statement_range(lines: &[Line], i: usize) -> (usize, usize) {
     let mut start = i;
     while start > 0 && i - (start - 1) < STATEMENT_CAP {
         let prev = lines[start - 1].masked.trim();

@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use ichannels_lint::baseline::{count_findings, Baseline};
-use ichannels_lint::rules::{run_rules, RuleId};
+use ichannels_lint::rules::{run_rules, unreferenced_pub, RuleId};
 use ichannels_lint::scanner::scan_str;
-use ichannels_lint::{check, find_workspace_root, scan_workspace};
+use ichannels_lint::{check, find_workspace_root, scan_references, scan_workspace};
 
 fn root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -61,18 +61,24 @@ fn burned_down_crates_hold_at_zero_r001() {
 
 #[test]
 fn seeding_a_hazard_into_a_pipeline_crate_regresses() {
-    // Simulate the PR that re-introduces a HashMap iteration and an
-    // unwrap into campaign code: merge the injected file's findings
-    // with the real scan and the committed baseline must reject it.
+    // Simulate the change that re-introduces a HashMap iteration, an
+    // unwrap and a public helper nothing calls into campaign code:
+    // merge the injected file's findings with the real scan and the
+    // committed baseline must reject it.
     let injected = scan_str(
         "crates/lab/src/injected.rs",
-        "use std::collections::HashMap;\nfn f(m: &HashMap<u8, u8>) -> u8 {\n    *m.values().next().unwrap()\n}\n",
+        "use std::collections::HashMap;\npub fn injected_orphan(m: &HashMap<u8, u8>) -> u8 {\n    *m.values().next().unwrap()\n}\n",
     );
+    let mut sources = scan_workspace(&root()).expect("scan");
+    sources.push(injected);
     let mut findings = Vec::new();
-    for file in scan_workspace(&root()).expect("scan") {
-        findings.extend(run_rules(&file));
+    for file in &sources {
+        findings.extend(run_rules(file));
     }
-    findings.extend(run_rules(&injected));
+    findings.extend(unreferenced_pub(
+        &sources,
+        &scan_references(&root()).expect("scan"),
+    ));
     let ratchet = committed_baseline().compare(&count_findings(&findings));
     let regressed: Vec<(RuleId, &str)> = ratchet
         .regressions
@@ -87,6 +93,11 @@ fn seeding_a_hazard_into_a_pipeline_crate_regresses() {
         regressed.contains(&(RuleId::R001, "crates/lab/src/injected.rs")),
         "{regressed:?}"
     );
+    assert!(
+        regressed.contains(&(RuleId::R003, "crates/lab/src/injected.rs")),
+        "{regressed:?}"
+    );
+    assert_eq!(regressed.len(), 3, "only the injected file regresses");
 }
 
 #[test]
@@ -122,16 +133,46 @@ fn cli_exits_zero_on_the_workspace_and_nonzero_on_a_seeded_tree() {
     )
     .expect("baseline");
 
-    let bad = Command::new(lint)
-        .args(["check", "--json", "--root"])
-        .arg(&dir)
-        .output()
-        .expect("run lint");
-    std::fs::remove_dir_all(&dir).ok();
+    let run = |dir: &Path| {
+        Command::new(lint)
+            .args(["check", "--json", "--root"])
+            .arg(dir)
+            .output()
+            .expect("run lint")
+    };
+    let bad = run(&dir);
     assert_eq!(bad.status.code(), Some(1), "seeded hazard must exit 1");
     let json = String::from_utf8_lossy(&bad.stdout);
     assert!(json.contains("\"status\": \"regressions\""), "{json}");
     assert!(json.contains("\"rule\": \"R001\""), "{json}");
+
+    // R003 alone flips the verdict: without the unwrap, the public `f`
+    // that nothing else names still fails the run, and a test that
+    // calls it makes the tree clean again.
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }\n",
+    )
+    .expect("orphan");
+    let orphan = run(&dir);
+    let json = String::from_utf8_lossy(&orphan.stdout);
+    assert_eq!(orphan.status.code(), Some(1), "orphan must exit 1: {json}");
+    assert!(json.contains("\"rule\": \"R003\""), "{json}");
+    assert!(!json.contains("\"rule\": \"R001\""), "{json}");
+    std::fs::create_dir_all(dir.join("tests")).expect("mkdir");
+    std::fs::write(
+        dir.join("tests/uses_f.rs"),
+        "#[test]\nfn t() { assert_eq!(lab::f(None), 0); }\n",
+    )
+    .expect("user");
+    let used = run(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        used.status.code(),
+        Some(0),
+        "a test that names f clears R003: {}",
+        String::from_utf8_lossy(&used.stdout)
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //!     m.record(s, s); // a perfect 2-bit channel
 //! }
 //! assert_eq!(m.bit_error_rate_2bit(), 0.0);
-//! assert!((m.mutual_information_bits() - 2.0).abs() < 1e-9);
+//! assert!((m.mutual_information_bits_corrected() - 2.0).abs() < 1e-9);
 //! ```
 
 #![warn(missing_docs)]

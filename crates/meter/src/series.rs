@@ -45,11 +45,6 @@ impl Series {
         Series { points }
     }
 
-    /// The points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()

@@ -55,7 +55,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty sample");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    v.sort_by(f64::total_cmp);
     let rank = p / 100.0 * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -65,11 +65,6 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
         let t = rank - lo as f64;
         v[lo] * (1.0 - t) + v[hi] * t
     }
-}
-
-/// Median (50th percentile).
-pub fn median(values: &[f64]) -> f64 {
-    percentile(values, 50.0)
 }
 
 /// A square confusion matrix over `k` symbol classes.
@@ -91,11 +86,6 @@ impl ConfusionMatrix {
             k,
             counts: vec![0; k * k],
         }
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.k
     }
 
     /// Records one (sent, received) observation.
@@ -153,7 +143,7 @@ impl ConfusionMatrix {
     /// Shannon capacity (bits/symbol) of the discrete memoryless channel
     /// estimated from the matrix, assuming uniform inputs: the mutual
     /// information `I(X;Y)`.
-    pub fn mutual_information_bits(&self) -> f64 {
+    fn mutual_information_bits(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 0.0;
@@ -248,7 +238,7 @@ mod tests {
         let v = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(percentile(&v, 0.0), 10.0);
         assert_eq!(percentile(&v, 100.0), 40.0);
-        assert_eq!(median(&v), 25.0);
+        assert_eq!(percentile(&v, 50.0), 25.0);
     }
 
     #[test]

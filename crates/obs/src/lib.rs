@@ -29,7 +29,7 @@
 //!   a code region into a histogram when dropped;
 //! * the process-global registry ([`global`]) behind an on/off switch
 //!   ([`set_enabled`]) — recording through the top-level helpers
-//!   ([`counter_add`], [`gauge_max`], [`observe`], [`span`]) is a
+//!   ([`counter_add`], [`gauge_max`], [`observe`], [`span()`]) is a
 //!   no-op while telemetry is off, so instrumented hot paths cost one
 //!   relaxed atomic load in the default configuration.
 //!
@@ -63,7 +63,7 @@ mod snapshot;
 mod span;
 
 pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use snapshot::{HistogramSnapshot, MetricsSnapshot, SCHEMA};
+pub use snapshot::{HistogramSnapshot, MetricsSnapshot};
 pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};

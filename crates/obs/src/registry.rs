@@ -24,11 +24,6 @@ impl Counter {
         self.0.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -41,7 +36,7 @@ pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     /// Raises the gauge to at least `v`.
-    pub fn set_max(&self, v: u64) {
+    fn set_max(&self, v: u64) {
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -54,7 +49,7 @@ impl Gauge {
 /// Buckets per histogram: value `v` lands in bucket
 /// `64 - v.leading_zeros()`, i.e. bucket `i` holds values in
 /// `[2^(i-1), 2^i)` (bucket 0 holds exactly zero).
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log₂-bucketed histogram of `u64` samples (span histograms record
 /// nanoseconds). Tracks count, sum, min, max, and per-bucket counts —
@@ -158,7 +153,7 @@ impl MetricsRegistry {
     }
 
     /// The named gauge, created at zero on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
+    fn gauge(&self, name: &str) -> Gauge {
         Gauge(cell(&self.gauges, name))
     }
 
@@ -232,7 +227,7 @@ mod tests {
         let a = r.counter("x");
         let b = r.counter("x");
         a.add(2);
-        b.inc();
+        b.add(1);
         assert_eq!(r.counter("x").get(), 3);
         r.add_counter("x", 4);
         assert_eq!(a.get(), 7);

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use crate::json::{self, escape, Value};
 
 /// Schema tag written into (and required from) every snapshot file.
-pub const SCHEMA: &str = "ichannels-telemetry-v1";
+const SCHEMA: &str = "ichannels-telemetry-v1";
 
 /// One exported histogram: count, sum, min, max, and sparse log₂
 /// bucket counts (bucket `i` holds values in `[2^(i-1), 2^i)`).

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 /// An RAII phase timer. Created armed via [`Span::start`] (or through
-/// [`crate::span`], which returns a disarmed no-op guard while
+/// [`crate::span()`], which returns a disarmed no-op guard while
 /// telemetry is off); on drop, records the elapsed wall-clock
 /// nanoseconds into the global histogram named at construction.
 ///

@@ -65,7 +65,7 @@ impl CoreActivity {
 /// power-virus `Cdyn`); sustained current draw is roughly half of that
 /// on real parts, which is what reconciles the paper's 12–15 µs
 /// throttling periods with its ~30 A Figure 7(a) current measurements.
-pub const SUSTAINED_UTILIZATION: f64 = 0.5;
+const SUSTAINED_UTILIZATION: f64 = 0.5;
 
 /// The package current model.
 ///
@@ -96,9 +96,9 @@ pub struct CurrentModel {
 
 impl CurrentModel {
     /// Nominal voltage for leakage normalization (mV).
-    pub const NOMINAL_VCC_MV: f64 = 1000.0;
+    const NOMINAL_VCC_MV: f64 = 1000.0;
     /// Reference temperature for leakage normalization (°C).
-    pub const NOMINAL_TEMP_C: f64 = 50.0;
+    const NOMINAL_TEMP_C: f64 = 50.0;
 
     /// Creates a current model.
     ///
@@ -130,11 +130,6 @@ impl CurrentModel {
         }
     }
 
-    /// The capacitance table backing the dynamic term.
-    pub fn cdyn(&self) -> &CdynTable {
-        &self.cdyn
-    }
-
     /// Leakage current (A) at the given voltage/temperature.
     pub fn leakage_a(&self, vcc_mv: f64, temp_c: f64) -> f64 {
         let v_scale = vcc_mv / Self::NOMINAL_VCC_MV;
@@ -143,7 +138,7 @@ impl CurrentModel {
     }
 
     /// Dynamic current (A) of a single core.
-    pub fn core_dynamic_a(&self, act: &CoreActivity, vcc_mv: f64, freq: Freq) -> f64 {
+    fn core_dynamic_a(&self, act: &CoreActivity, vcc_mv: f64, freq: Freq) -> f64 {
         if !act.clocks_on {
             return 0.0;
         }

@@ -69,7 +69,7 @@ impl CdynTable {
 /// per-core dynamic capacitance rises from `cdyn1_nf` to `cdyn2_nf` at
 /// supply voltage `vcc_mv` and core frequency `freq`, through load-line
 /// impedance `rll_mohm`.
-pub fn delta_v_mv(cdyn1_nf: f64, cdyn2_nf: f64, vcc_mv: f64, freq: Freq, rll_mohm: f64) -> f64 {
+fn delta_v_mv(cdyn1_nf: f64, cdyn2_nf: f64, vcc_mv: f64, freq: Freq, rll_mohm: f64) -> f64 {
     // ΔIcc = ΔCdyn · Vcc · F  (nF · V · Hz → A when Cdyn in F)
     let delta_icc_a = (cdyn2_nf - cdyn1_nf) * 1e-9 * (vcc_mv * 1e-3) * freq.as_hz() as f64;
     // ΔV = ΔIcc · RLL (A · mΩ → mV)
@@ -99,16 +99,6 @@ impl GuardbandModel {
         GuardbandModel { cdyn, rll_mohm }
     }
 
-    /// The capacitance table.
-    pub fn cdyn(&self) -> &CdynTable {
-        &self.cdyn
-    }
-
-    /// Load-line impedance used for Equation 1.
-    pub fn rll_mohm(&self) -> f64 {
-        self.rll_mohm
-    }
-
     /// Guardband contribution (mV) of a single core executing `class` at
     /// `vcc_mv` / `freq`, relative to the same core running scalar code.
     pub fn core_guardband_mv(&self, class: InstClass, vcc_mv: f64, freq: Freq) -> f64 {
@@ -129,7 +119,7 @@ impl GuardbandModel {
     /// cores — this shared component is what lets a concurrent
     /// application's higher-level PHI shift the voltage under a covert
     /// channel and corrupt its symbols (Figure 14(b)).
-    pub const PER_CORE_SHARE: f64 = 0.75;
+    const PER_CORE_SHARE: f64 = 0.75;
 
     /// Total guardband (mV) above the base voltage for a package state:
     /// one entry per core giving the most intense class that core is

@@ -13,9 +13,11 @@
 /// ```
 /// use ichannels_pdn::loadline::LoadLine;
 ///
-/// let ll = LoadLine::new(1.9);
-/// // 20 A through 1.9 mΩ drops 38 mV at the load.
-/// assert!((ll.vccload_mv(1000.0, 20.0) - 962.0).abs() < 1e-9);
+/// let server = LoadLine::new(0.9);
+/// // A 0.9 mΩ rail compresses cross-core separation to 0.9/1.6 of the
+/// // 1.6 mΩ client reference.
+/// let c = server.separation_compression(&LoadLine::client_reference());
+/// assert!((c - 0.5625).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadLine {
@@ -36,30 +38,11 @@ impl LoadLine {
         LoadLine { rll_mohm }
     }
 
-    /// Load-line impedance in milliohms.
-    pub fn rll_mohm(&self) -> f64 {
-        self.rll_mohm
-    }
-
-    /// Voltage drop across the load-line for a given current (mV).
-    pub fn drop_mv(&self, icc_a: f64) -> f64 {
-        icc_a * self.rll_mohm
-    }
-
-    /// Voltage at the load input: `Vccload = Vcc − RLL·Icc` (all mV / A).
-    pub fn vccload_mv(&self, vcc_mv: f64, icc_a: f64) -> f64 {
-        vcc_mv - self.drop_mv(icc_a)
-    }
-
-    /// The weakest client load-line of the paper's platform catalog
-    /// (Coffee Lake's 1.6 mΩ) — the reference rail against which
-    /// cross-core separation compression is measured.
-    pub const CLIENT_REFERENCE_RLL_MOHM: f64 = 1.6;
-
-    /// The reference client load-line (see
-    /// [`LoadLine::CLIENT_REFERENCE_RLL_MOHM`]).
+    /// The reference client load-line: the weakest of the paper's
+    /// platform catalog (Coffee Lake's 1.6 mΩ), against which cross-core
+    /// separation compression is measured.
     pub fn client_reference() -> Self {
-        LoadLine::new(Self::CLIENT_REFERENCE_RLL_MOHM)
+        LoadLine::new(1.6)
     }
 
     /// Cross-core separation-compression factor of this rail versus a
@@ -85,20 +68,6 @@ impl LoadLine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn basic_drop() {
-        let ll = LoadLine::new(2.0);
-        assert_eq!(ll.drop_mv(10.0), 20.0);
-        assert_eq!(ll.vccload_mv(800.0, 10.0), 780.0);
-    }
-
-    #[test]
-    fn zero_impedance_is_ideal() {
-        let ll = LoadLine::new(0.0);
-        assert_eq!(ll.vccload_mv(800.0, 100.0), 800.0);
-    }
 
     #[test]
     #[should_panic(expected = "invalid load-line impedance")]
@@ -117,30 +86,5 @@ mod tests {
         assert_eq!(LoadLine::new(1.9).separation_compression(&reference), 1.0);
         // A zero-impedance reference cannot define compression.
         assert_eq!(server.separation_compression(&LoadLine::new(0.0)), 1.0);
-    }
-
-    proptest! {
-        /// Paper §2: "the voltage at the load input (Vccload) decreases
-        /// when the load's current (Icc) increases."
-        #[test]
-        fn vccload_monotonically_decreasing_in_current(
-            rll in 0.1f64..5.0,
-            vcc in 500.0f64..1500.0,
-            i1 in 0.0f64..100.0,
-            delta in 0.01f64..50.0,
-        ) {
-            let ll = LoadLine::new(rll);
-            let i2 = i1 + delta;
-            prop_assert!(ll.vccload_mv(vcc, i2) < ll.vccload_mv(vcc, i1));
-        }
-
-        /// The drop is linear in current: superposition holds.
-        #[test]
-        fn drop_is_linear(rll in 0.1f64..5.0, a in 0.0f64..50.0, b in 0.0f64..50.0) {
-            let ll = LoadLine::new(rll);
-            let lhs = ll.drop_mv(a + b);
-            let rhs = ll.drop_mv(a) + ll.drop_mv(b);
-            prop_assert!((lhs - rhs).abs() < 1e-9);
-        }
     }
 }

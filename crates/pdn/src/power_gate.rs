@@ -40,7 +40,6 @@ pub enum GateState {
 pub struct PowerGate {
     wake_latency: SimTime,
     state: GateState,
-    opens: u64,
 }
 
 impl PowerGate {
@@ -49,7 +48,6 @@ impl PowerGate {
         PowerGate {
             wake_latency,
             state: GateState::Closed,
-            opens: 0,
         }
     }
 
@@ -59,24 +57,12 @@ impl PowerGate {
         PowerGate {
             wake_latency: SimTime::ZERO,
             state: GateState::Open,
-            opens: 0,
         }
-    }
-
-    /// Configured staggered wake-up latency.
-    pub fn wake_latency(&self) -> SimTime {
-        self.wake_latency
     }
 
     /// Current state.
     pub fn state(&self) -> GateState {
         self.state
-    }
-
-    /// Number of wake-ups performed (≥1 means first-iteration penalty
-    /// already paid).
-    pub fn opens(&self) -> u64 {
-        self.opens
     }
 
     /// Requests the domain at `now`; returns the instant it is usable.
@@ -88,7 +74,6 @@ impl PowerGate {
             GateState::Closed => {
                 let ready_at = now + self.wake_latency;
                 self.state = GateState::Opening { ready_at };
-                self.opens += 1;
                 ready_at
             }
         }
@@ -123,7 +108,6 @@ mod tests {
         let t0 = SimTime::from_us(1.0);
         let ready = pg.request_open(t0);
         assert_eq!(ready - t0, SimTime::from_ns(10.0));
-        assert_eq!(pg.opens(), 1);
     }
 
     #[test]
@@ -132,7 +116,6 @@ mod tests {
         let r1 = pg.request_open(SimTime::ZERO);
         let r2 = pg.request_open(SimTime::from_ns(4.0));
         assert_eq!(r1, r2);
-        assert_eq!(pg.opens(), 1);
     }
 
     #[test]
@@ -143,7 +126,6 @@ mod tests {
         assert_eq!(pg.state(), GateState::Open);
         let t = SimTime::from_us(5.0);
         assert_eq!(pg.request_open(t), t);
-        assert_eq!(pg.opens(), 1);
     }
 
     #[test]
@@ -155,7 +137,6 @@ mod tests {
         assert_eq!(pg.state(), GateState::Closed);
         let r2 = pg.request_open(SimTime::from_us(700.0));
         assert_eq!(r2 - SimTime::from_us(700.0), SimTime::from_ns(12.0));
-        assert_eq!(pg.opens(), 2);
     }
 
     #[test]

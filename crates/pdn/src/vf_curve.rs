@@ -86,11 +86,6 @@ impl VfCurve {
         Ok(VfCurve { points })
     }
 
-    /// The curve's control points.
-    pub fn points(&self) -> &[(Freq, f64)] {
-        &self.points
-    }
-
     /// Highest frequency on the curve.
     pub fn max_freq(&self) -> Freq {
         self.points[self.points.len() - 1].0

@@ -65,11 +65,6 @@ impl VrRail {
         self.segments.len()
     }
 
-    /// The VR's electrical model.
-    pub fn model(&self) -> &VrModel {
-        &self.model
-    }
-
     /// Resets the rail to a freshly-constructed state settled at
     /// `initial_mv`, reusing the segment buffer's allocation.
     pub fn reset(&mut self, initial_mv: f64) {
@@ -87,11 +82,6 @@ impl VrRail {
     /// Earliest instant a new transition could start.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// True if a transition is scheduled or in flight at `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        now < self.free_at
     }
 
     /// Schedules a transition to `target_mv`, requested at `now`. The
@@ -290,19 +280,9 @@ impl CentralPmu {
         self.targets_valid_until = SimTime::ZERO;
     }
 
-    /// PMU configuration.
-    pub fn config(&self) -> &PmuConfig {
-        &self.cfg
-    }
-
     /// Current core clock frequency (shared clock domain).
     pub fn freq(&self) -> Freq {
         self.freq
-    }
-
-    /// Base (guardband-free) voltage of the current operating point.
-    pub fn base_mv(&self) -> f64 {
-        self.base_mv
     }
 
     fn rail_index(&self, core: usize) -> usize {

@@ -11,10 +11,7 @@ use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::SimTime;
 
 /// Number of license levels — one per [`InstClass`] intensity rank.
-pub const N_LEVELS: usize = 7;
-
-/// The default reset-time (hysteresis window) measured in the paper.
-pub const DEFAULT_RESET_TIME: SimTime = SimTime::from_ns_u64(650_000);
+const N_LEVELS: usize = 7;
 
 /// Tracks, per intensity rank, when a core last executed instructions of
 /// at least that rank, and derives the *effective license* — the highest
@@ -48,11 +45,6 @@ impl CoreLicense {
             reset_time,
             last_exec: [None; N_LEVELS],
         }
-    }
-
-    /// The hysteresis window.
-    pub fn reset_time(&self) -> SimTime {
-        self.reset_time
     }
 
     /// Records that the core executed `class` instructions at `now`.
@@ -102,8 +94,9 @@ impl CoreLicense {
 mod tests {
     use super::*;
 
+    /// A license with the paper's measured 650 µs reset-time.
     fn lic() -> CoreLicense {
-        CoreLicense::new(DEFAULT_RESET_TIME)
+        CoreLicense::new(SimTime::from_ns_u64(650_000))
     }
 
     #[test]

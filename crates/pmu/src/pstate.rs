@@ -41,7 +41,7 @@ impl PStateTable {
     }
 
     /// Latency of one frequency transition.
-    pub fn transition_latency(&self) -> SimTime {
+    fn transition_latency(&self) -> SimTime {
         self.transition_latency
     }
 

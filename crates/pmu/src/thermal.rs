@@ -24,7 +24,7 @@ use ichannels_uarch::time::SimTime;
 /// let mut th = ThermalModel::client_default();
 /// // 25 W sustained for 2 s heats the die noticeably but slowly.
 /// th.advance(25.0, SimTime::from_secs(2.0));
-/// assert!(th.temp_c() > 40.0 && th.temp_c() < th.tjmax_c());
+/// assert!(th.temp_c() > 40.0 && th.temp_c() < 100.0); // well below Tjmax
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ThermalModel {
@@ -92,18 +92,8 @@ impl ThermalModel {
         self.temp_c
     }
 
-    /// Maximum allowed junction temperature (°C).
-    pub fn tjmax_c(&self) -> f64 {
-        self.tjmax_c
-    }
-
-    /// Thermal time constant.
-    pub fn tau(&self) -> SimTime {
-        self.tau
-    }
-
     /// Steady-state temperature under sustained power `p_w`.
-    pub fn steady_state_c(&self, p_w: f64) -> f64 {
+    fn steady_state_c(&self, p_w: f64) -> f64 {
         self.ambient_c + self.r_th_c_per_w * p_w
     }
 
@@ -159,7 +149,6 @@ mod tests {
             "T = {}",
             th.temp_c()
         );
-        assert!(th.temp_c() < th.tjmax_c());
     }
 
     #[test]

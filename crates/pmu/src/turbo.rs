@@ -123,13 +123,13 @@ impl TurboTable {
     }
 
     /// Latency for granting a more restrictive license (freq drop).
-    pub fn grant_latency(&self) -> SimTime {
+    fn grant_latency(&self) -> SimTime {
         self.grant_latency
     }
 
     /// Latency for releasing a license (freq recovery) — the ms-scale
     /// time constant exploited by TurboCC.
-    pub fn release_latency(&self) -> SimTime {
+    fn release_latency(&self) -> SimTime {
         self.release_latency
     }
 
@@ -169,10 +169,10 @@ impl TurboState {
         self.current
     }
 
-    /// Notifies that `class` instructions execute at `now`; returns the
-    /// license in force after the notification (grants apply after the
-    /// table's grant latency, but we commit the state change immediately
-    /// and expose the effective instant via [`TurboState::pending`]).
+    /// Notifies that `class` instructions execute at `now`. A higher
+    /// license is granted only after the table's grant latency: it stays
+    /// pending until [`TurboState::advance`] reaches its effective
+    /// instant, which [`TurboState::next_event`] reports.
     pub fn on_execute(&mut self, class: InstClass, now: SimTime, table: &TurboTable) {
         let needed = TurboLicense::for_class(class);
         if needed > self.current {
@@ -198,11 +198,6 @@ impl TurboState {
         {
             self.current = TurboLicense::Lvl0;
         }
-    }
-
-    /// The pending grant, if any: `(license, effective_at)`.
-    pub fn pending(&self) -> Option<(TurboLicense, SimTime)> {
-        self.pending
     }
 
     /// Next instant the state could change on its own (grant or release).

@@ -86,7 +86,7 @@ pub enum NoiseKind {
 
 /// Samples the gap to the next Poisson arrival at `rate_hz`, or `None`
 /// for a zero rate.
-pub fn sample_gap<R: Rng + ?Sized>(rng: &mut R, rate_hz: f64) -> Option<SimTime> {
+fn sample_gap<R: Rng + ?Sized>(rng: &mut R, rate_hz: f64) -> Option<SimTime> {
     if rate_hz <= 0.0 {
         return None;
     }

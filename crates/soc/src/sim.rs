@@ -314,18 +314,13 @@ impl Soc {
         &self.pmu
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SocConfig {
-        &self.cfg
-    }
-
     /// The recorded trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
     /// Whether `core` is throttled right now.
-    pub fn core_throttled(&self, core: usize) -> bool {
+    fn core_throttled(&self, core: usize) -> bool {
         self.now < self.cores[core].throttled_until || self.pstate.in_transition(self.now)
     }
 

@@ -98,18 +98,6 @@ impl Trace {
             .map(|s| s.vcc_mv)
             .max_by(|a, b| a.total_cmp(b))
     }
-
-    /// Restricts the trace to `[from, to)`.
-    pub fn window(&self, from: SimTime, to: SimTime) -> Trace {
-        Trace {
-            samples: self
-                .samples
-                .iter()
-                .filter(|s| s.time >= from && s.time < to)
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,17 +132,6 @@ mod tests {
         let mut t = Trace::new();
         t.push(sample(2.0, 780.0));
         t.push(sample(1.0, 780.0));
-    }
-
-    #[test]
-    fn window_filters() {
-        let mut t = Trace::new();
-        for i in 0..10 {
-            t.push(sample(i as f64, 700.0 + i as f64));
-        }
-        let w = t.window(SimTime::from_us(3.0), SimTime::from_us(6.0));
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.samples()[0].vcc_mv, 703.0);
     }
 
     #[test]

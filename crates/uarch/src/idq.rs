@@ -116,7 +116,6 @@ pub struct Idq {
     /// Round-robin arbitration pointer for SMT.
     rr_next: SmtId,
     counters: [PerfCounters; 2],
-    core_cycles: u64,
 }
 
 impl Default for Idq {
@@ -132,7 +131,7 @@ impl Idq {
     }
 
     /// Creates an IDQ with an explicit throttle policy.
-    pub fn with_policy(policy: ThrottlePolicy) -> Self {
+    fn with_policy(policy: ThrottlePolicy) -> Self {
         Idq {
             policy,
             throttled: false,
@@ -140,13 +139,7 @@ impl Idq {
             window_pos: 0,
             rr_next: SmtId::T0,
             counters: [PerfCounters::default(), PerfCounters::default()],
-            core_cycles: 0,
         }
-    }
-
-    /// Current throttle policy.
-    pub fn policy(&self) -> ThrottlePolicy {
-        self.policy
     }
 
     /// Engages/disengages the throttle gate. `phi_thread` identifies the
@@ -166,14 +159,8 @@ impl Idq {
     }
 
     /// Resets all performance counters (like `WRMSR` clearing PMCs).
-    pub fn reset_counters(&mut self) {
+    fn reset_counters(&mut self) {
         self.counters = [PerfCounters::default(), PerfCounters::default()];
-        self.core_cycles = 0;
-    }
-
-    /// Total core cycles simulated.
-    pub fn core_cycles(&self) -> u64 {
-        self.core_cycles
     }
 
     /// Advances the interface by one core clock cycle.
@@ -182,7 +169,6 @@ impl Idq {
     /// between active threads, and updates `CPU_CLK_UNHALTED` /
     /// `IDQ_UOPS_NOT_DELIVERED` style counters.
     pub fn cycle(&mut self, t0: ThreadDemand, t1: ThreadDemand) -> DeliveryResult {
-        self.core_cycles += 1;
         let demands = [t0, t1];
         for (i, d) in demands.iter().enumerate() {
             if d.active {
@@ -433,6 +419,5 @@ mod tests {
         assert!(idq.counters(SmtId::T0).cpu_clk_unhalted > 0);
         idq.reset_counters();
         assert_eq!(idq.counters(SmtId::T0).cpu_clk_unhalted, 0);
-        assert_eq!(idq.core_cycles(), 0);
     }
 }

@@ -18,7 +18,7 @@ pub const THROTTLE_BLOCKED_FRACTION: f64 = 0.75;
 
 /// Effective rate multiplier during a throttling period: 1 delivery cycle
 /// in every window of 4 (Key Conclusion 5).
-pub const THROTTLE_IPC_FACTOR: f64 = 1.0 - THROTTLE_BLOCKED_FRACTION;
+const THROTTLE_IPC_FACTOR: f64 = 1.0 - THROTTLE_BLOCKED_FRACTION;
 
 /// Length, in core cycles, of the throttling duty-cycle window.
 pub const THROTTLE_WINDOW_CYCLES: u32 = 4;

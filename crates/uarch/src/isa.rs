@@ -29,9 +29,6 @@ pub enum Width {
 }
 
 impl Width {
-    /// All widths, narrowest first.
-    pub const ALL: [Width; 4] = [Width::W64, Width::W128, Width::W256, Width::W512];
-
     /// Register width in bits.
     pub const fn bits(self) -> u32 {
         match self {
@@ -155,7 +152,7 @@ impl InstClass {
     }
 
     /// Heaviness of the class (scalar counts as light).
-    pub const fn heaviness(self) -> Heaviness {
+    const fn heaviness(self) -> Heaviness {
         match self {
             InstClass::Scalar64
             | InstClass::Light128

@@ -14,13 +14,13 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Picoseconds per nanosecond.
-pub const PS_PER_NS: u64 = 1_000;
+const PS_PER_NS: u64 = 1_000;
 /// Picoseconds per microsecond.
-pub const PS_PER_US: u64 = 1_000_000;
+const PS_PER_US: u64 = 1_000_000;
 /// Picoseconds per millisecond.
-pub const PS_PER_MS: u64 = 1_000_000_000;
+const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
-pub const PS_PER_S: u64 = 1_000_000_000_000;
+const PS_PER_S: u64 = 1_000_000_000_000;
 
 /// An instant or duration on the simulated timeline, in picoseconds.
 ///
@@ -111,7 +111,7 @@ impl SimTime {
     }
 
     /// Value in nanoseconds.
-    pub fn as_ns(self) -> f64 {
+    fn as_ns(self) -> f64 {
         self.0 as f64 / PS_PER_NS as f64
     }
 
@@ -133,32 +133,6 @@ impl SimTime {
     /// Saturating subtraction; clamps at zero instead of underflowing.
     pub const fn saturating_sub(self, other: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(other.0))
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub const fn checked_add(self, other: SimTime) -> Option<SimTime> {
-        match self.0.checked_add(other.0) {
-            Some(v) => Some(SimTime(v)),
-            None => None,
-        }
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// True if this is the zero instant.
@@ -261,11 +235,12 @@ impl fmt::Display for SimTime {
 /// # Examples
 ///
 /// ```
-/// use ichannels_uarch::time::{Freq, SimTime};
+/// use ichannels_uarch::time::Freq;
 ///
 /// let f = Freq::from_ghz(2.2); // Cannon Lake base clock
-/// let cycles = f.cycles_in(SimTime::from_us(1.0));
-/// assert!((cycles - 2200.0).abs() < 1e-6);
+/// assert_eq!(f.as_hz(), 2_200_000_000);
+/// assert_eq!(f.to_string(), "2.20GHz");
+/// assert!(f > Freq::from_mhz(800.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Freq(u64);
@@ -305,32 +280,13 @@ impl Freq {
     }
 
     /// Value in MHz.
-    pub fn as_mhz(self) -> f64 {
+    fn as_mhz(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
     /// Value in GHz.
     pub fn as_ghz(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Number of clock cycles elapsed in `dt` at this frequency.
-    pub fn cycles_in(self, dt: SimTime) -> f64 {
-        self.0 as f64 * dt.as_secs()
-    }
-
-    /// Time needed for `cycles` clock cycles at this frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the zero frequency or a negative/non-finite cycle count.
-    pub fn time_for_cycles(self, cycles: f64) -> SimTime {
-        assert!(self.0 > 0, "time_for_cycles on zero frequency");
-        assert!(
-            cycles.is_finite() && cycles >= 0.0,
-            "invalid cycle count: {cycles}"
-        );
-        SimTime::from_secs(cycles / self.0 as f64)
     }
 }
 
@@ -406,10 +362,6 @@ mod tests {
     fn freq_cycles() {
         let f = Freq::from_ghz(1.4);
         assert_eq!(f.as_hz(), 1_400_000_000);
-        let cycles = f.cycles_in(SimTime::from_us(10.0));
-        assert!((cycles - 14_000.0).abs() < 1e-6);
-        let t = f.time_for_cycles(14_000.0);
-        assert!((t.as_us() - 10.0).abs() < 1e-9);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl Tsc {
         Tsc { freq }
     }
 
-    /// Reference frequency of the counter.
-    pub fn freq(&self) -> Freq {
-        self.freq
-    }
-
     /// `rdtsc` at simulated instant `now`.
     pub fn read(&self, now: SimTime) -> u64 {
         // now_ps * hz / 1e12, computed in u128 to avoid overflow.

@@ -26,14 +26,6 @@ impl Phase {
             duration,
         }
     }
-
-    /// An idle phase.
-    pub fn idle(duration: SimTime) -> Self {
-        Phase {
-            class: None,
-            duration,
-        }
-    }
 }
 
 /// A program that walks through a list of phases, issuing fixed-size
@@ -161,7 +153,10 @@ mod tests {
         let prog = PhaseProgram::new(
             vec![
                 Phase::busy(InstClass::Scalar64, SimTime::from_us(100.0)),
-                Phase::idle(SimTime::from_us(50.0)),
+                Phase {
+                    class: None,
+                    duration: SimTime::from_us(50.0),
+                },
                 Phase::busy(InstClass::Heavy256, SimTime::from_us(100.0)),
             ],
             1_000,
