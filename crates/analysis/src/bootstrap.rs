@@ -7,10 +7,9 @@
 //! on processing order, thread count, or which shard the rows came
 //! from.
 
+use ichannels_meter::stats::percentile_nearest_rank;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::stats::percentile_nearest_rank;
 
 /// FNV-1a 64-bit hash — the same construction the campaign engine uses
 /// to derive per-trial seeds from cell keys, reused here to give every

@@ -7,11 +7,11 @@
 //! confidence intervals, Shannon capacity estimates from the error
 //! matrices those rates imply, and a per-axis sensitivity ranking of
 //! which grid knob moves the error rate most. `docs/METHODOLOGY.md`
-//! documents every estimator.
+//! documents every estimator. Order statistics come from
+//! [`ichannels_meter::stats::summarize_samples`], the same nearest-rank
+//! estimator the engine's `*_cells.csv` rows use, so a cell has one
+//! median in both files.
 //!
-//! * [`stats`] — order statistics over finite samples: the shared
-//!   [`stats::Stats`]/[`stats::summarize_samples`] core the `criterion`
-//!   stand-in's `Duration` statistics delegate to;
 //! * [`bootstrap`] — seeded, label-keyed percentile-bootstrap CIs;
 //! * [`capacity`] — capacity estimators from implied confusion
 //!   matrices (2-bit symmetric and k-ary symmetric);
@@ -57,11 +57,9 @@
 pub mod bootstrap;
 pub mod capacity;
 pub mod report;
-pub mod stats;
 pub mod stream;
 
 pub use report::{AxisSensitivity, AxisValueReport, CampaignAnalysis, CellReport, MetricReport};
-pub use stats::{summarize_samples, Stats, StatsError};
 pub use stream::{Analysis, StreamError};
 
 /// Configuration of one analysis pass: the bootstrap seed/shape and

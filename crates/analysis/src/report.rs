@@ -10,10 +10,10 @@
 //! `cell`, `axis`, and `sensitivity`.
 
 use ichannels_meter::export::{jsonl_to_string, JsonlRow};
+use ichannels_meter::stats::{summarize_samples, Stats};
 
 use crate::bootstrap::{bootstrap_mean_ci, BootstrapCi};
 use crate::capacity::{alphabet_size, capacity_bits_2bit_from_ber, capacity_bits_kary_from_ser};
-use crate::stats::{summarize_samples, Stats};
 use crate::stream::{CellAccumulator, MetricStream};
 use crate::AnalysisConfig;
 

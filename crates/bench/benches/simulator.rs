@@ -8,7 +8,7 @@ use ichannels_pmu::central::{CentralPmu, PmuConfig, VrRail, MAX_SEGMENTS};
 use ichannels_soc::config::{PlatformSpec, SocConfig};
 use ichannels_soc::program::Script;
 use ichannels_soc::sim::Soc;
-use ichannels_uarch::idq::{Idq, SmtId, ThreadDemand};
+use ichannels_uarch::idq::{Idq, ThreadDemand};
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::{Freq, SimTime};
 
@@ -42,7 +42,7 @@ fn bench_idq(c: &mut Criterion) {
     c.bench_function("idq_100k_cycles_throttled", |b| {
         b.iter(|| {
             let mut idq = Idq::new();
-            idq.set_throttled(true, Some(SmtId::T0));
+            idq.set_throttled(true);
             let mut total = 0u64;
             for _ in 0..100_000 {
                 total += u64::from(

@@ -14,7 +14,7 @@
 use ichannels_lab::scenario::{ChannelSelect, PlatformId, ProbeKind};
 use ichannels_lab::{Executor, Grid, TrialRecord};
 use ichannels_meter::export::CsvTable;
-use ichannels_meter::stats::summarize;
+use ichannels_meter::stats::summarize_samples;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::Freq;
 
@@ -82,7 +82,10 @@ pub fn run_distributions(quick: bool) -> Vec<TpDistribution> {
         for (i, tp) in tps.iter().enumerate() {
             csv.push_row([spec.name.to_string(), i.to_string(), format!("{tp:.4}")]);
         }
-        let s = summarize(&tps);
+        // lint:allow(R001): one TP per trial is asserted above, and
+        // `max(0.0)` maps a NaN probe to 0, so the series is non-empty
+        // and finite.
+        let s = summarize_samples(&tps).expect("one finite TP per trial");
         println!(
             "  {:<24} TP = {:>6.2} ± {:>4.2} µs  (min {:.2}, max {:.2}, {} trials @ {})",
             spec.name, s.mean, s.std_dev, s.min, s.max, trials, freq

@@ -13,7 +13,7 @@ use ichannels::symbols::Symbol;
 use ichannels_lab::scenario::{ChannelSelect, NoiseSpec, ProbeKind};
 use ichannels_lab::{Executor, Grid};
 use ichannels_meter::export::CsvTable;
-use ichannels_meter::stats::summarize;
+use ichannels_meter::stats::{min_separation, summarize_samples};
 
 use crate::{banner, write_csv};
 
@@ -65,7 +65,9 @@ pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
                 format!("{d:.0}"),
             ]);
         }
-        let sum = summarize(&durations);
+        // lint:allow(R001): one duration per trial is asserted above; a
+        // failed probe's NaN stops the figure rather than skew a cluster.
+        let sum = summarize_samples(&durations).expect("one finite duration per trial");
         println!(
             "  L{} (bits {}): {:>8.0} ± {:>5.0} cycles  [{:.0}, {:.0}]",
             4 - s.value(),
@@ -81,12 +83,8 @@ pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
             std_cycles: sum.std_dev,
         });
     }
-    let mut means: Vec<f64> = clusters.iter().map(|c| c.mean_cycles).collect();
-    means.sort_by(f64::total_cmp);
-    let min_sep = means
-        .windows(2)
-        .map(|w| w[1] - w[0])
-        .fold(f64::INFINITY, f64::min);
+    let means: Vec<f64> = clusters.iter().map(|c| c.mean_cycles).collect();
+    let min_sep = min_separation(&means);
     println!("  minimum level separation: {min_sep:.0} cycles (paper: > 2000)");
     write_csv(&csv, "fig13_tp_distribution.csv");
     (clusters, min_sep)

@@ -94,7 +94,7 @@ pub struct Stats {
 /// deviation, 95th percentile (nearest-rank), and best.
 ///
 /// The statistics themselves live in
-/// [`ichannels_analysis::stats::summarize_samples`] — the shared f64
+/// [`ichannels_meter::stats::summarize_samples`] — the shared f64
 /// core this stand-in's seed grew into — and this wrapper only maps
 /// `Duration` nanoseconds through it. Order statistics (median, p95,
 /// best) round-trip exactly: integer nanoseconds are lossless in f64
@@ -106,8 +106,7 @@ pub struct Stats {
 pub fn summarize_samples(samples: &[Duration]) -> Stats {
     assert!(!samples.is_empty(), "no samples to summarize");
     let nanos: Vec<f64> = samples.iter().map(Duration::as_nanos_f64).collect();
-    let s =
-        ichannels_analysis::stats::summarize_samples(&nanos).expect("duration samples are finite");
+    let s = ichannels_meter::stats::summarize_samples(&nanos).expect("duration samples are finite");
     let duration = |ns: f64| Duration::from_nanos(ns.round() as u64);
     Stats {
         mean: duration(s.mean),

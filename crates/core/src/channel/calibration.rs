@@ -3,6 +3,8 @@
 //! runs the four per-level training transmissions; [`Calibration`]
 //! holds the learned means and decodes against them.
 
+use ichannels_meter::stats::min_separation;
+
 use crate::symbols::Symbol;
 
 use super::config::ChannelConfig;
@@ -88,12 +90,7 @@ impl Calibration {
     /// Minimum separation between adjacent level means (TSC cycles) —
     /// the paper reports > 2 000 cycles on a low-noise system (§6.3).
     pub fn min_separation_cycles(&self) -> f64 {
-        let mut sorted = self.means;
-        sorted.sort_by(f64::total_cmp);
-        sorted
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .fold(f64::INFINITY, f64::min)
+        min_separation(&self.means)
     }
 }
 

@@ -26,8 +26,6 @@
 //! * [`baselines`] — NetSpectre, TurboCC, DFScovert, POWERT comparators
 //!   (Figure 12, Table 2);
 //! * [`mitigations`] — the §7 mitigations and the Table 1 verdicts;
-//! * [`sync`] — §4.3.3 wall-clock synchronization with preamble-based
-//!   offset recovery;
 //! * [`extended`] — beyond the paper: 6/7-level modulation exploiting
 //!   all distinguishable throttling levels.
 //!
@@ -55,7 +53,6 @@ pub mod channel;
 pub mod extended;
 pub mod mitigations;
 pub mod symbols;
-pub mod sync;
 
 pub use channel::{Calibration, ChannelConfig, ChannelKind, IChannel, Transmission};
 pub use extended::{LevelAlphabet, MultiLevelChannel};

@@ -1,9 +1,10 @@
 //! Trial records, per-cell aggregation, and CSV/JSONL rendering.
 //!
 //! Raw trials stream to JSONL (one object per line, byte-stable field
-//! order); cells aggregate through [`ichannels_meter::stats`] into
-//! summary rows (mean/σ BER, throughput distribution percentiles,
-//! capacity) rendered as CSV.
+//! order); cells aggregate through
+//! [`ichannels_meter::stats::summarize_samples`] — the nearest-rank
+//! estimator `analysis.jsonl` also uses — into summary rows (mean/σ BER,
+//! throughput distribution percentiles, capacity) rendered as CSV.
 //!
 //! Rendering is row-based: a [`TrialRecord`] (live scenario + metrics)
 //! lowers to a [`TrialRow`] (the exported field set), and a `TrialRow`
@@ -15,7 +16,7 @@ use std::collections::BTreeMap;
 
 use ichannels_meter::export::{CsvTable, JsonlRow};
 use ichannels_meter::parse::{field, parse_jsonl_line};
-use ichannels_meter::stats::{percentile, summarize, Summary};
+use ichannels_meter::stats::{percentile_nearest_rank, summarize_samples, Stats};
 use ichannels_obs::json::Value;
 
 use crate::scenario::{mitigations_label, AppSpec, Scenario};
@@ -310,17 +311,18 @@ pub struct CellSummary {
     /// Number of trials aggregated.
     pub trials: usize,
     /// BER summary over trials with a defined BER.
-    pub ber: Option<Summary>,
+    pub ber: Option<Stats>,
     /// Throughput summary (b/s).
-    pub throughput: Option<Summary>,
-    /// Throughput distribution percentiles `(p5, p50, p95)`.
+    pub throughput: Option<Stats>,
+    /// Nearest-rank throughput percentiles `(p5, p50, p95)`; p50 is
+    /// `throughput`'s median.
     pub throughput_percentiles: Option<(f64, f64, f64)>,
     /// Capacity summary (b/s).
-    pub capacity: Option<Summary>,
+    pub capacity: Option<Stats>,
     /// Mean minimum level separation (cycles).
     pub mean_min_separation: Option<f64>,
     /// Probe-measurement summary over trials with a defined probe value.
-    pub probe: Option<Summary>,
+    pub probe: Option<Stats>,
 }
 
 fn finite(rows: &[&TrialRow], f: impl Fn(&TrialMetrics) -> f64) -> Vec<f64> {
@@ -340,27 +342,21 @@ pub fn summarize_rows(rows: &[TrialRow]) -> Vec<CellSummary> {
     groups
         .into_iter()
         .map(|(cell, group)| {
-            let bers = finite(&group, |m| m.ber);
-            let tps = finite(&group, |m| m.throughput_bps);
-            let caps = finite(&group, |m| m.capacity_bps);
-            let seps = finite(&group, |m| m.min_separation_cycles);
-            let probes = finite(&group, |m| m.probe_value);
+            // A metric no trial of the cell defines summarizes to `None`.
+            let stats = |f: fn(&TrialMetrics) -> f64| summarize_samples(&finite(&group, f)).ok();
+            let mut tps = finite(&group, |m| m.throughput_bps);
+            tps.sort_by(f64::total_cmp);
+            let throughput = summarize_samples(&tps).ok();
             CellSummary {
                 cell,
                 trials: group.len(),
-                ber: (!bers.is_empty()).then(|| summarize(&bers)),
-                throughput: (!tps.is_empty()).then(|| summarize(&tps)),
-                throughput_percentiles: (!tps.is_empty()).then(|| {
-                    (
-                        percentile(&tps, 5.0),
-                        percentile(&tps, 50.0),
-                        percentile(&tps, 95.0),
-                    )
-                }),
-                capacity: (!caps.is_empty()).then(|| summarize(&caps)),
-                mean_min_separation: (!seps.is_empty())
-                    .then(|| seps.iter().sum::<f64>() / seps.len() as f64),
-                probe: (!probes.is_empty()).then(|| summarize(&probes)),
+                ber: stats(|m| m.ber),
+                throughput,
+                throughput_percentiles: throughput
+                    .map(|s| (percentile_nearest_rank(&tps, 5.0), s.median, s.p95)),
+                capacity: stats(|m| m.capacity_bps),
+                mean_min_separation: stats(|m| m.min_separation_cycles).map(|s| s.mean),
+                probe: stats(|m| m.probe_value),
             }
         })
         .collect()

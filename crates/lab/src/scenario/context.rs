@@ -16,7 +16,7 @@ use ichannels::ber::random_symbols;
 use ichannels::channel::{Calibration, ChannelConfig, ChannelError, ChannelKind, IChannel};
 use ichannels::extended::MultiLevelChannel;
 use ichannels::symbols::Symbol;
-use ichannels_meter::stats::ConfusionMatrix;
+use ichannels_meter::stats::{min_separation, ConfusionMatrix};
 use ichannels_soc::config::PlatformSpec;
 use ichannels_soc::sim::Soc;
 use ichannels_workload::apps::{RandomPhiApp, SevenZipApp};
@@ -187,12 +187,6 @@ impl<'a> TrialContext<'a> {
             channel.evaluate(&means, s.payload_symbols, mix(s.seed, 3))
         };
         let _metrics_span = ichannels_obs::span("trial.metrics");
-        let mut sorted = means.clone();
-        sorted.sort_by(f64::total_cmp);
-        let min_sep = sorted
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .fold(f64::INFINITY, f64::min);
         let symbol_rate = 1.0 / self.cfg.slot_period.as_secs();
         Ok(TrialMetrics {
             // Bit error rate is 2-bit-symbol specific; undefined here.
@@ -201,7 +195,7 @@ impl<'a> TrialContext<'a> {
             throughput_bps: eval.raw_bits_per_symbol * symbol_rate,
             capacity_bps: eval.capacity_bps,
             mi_bits_per_symbol: eval.mi_bits_per_symbol,
-            min_separation_cycles: min_sep,
+            min_separation_cycles: min_separation(&means),
             n_symbols: s.payload_symbols,
             probe_value: f64::NAN,
             probe_aux: f64::NAN,

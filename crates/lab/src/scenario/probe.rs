@@ -284,7 +284,7 @@ pub(super) fn run_probe(
                     (true, ThreadDemand::busy(InstClass::Scalar64), SmtId::T1)
                 }
             };
-            idq.set_throttled(throttled, Some(SmtId::T0));
+            idq.set_throttled(throttled);
             let frac = idq.run_normalized_undelivered(
                 ThreadDemand::busy(InstClass::Heavy256),
                 sibling,

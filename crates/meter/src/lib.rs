@@ -2,8 +2,11 @@
 //!
 //! The statistics, series and export used throughout the evaluation.
 //!
-//! * [`stats`] — summaries, percentiles, confusion matrices / BER /
-//!   mutual information (Figure 14, channel capacity).
+//! * [`stats`] — the one sample estimator ([`stats::summarize_samples`]:
+//!   mean, σ, nearest-rank percentiles) behind cell CSVs, figures,
+//!   `analysis.jsonl` and bench timings; minimum level separation;
+//!   confusion matrices / BER / mutual information (Figure 14, channel
+//!   capacity).
 //! * [`series`] — time series with automatic step detection for the
 //!   Figure 6 voltage staircase.
 //! * [`export`] — CSV tables for `results/*.csv` and the JSONL trial
@@ -36,4 +39,4 @@ pub mod stats;
 pub use export::CsvTable;
 pub use parse::parse_jsonl_line;
 pub use series::{Series, Step};
-pub use stats::{ConfusionMatrix, Summary};
+pub use stats::ConfusionMatrix;

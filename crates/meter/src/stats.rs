@@ -1,70 +1,117 @@
 //! Statistics utilities for the characterization and channel evaluation:
-//! summaries, percentiles, confusion matrices and bit-error rates
-//! (Figure 14).
+//! sample summaries, confusion matrices and bit-error rates (Figure 14).
+//!
+//! [`summarize_samples`] is the one estimator every per-run distribution
+//! goes through: the `*_cells.csv` cell rows, the figure summaries,
+//! `analysis.jsonl` and the `criterion` stand-in's `Duration` stats.
+//! Percentiles are **nearest-rank** (`rank(p) = ⌈p/100·n⌉`, 1-based) and
+//! the standard deviation is the sample (n−1) form. Bad input is a typed
+//! [`StatsError`], so streaming consumers can reject a poisoned series
+//! without unwinding.
 
-/// Summary statistics of a sample set.
+/// Why a sample series cannot be summarized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StatsError {
+    /// The series is empty.
+    Empty,
+    /// The series contains a NaN or infinity at the given index.
+    NonFinite {
+        /// Index of the first non-finite sample.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for StatsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StatsError::Empty => write!(f, "no samples to summarize"),
+            StatsError::NonFinite { index } => {
+                write!(f, "non-finite sample at index {index}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StatsError {}
+
+/// Summary statistics of one finite sample series.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
+pub struct Stats {
     /// Number of samples.
     pub n: usize,
     /// Arithmetic mean.
     pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n < 2).
+    /// Sample standard deviation (n−1 denominator; `0` for n < 2).
     pub std_dev: f64,
-    /// Minimum value.
+    /// Smallest sample.
     pub min: f64,
-    /// Maximum value.
+    /// Nearest-rank median.
+    pub median: f64,
+    /// Nearest-rank 95th percentile.
+    pub p95: f64,
+    /// Largest sample.
     pub max: f64,
 }
 
-/// Computes summary statistics.
+/// Nearest-rank percentile of an ascending-sorted series:
+/// `sorted[⌈p/100·n⌉ - 1]`, clamped to the series.
 ///
 /// # Panics
 ///
-/// Panics on an empty slice or non-finite values.
-pub fn summarize(values: &[f64]) -> Summary {
-    assert!(!values.is_empty(), "cannot summarize an empty sample");
-    assert!(
-        values.iter().all(|v| v.is_finite()),
-        "non-finite value in sample"
-    );
-    let n = values.len();
-    let mean = values.iter().sum::<f64>() / n as f64;
-    let var = if n > 1 {
-        values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1) as f64
-    } else {
-        0.0
-    };
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Summary {
-        n,
-        mean,
-        std_dev: var.sqrt(),
-        min,
-        max,
-    }
+/// Panics if `sorted` is empty.
+pub fn percentile_nearest_rank(sorted: &[f64], p: f64) -> f64 {
+    assert!(!sorted.is_empty(), "no samples to summarize");
+    let idx = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+    sorted[idx.clamp(1, sorted.len()) - 1]
 }
 
-/// Linear-interpolation percentile (`p` ∈ [0, 100]).
+/// Summarizes a sample series: mean, sample standard deviation,
+/// min/median/p95/max with nearest-rank percentiles.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an empty slice or `p` outside [0, 100].
-pub fn percentile(values: &[f64], p: f64) -> f64 {
-    assert!(!values.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let t = rank - lo as f64;
-        v[lo] * (1.0 - t) + v[hi] * t
+/// Returns [`StatsError::Empty`] for an empty series and
+/// [`StatsError::NonFinite`] if any sample is NaN or infinite — a
+/// NaN would silently poison every moment, so it is rejected rather
+/// than propagated.
+pub fn summarize_samples(samples: &[f64]) -> Result<Stats, StatsError> {
+    if samples.is_empty() {
+        return Err(StatsError::Empty);
     }
+    if let Some(index) = samples.iter().position(|v| !v.is_finite()) {
+        return Err(StatsError::NonFinite { index });
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    let n = sorted.len();
+    let mean = sorted.iter().sum::<f64>() / n as f64;
+    let variance = if n < 2 {
+        0.0
+    } else {
+        sorted.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64
+    };
+    Ok(Stats {
+        n,
+        mean,
+        std_dev: variance.sqrt(),
+        min: sorted[0],
+        median: percentile_nearest_rank(&sorted, 50.0),
+        p95: percentile_nearest_rank(&sorted, 95.0),
+        max: sorted[n - 1],
+    })
+}
+
+/// Smallest gap between adjacent values once sorted: the minimum level
+/// separation of a channel's calibrated means, which the paper reports
+/// above 2 000 TSC cycles on a low-noise system (§6.3). `f64::INFINITY`
+/// for fewer than two values.
+pub fn min_separation(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// A square confusion matrix over `k` symbol classes.
@@ -225,7 +272,7 @@ mod tests {
 
     #[test]
     fn summary_basics() {
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0]);
+        let s = summarize_samples(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(s.n, 4);
         assert!((s.mean - 2.5).abs() < 1e-12);
         assert!((s.std_dev - 1.2909944487358056).abs() < 1e-12);
@@ -234,11 +281,86 @@ mod tests {
     }
 
     #[test]
-    fn percentile_interpolates() {
+    fn percentile_takes_nearest_rank() {
+        // No interpolation: an even-sized series has the lower middle
+        // sample as its median.
         let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), 10.0);
-        assert_eq!(percentile(&v, 100.0), 40.0);
-        assert_eq!(percentile(&v, 50.0), 25.0);
+        assert_eq!(percentile_nearest_rank(&v, 0.0), 10.0);
+        assert_eq!(percentile_nearest_rank(&v, 100.0), 40.0);
+        assert_eq!(percentile_nearest_rank(&v, 50.0), 20.0);
+        assert_eq!(percentile_nearest_rank(&v, 51.0), 30.0);
+    }
+
+    #[test]
+    fn min_separation_is_the_smallest_adjacent_gap() {
+        assert_eq!(min_separation(&[9.0, 1.0, 4.0, 6.0]), 2.0);
+        assert_eq!(min_separation(&[5.0]), f64::INFINITY);
+    }
+
+    #[test]
+    fn empty_input_is_a_typed_error() {
+        assert_eq!(summarize_samples(&[]), Err(StatsError::Empty));
+        assert_eq!(StatsError::Empty.to_string(), "no samples to summarize");
+    }
+
+    #[test]
+    fn single_sample_degenerates_cleanly() {
+        let s = summarize_samples(&[7.0]).unwrap();
+        assert_eq!(s.n, 1);
+        assert_eq!(s.mean, 7.0);
+        assert_eq!(s.std_dev, 0.0);
+        assert_eq!(s.min, 7.0);
+        assert_eq!(s.median, 7.0);
+        assert_eq!(s.p95, 7.0);
+        assert_eq!(s.max, 7.0);
+    }
+
+    #[test]
+    fn constant_series_has_zero_spread() {
+        let s = summarize_samples(&[3.25; 9]).unwrap();
+        assert_eq!(s.n, 9);
+        assert_eq!(s.mean, 3.25);
+        assert_eq!(s.std_dev, 0.0);
+        assert_eq!((s.min, s.median, s.p95, s.max), (3.25, 3.25, 3.25, 3.25));
+    }
+
+    #[test]
+    fn nan_and_infinity_are_rejected_with_position() {
+        assert_eq!(
+            summarize_samples(&[1.0, f64::NAN, 2.0]),
+            Err(StatsError::NonFinite { index: 1 })
+        );
+        assert_eq!(
+            summarize_samples(&[f64::INFINITY]),
+            Err(StatsError::NonFinite { index: 0 })
+        );
+        assert_eq!(
+            summarize_samples(&[0.0, 1.0, f64::NEG_INFINITY]),
+            Err(StatsError::NonFinite { index: 2 })
+        );
+    }
+
+    #[test]
+    fn matches_the_historical_bench_convention() {
+        // 1..=20: mean 10.5, nearest-rank median 10, p95 19, sample
+        // stddev √35 — the exact numbers the criterion stand-in's own
+        // unit test pins.
+        let samples: Vec<f64> = (1..=20).map(f64::from).collect();
+        let s = summarize_samples(&samples).unwrap();
+        assert_eq!(s.mean, 10.5);
+        assert_eq!(s.median, 10.0);
+        assert_eq!(s.p95, 19.0);
+        assert_eq!(s.min, 1.0);
+        assert_eq!(s.max, 20.0);
+        assert!((s.std_dev - 35.0_f64.sqrt()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn order_does_not_matter() {
+        let a = summarize_samples(&[5.0, 1.0, 3.0]).unwrap();
+        let b = summarize_samples(&[3.0, 5.0, 1.0]).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.median, 3.0);
     }
 
     #[test]
@@ -333,8 +455,10 @@ mod tests {
 
         #[test]
         fn percentile_monotone(vals in proptest::collection::vec(-100.0f64..100.0, 2..50), p1 in 0.0f64..100.0, p2 in 0.0f64..100.0) {
+            let mut vals = vals;
+            vals.sort_by(f64::total_cmp);
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(percentile(&vals, lo) <= percentile(&vals, hi) + 1e-12);
+            prop_assert!(percentile_nearest_rank(&vals, lo) <= percentile_nearest_rank(&vals, hi));
         }
     }
 }

@@ -1011,6 +1011,41 @@ mod tests {
     }
 
     #[test]
+    fn improved_throttling_spares_offenders_non_phi_uops() {
+        // The offending thread itself: a short PHI burst starts the
+        // throttle, and the scalar loop that follows on the same thread
+        // (28k inst @ IPC 2 @ 1.4 GHz = 10 µs) runs inside that window.
+        let run = |cfg: SocConfig| {
+            let mut soc = Soc::new(cfg);
+            let phi_then_scalar = Script::new(
+                vec![
+                    Action::Run {
+                        class: InstClass::Heavy512,
+                        instructions: 100,
+                    },
+                    Action::Run {
+                        class: InstClass::Scalar64,
+                        instructions: 28_000,
+                    },
+                ],
+                "phi then scalar",
+            );
+            soc.spawn(0, 0, Box::new(phi_then_scalar));
+            soc.run_until_idle(SimTime::from_ms(5.0))
+        };
+        let cfg = SocConfig::pinned(PlatformSpec::cannon_lake(), Freq::from_ghz(1.4));
+        let baseline = run(cfg.clone());
+        let improved = run(cfg.with_improved_throttling());
+        // Only the PHI uops are gated: the scalar loop runs at full speed.
+        assert!(improved.as_us() < 11.0, "improved = {improved}");
+        // The baseline gate blocks the scalar loop for the rest of the TP.
+        assert!(
+            baseline > improved + SimTime::from_us(5.0),
+            "baseline = {baseline}, improved = {improved}"
+        );
+    }
+
+    #[test]
     fn cross_core_requests_extend_receiver_tp() {
         // Observation 3.
         let mut soc = pinned_cannon(1.4);

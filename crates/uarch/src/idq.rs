@@ -10,10 +10,11 @@
 //! IDQ→back-end interface, so it throttles **both** SMT threads.
 //!
 //! The event-driven SoC simulator uses the analytic rates from
-//! [`crate::ipc`]; this cycle-level model exists to (a) validate those
-//! rates, (b) regenerate Figure 11(a) from first principles, and (c) host
-//! the "improved core throttling" mitigation (paper §7) at the
-//! granularity where it is actually defined — per-uop gating.
+//! [`crate::ipc`]; this cycle-level model exists to validate those rates
+//! and to regenerate Figure 11(a) from first principles. It models the
+//! baseline gate only: the "improved core throttling" mitigation
+//! (paper §7, [`ThrottlePolicy::PerThreadPhiOnly`]) is applied where the
+//! campaigns run it, in the SoC simulator's per-thread throttle check.
 
 use crate::counters::PerfCounters;
 use crate::ipc::{ISSUE_WIDTH, THROTTLE_WINDOW_CYCLES};
@@ -86,17 +87,17 @@ impl DeliveryResult {
     }
 }
 
-/// Cycle-level IDQ→back-end interface with the throttle gate and SMT
-/// round-robin arbitration.
+/// Cycle-level IDQ→back-end interface with the baseline throttle gate
+/// ([`ThrottlePolicy::BlockEntireCore`]) and SMT round-robin arbitration.
 ///
 /// # Examples
 ///
 /// ```
-/// use ichannels_uarch::idq::{Idq, ThreadDemand, SmtId};
+/// use ichannels_uarch::idq::{Idq, ThreadDemand};
 /// use ichannels_uarch::isa::InstClass;
 ///
 /// let mut idq = Idq::new();
-/// idq.set_throttled(true, Some(SmtId::T0));
+/// idq.set_throttled(true);
 /// let mut delivered = 0;
 /// for _ in 0..400 {
 ///     let r = idq.cycle(ThreadDemand::busy(InstClass::Heavy256), ThreadDemand::IDLE);
@@ -107,11 +108,7 @@ impl DeliveryResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Idq {
-    policy: ThrottlePolicy,
     throttled: bool,
-    /// The thread whose PHI triggered the throttle (needed by the
-    /// per-thread mitigation policy).
-    phi_thread: Option<SmtId>,
     window_pos: u32,
     /// Round-robin arbitration pointer for SMT.
     rr_next: SmtId,
@@ -125,29 +122,19 @@ impl Default for Idq {
 }
 
 impl Idq {
-    /// Creates an IDQ with the baseline (entire-core) throttle policy.
+    /// Creates an unthrottled IDQ.
     pub fn new() -> Self {
-        Self::with_policy(ThrottlePolicy::BlockEntireCore)
-    }
-
-    /// Creates an IDQ with an explicit throttle policy.
-    fn with_policy(policy: ThrottlePolicy) -> Self {
         Idq {
-            policy,
             throttled: false,
-            phi_thread: None,
             window_pos: 0,
             rr_next: SmtId::T0,
             counters: [PerfCounters::default(), PerfCounters::default()],
         }
     }
 
-    /// Engages/disengages the throttle gate. `phi_thread` identifies the
-    /// hardware thread whose PHI caused the transition (used by
-    /// [`ThrottlePolicy::PerThreadPhiOnly`]).
-    pub fn set_throttled(&mut self, throttled: bool, phi_thread: Option<SmtId>) {
+    /// Engages/disengages the throttle gate, which blocks both threads.
+    pub fn set_throttled(&mut self, throttled: bool) {
         self.throttled = throttled;
-        self.phi_thread = if throttled { phi_thread } else { None };
         if throttled {
             self.window_pos = 0;
         }
@@ -186,32 +173,11 @@ impl Idq {
         let mut result = DeliveryResult::default();
         let mut slots = ISSUE_WIDTH;
 
-        // Determine per-thread eligibility under the active policy.
-        let eligible = |id: SmtId, d: &ThreadDemand| -> bool {
-            if !d.active {
-                return false;
-            }
-            if !self.throttled {
-                return true;
-            }
-            match self.policy {
-                ThrottlePolicy::BlockEntireCore => gate_open_cycle,
-                ThrottlePolicy::PerThreadPhiOnly => {
-                    // Only the offending thread's PHI uops are gated; the
-                    // sibling and non-PHI uops flow freely.
-                    let is_offender = self.phi_thread == Some(id);
-                    if is_offender && d.class.is_phi() {
-                        gate_open_cycle
-                    } else {
-                        true
-                    }
-                }
-            }
-        };
-
-        let t0_ok = eligible(SmtId::T0, &demands[0]);
-        let t1_ok = eligible(SmtId::T1, &demands[1]);
+        // While throttled, the shared gate blocks every thread outside
+        // the open cycle.
         result.gate_blocked = self.throttled && !gate_open_cycle;
+        let t0_ok = demands[0].active && !result.gate_blocked;
+        let t1_ok = demands[1].active && !result.gate_blocked;
 
         // Round-robin split of the issue slots between eligible threads.
         match (t0_ok, t1_ok) {
@@ -299,7 +265,7 @@ mod tests {
     #[test]
     fn throttled_delivers_one_cycle_in_four() {
         let mut idq = Idq::new();
-        idq.set_throttled(true, Some(SmtId::T0));
+        idq.set_throttled(true);
         let mut delivered_cycles = 0;
         let n = 4000;
         for _ in 0..n {
@@ -315,7 +281,7 @@ mod tests {
     fn normalized_undelivered_matches_figure11() {
         // Throttled iteration: ~75% of slots undelivered.
         let mut idq = Idq::new();
-        idq.set_throttled(true, Some(SmtId::T0));
+        idq.set_throttled(true);
         let frac = idq.run_normalized_undelivered(
             ThreadDemand::busy(InstClass::Heavy256),
             ThreadDemand::IDLE,
@@ -340,7 +306,7 @@ mod tests {
         // Key observation 2: the sibling running scalar code is throttled
         // too, because the gate is on the shared interface.
         let mut idq = Idq::new();
-        idq.set_throttled(true, Some(SmtId::T0));
+        idq.set_throttled(true);
         let frac_sibling = idq.run_normalized_undelivered(
             ThreadDemand::busy(InstClass::Heavy256),
             ThreadDemand::busy(InstClass::Scalar64),
@@ -351,48 +317,6 @@ mod tests {
             frac_sibling > 0.70,
             "sibling should be ~75% blocked, got {frac_sibling}"
         );
-    }
-
-    #[test]
-    fn improved_throttling_spares_sibling() {
-        // Mitigation (§7): per-thread PHI-only gating leaves the sibling
-        // 64b loop untouched.
-        let mut idq = Idq::with_policy(ThrottlePolicy::PerThreadPhiOnly);
-        idq.set_throttled(true, Some(SmtId::T0));
-        let frac_sibling = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Heavy256),
-            ThreadDemand::busy(InstClass::Scalar64),
-            10_000,
-            SmtId::T1,
-        );
-        // The sibling sees its fair SMT share every cycle → ~0 undelivered.
-        assert!(frac_sibling < 0.01, "sibling frac = {frac_sibling}");
-
-        // The offender is still gated.
-        let mut idq = Idq::with_policy(ThrottlePolicy::PerThreadPhiOnly);
-        idq.set_throttled(true, Some(SmtId::T0));
-        let frac_offender = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Heavy256),
-            ThreadDemand::IDLE,
-            10_000,
-            SmtId::T0,
-        );
-        assert!(frac_offender > 0.70, "offender frac = {frac_offender}");
-    }
-
-    #[test]
-    fn improved_throttling_spares_non_phi_uops_of_offender() {
-        // Second stage of the mitigation: non-PHI uops of the offending
-        // thread are not blocked either.
-        let mut idq = Idq::with_policy(ThrottlePolicy::PerThreadPhiOnly);
-        idq.set_throttled(true, Some(SmtId::T0));
-        let frac = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Scalar64),
-            ThreadDemand::IDLE,
-            10_000,
-            SmtId::T0,
-        );
-        assert!(frac < 0.01, "non-PHI frac = {frac}");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! use ichannels_uarch::isa::InstClass;
 //!
 //! let mut idq = Idq::new();
-//! idq.set_throttled(true, Some(SmtId::T0));
+//! idq.set_throttled(true);
 //! let frac = idq.run_normalized_undelivered(
 //!     ThreadDemand::busy(InstClass::Heavy256),
 //!     ThreadDemand::IDLE,

@@ -5,7 +5,9 @@
 
 use ichannels_repro::ichannels::channel::ChannelKind;
 use ichannels_repro::ichannels_analysis::{analyze_stream, Analysis, AnalysisConfig};
-use ichannels_repro::ichannels_lab::report::{rows_to_jsonl, TrialRow};
+use ichannels_repro::ichannels_lab::report::{
+    rows_to_jsonl, summaries_to_csv, summarize_rows, TrialRow,
+};
 use ichannels_repro::ichannels_lab::scenario::NoiseSpec;
 use ichannels_repro::ichannels_lab::{Executor, Grid, ShardSpec};
 
@@ -88,4 +90,46 @@ fn config_is_part_of_the_function() {
     // A different bootstrap seed moves the CIs — the config is echoed
     // into the report precisely because the bytes depend on it.
     assert_ne!(analysis.finish().to_jsonl(), base);
+}
+
+#[test]
+fn a_cell_has_one_median_in_the_cell_csv_and_the_analysis() {
+    // One cell of four trials with distinct throughputs: nearest-rank
+    // takes the lower middle sample (2000), where interpolation would
+    // average the two middle ones (2500).
+    let grid = Grid::new()
+        .kinds(&[ChannelKind::Thread])
+        .trials(4)
+        .payload_symbols(4);
+    let mut rows: Vec<TrialRow> = Executor::serial()
+        .run(&grid.scenarios())
+        .iter()
+        .map(TrialRow::from_record)
+        .collect();
+    for (row, tp) in rows.iter_mut().zip([4000.0, 1000.0, 3000.0, 2000.0]) {
+        row.metrics.throughput_bps = tp;
+    }
+
+    let csv = summaries_to_csv(&summarize_rows(&rows)).to_csv();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let cells: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    assert_eq!(cells.len(), 1, "one cell: {csv}");
+    let p50 = header
+        .iter()
+        .position(|&h| h == "throughput_p50_bps")
+        .expect("p50 column");
+    let csv_median: f64 = cells[0][p50].parse().expect("p50 is a number");
+
+    let analysis = analyze_stream("median", &rows_to_jsonl(&rows), AnalysisConfig::default())
+        .expect("every line is a trial row")
+        .finish();
+    assert_eq!(analysis.cells.len(), 1);
+    let stats = analysis.cells[0]
+        .throughput
+        .stats
+        .expect("throughput is defined");
+
+    assert_eq!(stats.median, 2000.0);
+    assert_eq!(csv_median, stats.median, "{csv}");
 }

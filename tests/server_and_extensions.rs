@@ -1,12 +1,11 @@
-//! §6.4 (server processors) and the repository's extensions: sync
-//! recovery and multi-level modulation.
+//! §6.4 (server processors) and the repository's extension:
+//! multi-level modulation.
 
 use ichannels_repro::ichannels::ber::random_symbols;
 use ichannels_repro::ichannels::channel::{ChannelConfig, ChannelKind, IChannel};
 use ichannels_repro::ichannels::extended::{evaluate_alphabet, LevelAlphabet};
-use ichannels_repro::ichannels::sync;
 use ichannels_repro::ichannels_soc::config::{PlatformSpec, SocConfig};
-use ichannels_repro::ichannels_uarch::time::{Freq, SimTime};
+use ichannels_repro::ichannels_uarch::time::Freq;
 
 fn server_cfg(freq_ghz: f64) -> ChannelConfig {
     let mut cfg = ChannelConfig::default_cannon_lake();
@@ -82,23 +81,4 @@ fn six_level_modulation_beats_two_bits() {
         ev.mi_bits_per_symbol
     );
     assert!(ev.capacity_bps > 2_899.0, "capacity = {}", ev.capacity_bps);
-}
-
-/// Extension: preamble-based offset recovery (§4.3.3 synchronization).
-#[test]
-fn desynchronized_receiver_recovers_via_preamble() {
-    let base = ChannelConfig::default_cannon_lake();
-    let ch = IChannel::new(ChannelKind::Cores, base.clone());
-    let cal = ch.try_calibrate(2).unwrap();
-    let preamble = sync::default_preamble();
-    let result = sync::recover_offset(
-        ChannelKind::Cores,
-        &base,
-        &cal,
-        &preamble,
-        SimTime::from_us(16.0),
-        SimTime::from_us(4.0),
-    )
-    .unwrap();
-    assert_eq!(result.best_score, 1.0);
 }
