@@ -6,6 +6,10 @@
 //! the analysis seed, the cell's label, and its sample values — never
 //! on processing order, thread count, or which shard the rows came
 //! from.
+//!
+//! A sample set whose values all share one bit pattern (BER 0 in a
+//! quiet cell) has one possible resample mean, so its interval is that
+//! mean, found without drawing; the bits are the same as resampling's.
 
 use ichannels_meter::stats::percentile_nearest_rank;
 use rand::rngs::SmallRng;
@@ -51,13 +55,23 @@ pub fn bootstrap_mean_ci(
     if samples.is_empty() || resamples == 0 {
         return None;
     }
+    let n = samples.len();
+    let first = samples[0].to_bits();
+    if samples.iter().all(|v| v.to_bits() == first) {
+        // Every resample is `n` copies of one value, summed in draw
+        // order from `-0.0` as `Sum` does — the very sum of `samples`.
+        let mean = samples.iter().sum::<f64>() / n as f64;
+        return Some(BootstrapCi {
+            lo: mean,
+            hi: mean,
+            resamples,
+        });
+    }
     let mut rng = SmallRng::seed_from_u64(seed ^ fnv1a(label.as_bytes()));
     let mut means = Vec::with_capacity(resamples);
     for _ in 0..resamples {
-        let sum: f64 = (0..samples.len())
-            .map(|_| samples[rng.gen_range(0..samples.len())])
-            .sum();
-        means.push(sum / samples.len() as f64);
+        let sum: f64 = (0..n).map(|_| samples[rng.gen_range(0..n)]).sum();
+        means.push(sum / n as f64);
     }
     means.sort_unstable_by(f64::total_cmp);
     Some(BootstrapCi {
@@ -93,6 +107,54 @@ mod tests {
         assert!(ci.lo <= mean && mean <= ci.hi, "{ci:?} vs mean {mean}");
         assert!(ci.lo >= 0.05 && ci.hi <= 0.3);
         assert_eq!(ci.resamples, 500);
+    }
+
+    /// The interval as drawn before the constant-sample shortcut:
+    /// `gen_range` per draw, whatever the samples.
+    fn resampled(samples: &[f64], resamples: usize, seed: u64) -> BootstrapCi {
+        let mut rng = SmallRng::seed_from_u64(seed ^ fnv1a(b"cell"));
+        let mut means: Vec<f64> = (0..resamples)
+            .map(|_| {
+                let sum: f64 = (0..samples.len())
+                    .map(|_| samples[rng.gen_range(0..samples.len())])
+                    .sum();
+                sum / samples.len() as f64
+            })
+            .collect();
+        means.sort_unstable_by(f64::total_cmp);
+        BootstrapCi {
+            lo: percentile_nearest_rank(&means, 2.5),
+            hi: percentile_nearest_rank(&means, 97.5),
+            resamples,
+        }
+    }
+
+    #[test]
+    fn constant_samples_match_resampling_bit_for_bit() {
+        let bits = |ci: BootstrapCi| (ci.lo.to_bits(), ci.hi.to_bits(), ci.resamples);
+        for samples in [
+            vec![0.0; 9],
+            vec![-0.0; 4],
+            vec![-0.0],
+            vec![0.1],
+            vec![0.1; 7],
+            vec![1e300; 3],
+            vec![0.0, -0.0, 0.0],
+            vec![0.1, 0.2, 0.05, 0.3, 0.15],
+            (0..97).map(|i| f64::from(i % 5) / 3.0).collect(),
+        ] {
+            for seed in [0, 7, u64::MAX] {
+                let fast = bootstrap_mean_ci("cell", &samples, 300, seed, 0.05).unwrap();
+                assert_eq!(
+                    bits(fast),
+                    bits(resampled(&samples, 300, seed)),
+                    "{samples:?}"
+                );
+            }
+        }
+        // A `-0.0` sample set keeps its sign, as the resampled sums do.
+        let neg = bootstrap_mean_ci("cell", &[-0.0; 3], 10, 1, 0.05).unwrap();
+        assert!(neg.lo.is_sign_negative() && neg.hi.is_sign_negative());
     }
 
     #[test]

@@ -80,11 +80,31 @@ impl Reservoir {
         }
     }
 
-    /// Merges another reservoir (same ranking) into this one.
+    /// Merges another reservoir (same ranking) into this one: the
+    /// bottom `cap` of both entry lists, found by one pass over the two
+    /// sorted lists. That is the set [`Reservoir::add`]ing each of
+    /// `other`'s entries would keep; on equal ranks (identical entries)
+    /// the copy already here goes first, as `add` inserts after it.
     pub fn merge(&mut self, other: &Reservoir) {
-        for &(key, value) in &other.entries {
-            self.add(key, value);
+        if other.entries.is_empty() {
+            return;
         }
+        let len = (self.entries.len() + other.entries.len()).min(self.cap);
+        let mut merged = Vec::with_capacity(len);
+        let (mut mine, mut theirs) = (
+            self.entries.iter().peekable(),
+            other.entries.iter().peekable(),
+        );
+        while merged.len() < len {
+            let next = match (mine.peek(), theirs.peek()) {
+                (Some(a), Some(b)) if Self::rank(b) < Self::rank(a) => theirs.next(),
+                (Some(_), _) => mine.next(),
+                (None, _) => theirs.next(),
+            };
+            // `len` never exceeds the entries left in the two lists.
+            merged.extend(next.copied());
+        }
+        self.entries = merged;
     }
 
     /// Retained samples in canonical (hash) order.
@@ -436,6 +456,51 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left.values(), forward.values());
+    }
+
+    #[test]
+    fn linear_merge_keeps_what_adding_each_entry_keeps() {
+        // The merge it replaced: one `add` per entry of `other`.
+        let by_adding = |mut into: Reservoir, other: &Reservoir| {
+            for &(key, value) in &other.entries {
+                into.add(key, value);
+            }
+            into
+        };
+        let bits =
+            |r: &Reservoir| -> Vec<(u64, u64)> { r.entries.iter().map(Reservoir::rank).collect() };
+        // Tied keys (a hash shared by several samples, identical entries
+        // on both sides) and unions past `cap` in every combination.
+        let entries = |seed: u64, n: u64| -> Vec<(u64, f64)> {
+            (0..n)
+                .map(|i| {
+                    let h = fnv1a(&(seed * 1000 + i).to_le_bytes());
+                    (h % 7, f64::from((h >> 32) as u32 % 3) - 1.0)
+                })
+                .chain([(3, 0.0), (3, -0.0), (3, 0.0)])
+                .collect()
+        };
+        for cap in [1, 2, 5, 8, 64] {
+            for (n_left, n_right) in [(0, 4), (4, 0), (3, 9), (12, 12), (40, 2)] {
+                let mut left = Reservoir::new(cap);
+                let mut right = Reservoir::new(cap);
+                for (k, v) in entries(1, n_left) {
+                    left.add(k, v);
+                }
+                for (k, v) in entries(2, n_right) {
+                    right.add(k, v);
+                }
+                let expected = by_adding(left.clone(), &right);
+                let mut merged = left.clone();
+                merged.merge(&right);
+                assert_eq!(
+                    bits(&merged),
+                    bits(&expected),
+                    "cap {cap}, {n_left}+{n_right}"
+                );
+                assert!(merged.len() <= cap);
+            }
+        }
     }
 
     #[test]

@@ -46,11 +46,8 @@ fn bench_idq(c: &mut Criterion) {
             let mut total = 0u64;
             for _ in 0..100_000 {
                 total += u64::from(
-                    idq.cycle(
-                        ThreadDemand::busy(InstClass::Heavy256),
-                        ThreadDemand::busy(InstClass::Scalar64),
-                    )
-                    .total(),
+                    idq.cycle(ThreadDemand::busy(), ThreadDemand::busy())
+                        .total(),
                 );
             }
             total

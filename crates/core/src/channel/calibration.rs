@@ -47,7 +47,8 @@ impl Calibration {
     /// (midpoints of the sorted means, TSC cycles) — the per-level
     /// thresholds the training preamble learns. Nearest-mean decoding
     /// is exactly thresholding against these.
-    pub fn thresholds(&self) -> [f64; 3] {
+    #[cfg(test)]
+    pub(crate) fn thresholds(&self) -> [f64; 3] {
         let mut sorted = self.means;
         sorted.sort_by(f64::total_cmp);
         [

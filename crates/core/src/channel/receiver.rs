@@ -15,8 +15,7 @@ use super::kind::ChannelKind;
 /// error-free, but where a stiffer rail compresses the levels toward
 /// each other a real attacker integrates longer and repeats the
 /// transaction, trading symbol rate for reliability. The identity
-/// tuning (`window_scale` 1, `votes` 1; see
-/// [`ReceiverCalibration::is_legacy`]) reproduces the fixed
+/// tuning (`window_scale` 1, `votes` 1) reproduces the fixed
 /// single-sample receiver bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceiverCalibration {
@@ -42,7 +41,8 @@ impl ReceiverCalibration {
 
     /// True for the identity tuning — the execution path is then
     /// bit-identical to the legacy fixed-window receiver.
-    pub fn is_legacy(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_legacy(self) -> bool {
         self.votes <= 1 && self.window_scale == 1.0
     }
 

@@ -12,10 +12,11 @@
 //! [`TrialRow::jsonl_row`] render path, which is what makes shard
 //! merge/resume byte-identical to a fresh unsharded run.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use ichannels_meter::export::{CsvTable, JsonlRow};
-use ichannels_meter::parse::{field, parse_jsonl_line};
+use ichannels_meter::export::{push_fixed6, CsvTable, JsonlRow};
+use ichannels_meter::parse::parse_jsonl_line;
 use ichannels_meter::stats::{percentile_nearest_rank, summarize_samples, Stats};
 use ichannels_obs::json::Value;
 
@@ -187,63 +188,108 @@ impl TrialRow {
 
     /// Reads a row from the `(key, value)` fields of an already parsed
     /// JSONL line ([`parse_jsonl_line`]), so a caller that also checks
-    /// the line for another schema parses it only once.
+    /// the line for another schema parses it only once. One pass files
+    /// each field under its column; a repeated key keeps its first
+    /// occurrence, as [`ichannels_meter::parse::field`] does.
     ///
     /// # Errors
     ///
     /// Returns a description of the first missing or mistyped field.
-    pub fn from_fields(fields: &[(String, Value)]) -> Result<Self, String> {
-        let text = |key: &str| -> Result<String, String> {
-            field(fields, key)
+    pub fn from_fields(fields: &[(Cow<'_, str>, Value<'_>)]) -> Result<Self, String> {
+        let mut slots: [Option<&Value<'_>>; ROW_KEYS] = [None; ROW_KEYS];
+        for (key, value) in fields {
+            if let Some(i) = row_slot(key) {
+                slots[i].get_or_insert(value);
+            }
+        }
+        let text = |i: usize| -> Result<String, String> {
+            slots[i]
                 .and_then(Value::as_str)
                 .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{key}`"))
+                .ok_or_else(|| format!("missing string field `{}`", TRIAL_CSV_HEADER[i]))
         };
-        let uint = |key: &str| -> Result<u64, String> {
-            field(fields, key)
+        let uint = |i: usize| -> Result<u64, String> {
+            slots[i]
                 .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer field `{key}`"))
+                .ok_or_else(|| format!("missing integer field `{}`", TRIAL_CSV_HEADER[i]))
         };
-        let float = |key: &str| -> Result<f64, String> {
-            field(fields, key)
+        let float = |i: usize| -> Result<f64, String> {
+            slots[i]
                 .and_then(Value::as_f64_or_nan)
-                .ok_or_else(|| format!("missing numeric field `{key}`"))
+                .ok_or_else(|| format!("missing numeric field `{}`", TRIAL_CSV_HEADER[i]))
         };
         Ok(TrialRow {
-            cell: text("cell")?,
-            platform: text("platform")?,
-            channel: text("channel")?,
-            noise: text("noise")?,
-            mitigations: text("mitigations")?,
-            app: text("app")?,
-            payload: text("payload")?,
-            trial: uint("trial")?,
-            seed: uint("seed")?,
+            cell: text(0)?,
+            platform: text(1)?,
+            channel: text(2)?,
+            noise: text(3)?,
+            mitigations: text(4)?,
+            app: text(5)?,
+            payload: text(6)?,
+            trial: uint(7)?,
+            seed: uint(8)?,
             // Optional: only errored trials carry the field.
-            error: field(fields, "error")
+            error: slots[ERROR_SLOT]
                 .and_then(Value::as_str)
                 .map(str::to_string),
             metrics: TrialMetrics {
-                n_symbols: uint("n_symbols")? as usize,
-                ber: float("ber")?,
-                ser: float("ser")?,
-                throughput_bps: float("throughput_bps")?,
-                capacity_bps: float("capacity_bps")?,
-                mi_bits_per_symbol: float("mi_bits_per_symbol")?,
-                min_separation_cycles: float("min_separation_cycles")?,
-                probe_value: float("probe_value")?,
-                probe_aux: float("probe_aux")?,
+                n_symbols: uint(9)? as usize,
+                ber: float(10)?,
+                ser: float(11)?,
+                throughput_bps: float(12)?,
+                capacity_bps: float(13)?,
+                mi_bits_per_symbol: float(14)?,
+                min_separation_cycles: float(15)?,
+                probe_value: float(16)?,
+                probe_aux: float(17)?,
             },
         })
     }
 }
 
+/// Slots [`TrialRow::from_fields`] fills: one per [`TRIAL_CSV_HEADER`]
+/// column (at the column's index), then the optional `error`.
+const ROW_KEYS: usize = TRIAL_CSV_HEADER.len() + 1;
+
+/// The slot of the optional `error` field.
+const ERROR_SLOT: usize = TRIAL_CSV_HEADER.len();
+
+/// The [`TrialRow::from_fields`] slot of a row key: its column index in
+/// [`TRIAL_CSV_HEADER`] (which is also the JSONL field order), or
+/// [`ERROR_SLOT`]. Keys a row does not read have none.
+fn row_slot(key: &str) -> Option<usize> {
+    Some(match key {
+        "cell" => 0,
+        "platform" => 1,
+        "channel" => 2,
+        "noise" => 3,
+        "mitigations" => 4,
+        "app" => 5,
+        "payload" => 6,
+        "trial" => 7,
+        "seed" => 8,
+        "n_symbols" => 9,
+        "ber" => 10,
+        "ser" => 11,
+        "throughput_bps" => 12,
+        "capacity_bps" => 13,
+        "mi_bits_per_symbol" => 14,
+        "min_separation_cycles" => 15,
+        "probe_value" => 16,
+        "probe_aux" => 17,
+        "error" => ERROR_SLOT,
+        _ => return None,
+    })
+}
+
+/// A finite `v` as `{:.6}`; an undefined (non-finite) one as an empty
+/// cell.
 fn csv_float(v: f64) -> String {
+    let mut cell = String::new();
     if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        String::new()
+        push_fixed6(&mut cell, v);
     }
+    cell
 }
 
 /// The CSV header of [`rows_to_csv`].
@@ -335,9 +381,9 @@ fn finite(rows: &[&TrialRow], f: impl Fn(&TrialMetrics) -> f64) -> Vec<f64> {
 /// Groups trial rows by cell key and aggregates each group. Output is
 /// sorted by cell key, so summaries are deterministic.
 pub fn summarize_rows(rows: &[TrialRow]) -> Vec<CellSummary> {
-    let mut groups: BTreeMap<String, Vec<&TrialRow>> = BTreeMap::new();
+    let mut groups: BTreeMap<&str, Vec<&TrialRow>> = BTreeMap::new();
     for r in rows {
-        groups.entry(r.cell.clone()).or_default().push(r);
+        groups.entry(&r.cell).or_default().push(r);
     }
     groups
         .into_iter()
@@ -348,7 +394,7 @@ pub fn summarize_rows(rows: &[TrialRow]) -> Vec<CellSummary> {
             tps.sort_by(f64::total_cmp);
             let throughput = summarize_samples(&tps).ok();
             CellSummary {
-                cell,
+                cell: cell.to_string(),
                 trials: group.len(),
                 ber: stats(|m| m.ber),
                 throughput,
@@ -494,6 +540,39 @@ mod tests {
         }
         // A structurally valid object missing trial fields also fails.
         assert!(TrialRow::parse("{\"cell\":\"x\"}").is_err());
+    }
+
+    #[test]
+    fn row_slots_follow_the_column_order_and_keep_first_occurrences() {
+        for (i, key) in TRIAL_CSV_HEADER.iter().enumerate() {
+            assert_eq!(row_slot(key), Some(i), "{key}");
+        }
+        assert_eq!(row_slot("error"), Some(ERROR_SLOT));
+        assert_eq!(row_slot("shard_index"), None);
+        let records = sample_records();
+        let line = TrialRow::from_record(&records[0]).jsonl_row().to_json();
+        let reparse = |text: &str| TrialRow::parse(text).map(|r| r.jsonl_row().to_json());
+        // A repeated key reads its first occurrence, as `field` does:
+        // appended copies change nothing, and a mistyped first copy is
+        // an error even when a later copy is well typed.
+        let body = line.trim_end_matches('}');
+        let appended = format!("{body},\"cell\":\"other\",\"ber\":0.5}}");
+        assert_eq!(reparse(&appended), Ok(line.clone()));
+        let errored = format!("{body},\"error\":\"first\",\"error\":\"second\"}}");
+        assert_eq!(
+            TrialRow::parse(&errored).map(|r| r.error),
+            Ok(Some("first".to_string()))
+        );
+        let mistyped = format!("{{\"seed\":\"1\",{}", &line[1..]);
+        assert_eq!(
+            TrialRow::parse(&mistyped),
+            Err("missing integer field `seed`".to_string())
+        );
+        // The first missing field in the row's read order is reported.
+        assert_eq!(
+            TrialRow::parse("{\"ber\":1,\"cell\":\"x\"}"),
+            Err("missing string field `platform`".to_string())
+        );
     }
 
     #[test]

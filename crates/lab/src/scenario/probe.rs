@@ -280,13 +280,11 @@ pub(super) fn run_probe(
             let (throttled, sibling, observe) = match condition {
                 IdqCondition::Throttled => (true, ThreadDemand::IDLE, SmtId::T0),
                 IdqCondition::Unthrottled => (false, ThreadDemand::IDLE, SmtId::T0),
-                IdqCondition::SmtSibling => {
-                    (true, ThreadDemand::busy(InstClass::Scalar64), SmtId::T1)
-                }
+                IdqCondition::SmtSibling => (true, ThreadDemand::busy(), SmtId::T1),
             };
             idq.set_throttled(throttled);
             let frac = idq.run_normalized_undelivered(
-                ThreadDemand::busy(InstClass::Heavy256),
+                ThreadDemand::busy(),
                 sibling,
                 IDQ_PROBE_WINDOW_CYCLES,
                 observe,

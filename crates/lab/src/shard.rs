@@ -20,6 +20,7 @@
 //! byte-identical to the unsharded run's JSONL (headerless), so the
 //! trial/cell CSVs re-derived from it are byte-identical too.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -178,7 +179,9 @@ pub fn parse_header_line(line: &str) -> Option<(String, ShardSpec, usize)> {
 /// Reads a shard header from the `(key, value)` fields of an already
 /// parsed JSONL line, if they are one: the check [`parse_header_line`]
 /// makes, for a caller that also reads the line as a trial row.
-pub fn header_from_fields(fields: &[(String, Value)]) -> Option<(String, ShardSpec, usize)> {
+pub fn header_from_fields(
+    fields: &[(Cow<'_, str>, Value<'_>)],
+) -> Option<(String, ShardSpec, usize)> {
     let campaign = field(fields, "shard_campaign")
         .and_then(Value::as_str)?
         .to_string();
@@ -420,14 +423,30 @@ pub fn merge_streams(streams: Vec<ShardStream>) -> Result<(String, Vec<TrialRow>
                 .expect("shard lengths validated against the partition"),
         );
     }
-    let mut keys: Vec<String> = merged.iter().map(TrialRow::trial_key).collect();
-    keys.sort_unstable();
-    for pair in keys.windows(2) {
-        if pair[0] == pair[1] {
-            return Err(MergeError::DuplicateTrial(pair[0].clone()));
-        }
+    if let Some(key) = duplicate_trial(&merged) {
+        return Err(MergeError::DuplicateTrial(key));
     }
     Ok((campaign, merged))
+}
+
+/// The trial key [`merge_streams`] reports when `rows` repeat one: the
+/// smallest repeated `cell#trial` string. Rows are compared as
+/// `(cell, trial)` pairs, which repeat exactly when their keys do (the
+/// trial part of a key is digits after the last `#`), so the key
+/// strings are built only when a repeat exists.
+fn duplicate_trial(rows: &[TrialRow]) -> Option<String> {
+    let mut pairs: Vec<(&str, u64)> = rows.iter().map(|r| (r.cell.as_str(), r.trial)).collect();
+    pairs.sort_unstable();
+    if pairs.windows(2).all(|pair| pair[0] != pair[1]) {
+        return None;
+    }
+    // Key strings sort differently from pairs (`a#10` < `a#2`), so the
+    // reported key is chosen among the strings, as it always was.
+    let mut keys: Vec<String> = rows.iter().map(TrialRow::trial_key).collect();
+    keys.sort_unstable();
+    keys.windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| pair[0].clone())
 }
 
 #[cfg(test)]
@@ -567,6 +586,66 @@ mod tests {
         dup.rows[1] = dup.rows[0].clone();
         let err = merge_streams(vec![stream(0), stream(1), dup]).unwrap_err();
         assert!(matches!(err, MergeError::DuplicateTrial(_)), "{err}");
+    }
+
+    fn bare_row(cell: &str, trial: u64) -> TrialRow {
+        let label = String::new;
+        TrialRow {
+            cell: cell.to_string(),
+            platform: label(),
+            channel: label(),
+            noise: label(),
+            mitigations: label(),
+            app: label(),
+            payload: label(),
+            trial,
+            seed: trial,
+            metrics: crate::report::TrialMetrics::undefined(),
+            error: None,
+        }
+    }
+
+    #[test]
+    fn duplicate_trials_report_the_smallest_key_string() {
+        // What merge reported before it compared `(cell, trial)` pairs:
+        // the first repeat among the sorted key strings.
+        let by_strings = |rows: &[TrialRow]| {
+            let mut keys: Vec<String> = rows.iter().map(TrialRow::trial_key).collect();
+            keys.sort_unstable();
+            keys.windows(2)
+                .find(|pair| pair[0] == pair[1])
+                .map(|pair| pair[0].clone())
+        };
+        let distinct: Vec<TrialRow> = [("a", 2), ("a", 10), ("a!", 1), ("a#1", 2), ("a", 1)]
+            .iter()
+            .map(|&(cell, trial)| bare_row(cell, trial))
+            .collect();
+        assert_eq!(duplicate_trial(&distinct), None);
+        assert_eq!(by_strings(&distinct), None);
+        // Two repeats whose pair order and string order disagree: pairs
+        // put `a#2` before `a#10` and `a` before `a!`, strings do not.
+        for (first, second, expected) in
+            [(("a", 2), ("a", 10), "a#10"), (("a", 1), ("a!", 1), "a!#1")]
+        {
+            let mut rows = distinct.clone();
+            rows.push(bare_row(first.0, first.1));
+            rows.push(bare_row(second.0, second.1));
+            assert_eq!(duplicate_trial(&rows).as_deref(), Some(expected));
+            assert_eq!(duplicate_trial(&rows), by_strings(&rows));
+        }
+        // Through `merge_streams`: both shards of a 2-way split repeat
+        // the same two trials.
+        let shard = |index: usize, rows: Vec<TrialRow>| ShardStream {
+            campaign: "demo".to_string(),
+            spec: ShardSpec::new(index, 2).unwrap(),
+            total: 4,
+            rows,
+        };
+        let pair = || vec![bare_row("a", 2), bare_row("a", 10)];
+        assert_eq!(
+            merge_streams(vec![shard(0, pair()), shard(1, pair())]),
+            Err(MergeError::DuplicateTrial("a#10".to_string()))
+        );
     }
 
     #[test]

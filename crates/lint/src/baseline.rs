@@ -8,6 +8,7 @@
 //! so rewrites are deterministic and diff cleanly; it is read back
 //! with the workspace's shared reader (`ichannels_obs::json`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 
@@ -170,12 +171,12 @@ impl Baseline {
         let mut schema_seen = false;
         let mut baseline = Baseline::default();
         for (key, value) in object(&doc, "the document")? {
-            match key.as_str() {
+            match key.as_ref() {
                 "schema" if value.as_str() == Some(BASELINE_SCHEMA) => schema_seen = true,
                 "schema" => return Err(invalid(format!("schema is not `{BASELINE_SCHEMA}`"))),
                 "counts" => {
                     for (rule, files) in object(value, "counts")? {
-                        let counts = baseline.counts.entry(rule.clone()).or_default();
+                        let counts = baseline.counts.entry(rule.to_string()).or_default();
                         for (path, n) in object(files, rule)? {
                             let n = n
                                 .as_u64()
@@ -183,7 +184,7 @@ impl Baseline {
                                 .ok_or_else(|| {
                                     invalid(format!("`{path}` under `{rule}` is not a count"))
                                 })?;
-                            counts.insert(path.clone(), n);
+                            counts.insert(path.to_string(), n);
                         }
                     }
                 }
@@ -197,7 +198,7 @@ impl Baseline {
     }
 }
 
-fn object<'a>(value: &'a Value, what: &str) -> io::Result<&'a [(String, Value)]> {
+fn object<'v, 'a>(value: &'v Value<'a>, what: &str) -> io::Result<&'v [(Cow<'a, str>, Value<'a>)]> {
     value
         .as_object()
         .ok_or_else(|| invalid(format!("{what} is not an object")))

@@ -113,6 +113,84 @@ impl Default for CsvTable {
     }
 }
 
+/// Appends `format!("{v:.6}")` to `out` without the formatting
+/// machinery for a finite `v` with `|v| <= 2^50` (every value the CSVs
+/// hold); other values go through `std`. The integer path is exact:
+/// it rounds the binary value times 10^6 half to even, as `std`'s exact
+/// formatting does, and keeps the sign of `-0.0` and of negatives that
+/// round to zero.
+pub fn push_fixed6(out: &mut String, v: f64) {
+    let Some(micros) = scaled_micros(v) else {
+        let _ = write!(out, "{v:.6}");
+        return;
+    };
+    // `micros / 10^6 <= 2^50`, so the integer part always fits a u64;
+    // the u128 division runs only when the scaled value does not.
+    let (int, frac) = match u64::try_from(micros) {
+        Ok(m) => (m / 1_000_000, m % 1_000_000),
+        Err(_) => ((micros / 1_000_000) as u64, (micros % 1_000_000) as u64),
+    };
+    // Sign, up to 16 integer digits, the point and 6 fraction digits.
+    let mut buf = [0u8; 24];
+    let mut at = buf.len();
+    let mut frac = frac;
+    for _ in 0..6 {
+        at -= 1;
+        buf[at] = b'0' + (frac % 10) as u8;
+        frac /= 10;
+    }
+    at -= 1;
+    buf[at] = b'.';
+    let mut int = int;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (int % 10) as u8;
+        int /= 10;
+        if int == 0 {
+            break;
+        }
+    }
+    if v.is_sign_negative() {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    // Every byte written above is an ASCII digit, point or sign.
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// `|v| × 10^6` rounded half to even, computed exactly, for a finite
+/// `|v| <= 2^50`; `None` otherwise (NaN, infinities, huge values).
+fn scaled_micros(v: f64) -> Option<u128> {
+    let a = v.abs();
+    if a.is_nan() || a > (1u64 << 50) as f64 {
+        return None;
+    }
+    // a = m × 2^e exactly, with m < 2^53.
+    let bits = a.to_bits();
+    let biased = (bits >> 52) as i32;
+    let fraction = bits & ((1u64 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | (1u64 << 52), biased - 1075)
+    };
+    // m × 10^6 < 2^73, and shifted left (e >= 0 means m × 2^e <= 2^50)
+    // stays below 2^70.
+    let p = u128::from(m) * 1_000_000;
+    if e >= 0 {
+        return Some(p << e);
+    }
+    let shift = e.unsigned_abs();
+    if shift >= 128 {
+        // p < 2^73 sits far below half of 2^shift: rounds to 0.
+        return Some(0);
+    }
+    let q = p >> shift;
+    let r = p & ((1u128 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    Some(q + u128::from(r > half || (r == half && q & 1 == 1)))
+}
+
 /// Appends one CSV cell, quoted when it holds a `,`, `"`, `\r` or `\n`.
 fn push_csv_field(out: &mut String, cell: &str) {
     if !cell.contains([',', '"', '\r', '\n']) {
@@ -324,6 +402,65 @@ mod tests {
         assert_eq!(lines[1], "1,2");
         assert_eq!(lines[2], "0.500000,1.250000");
         assert_eq!(t.len(), 2);
+    }
+
+    /// `push_fixed6` against `format!("{v:.6}")`, byte for byte.
+    fn assert_fixed6_matches_std(v: f64) {
+        let mut out = String::from("x");
+        push_fixed6(&mut out, v);
+        assert_eq!(&out[1..], format!("{v:.6}"), "bits {:#018x}", v.to_bits());
+    }
+
+    #[test]
+    fn fixed6_matches_std_formatting() {
+        // SplitMix64: a fixed stream of bit patterns.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..50_000 {
+            // Raw bit patterns: mostly huge, tiny or non-finite values.
+            assert_fixed6_matches_std(f64::from_bits(next()));
+            // Magnitudes the CSVs hold: 2^-40 ..= 2^55, either sign, so
+            // both the u64 and u128 paths and the fallback run.
+            let bits = next();
+            let exponent = 1023 - 40 + (bits >> 53) % 96;
+            let v =
+                f64::from_bits((bits & (1 << 63)) | (exponent << 52) | (bits & ((1 << 52) - 1)));
+            assert_fixed6_matches_std(v);
+        }
+        // Dyadic ties: odd multiples of 2^-7 sit exactly halfway between
+        // two sixth decimals, and round to the even one.
+        for k in (1..20_000u32).step_by(2) {
+            let tie = f64::from(k) / 128.0;
+            assert_fixed6_matches_std(tie);
+            assert_fixed6_matches_std(-tie);
+            assert_fixed6_matches_std(tie + (1u64 << 40) as f64);
+        }
+        assert_eq!(format!("{:.6}", 0.0078125), "0.007812");
+        for v in [
+            0.0,
+            -0.0,
+            -1e-9,
+            5e-7,
+            -5e-7,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            (1u64 << 50) as f64,
+            -((1u64 << 50) as f64),
+            ((1u64 << 50) as f64).next_up(),
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_fixed6_matches_std(v);
+        }
     }
 
     #[test]

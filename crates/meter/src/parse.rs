@@ -8,10 +8,16 @@
 //! whose values are all scalars (strings, numbers, booleans, `null`) —
 //! no nesting, no arrays.
 //!
+//! The fields borrow from the line: keys and unescaped string values
+//! are slices of it (see [`ichannels_obs::json`]), so a reader that
+//! copies out only what it keeps allocates nothing else per field.
+//!
 //! Values round-trip byte-exactly: a plain-digit integer literal parses
 //! to [`Value::Uint`] (so `u64` seeds survive), any other numeric
 //! literal to [`Value::Num`], and re-rendering a parsed float with
 //! Rust's shortest round-trip `Display` reproduces the original bytes.
+
+use std::borrow::Cow;
 
 use ichannels_obs::json::{self, Error, Value};
 
@@ -23,7 +29,7 @@ use ichannels_obs::json::{self, Error, Value};
 /// Returns [`Error`] when the line is not a flat JSON object of scalar
 /// values (including a line truncated mid-write). A line that is valid
 /// JSON but breaks the row rule reports byte 0.
-pub fn parse_jsonl_line(line: &str) -> Result<Vec<(String, Value)>, Error> {
+pub fn parse_jsonl_line(line: &str) -> Result<Vec<(Cow<'_, str>, Value<'_>)>, Error> {
     let row_error = |message: String| Error { message, at: 0 };
     let Value::Object(fields) = json::parse(line.trim_end_matches(['\n', '\r']))? else {
         return Err(row_error("a JSONL row must be an object".to_string()));
@@ -37,8 +43,9 @@ pub fn parse_jsonl_line(line: &str) -> Result<Vec<(String, Value)>, Error> {
     Ok(fields)
 }
 
-/// Looks up a field by key in a parsed line.
-pub fn field<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+/// Looks up a field by key in a parsed line; a repeated key reads its
+/// first occurrence.
+pub fn field<'f, 'a>(fields: &'f [(Cow<'a, str>, Value<'a>)], key: &str) -> Option<&'f Value<'a>> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -56,7 +63,8 @@ mod tests {
             .num("ber", 0.03125)
             .num("nan", f64::NAN)
             .bool("ok", true);
-        let fields = parse_jsonl_line(&(row.to_json() + "\r\n")).expect("parses");
+        let line = row.to_json() + "\r\n";
+        let fields = parse_jsonl_line(&line).expect("parses");
         assert_eq!(fields.len(), 6);
         assert_eq!(
             field(&fields, "cell").and_then(Value::as_str),
@@ -79,7 +87,8 @@ mod tests {
         let row = JsonlRow::new()
             .str("s", "a\"b\\c\nd\te")
             .num("v", 0.19047619047619047);
-        let fields = parse_jsonl_line(&row.to_json()).expect("parses");
+        let line = row.to_json();
+        let fields = parse_jsonl_line(&line).expect("parses");
         let back = JsonlRow::new()
             .str("s", field(&fields, "s").and_then(Value::as_str).unwrap())
             .num("v", field(&fields, "v").and_then(Value::as_f64).unwrap());

@@ -4,14 +4,19 @@
 //! [`parse`] reads one RFC 8259 document into a [`Value`] tree; callers
 //! impose their schema by walking the tree (trial rows in
 //! `ichannels_meter::parse`, [`crate::MetricsSnapshot::parse`], the
-//! lint baseline). A literal of plain digits that fits a `u64` parses
-//! to [`Value::Uint`] (so `u64` seeds survive), any other number to
-//! [`Value::Num`], whose shortest round-trip `Display` reproduces the
-//! original bytes. [`escape`] inverts string parsing:
-//! `parse(&format!("\"{}\"", escape(s)))` is `Value::Str(s)`. Since
-//! `escape` copies every non-control character raw, no writer emits
-//! UTF-16 surrogate escapes, and the reader rejects them.
+//! lint baseline). The tree borrows from the input: a string or object
+//! key without escapes is a [`Cow::Borrowed`] slice of the text, and
+//! only one with escapes is decoded into an owned `String`, so reading
+//! a trial row allocates the field vector and nothing per field. A
+//! literal of plain digits that fits a `u64` parses to [`Value::Uint`]
+//! (so `u64` seeds survive), any other number to [`Value::Num`], whose
+//! shortest round-trip `Display` reproduces the original bytes.
+//! [`escape`] inverts string parsing: `parse(&format!("\"{}\"",
+//! escape(s)))` is `Value::Str(s)`. Since `escape` copies every
+//! non-control character raw, no writer emits UTF-16 surrogate escapes,
+//! and the reader rejects them.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -19,9 +24,10 @@ use std::fmt::Write as _;
 /// error instead of a stack overflow.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value. Objects keep their fields in document order.
+/// A parsed JSON value, borrowing its unescaped strings from the text
+/// it was parsed from. Objects keep their fields in document order.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -31,15 +37,17 @@ pub enum Value {
     Uint(u64),
     /// Any other numeric literal.
     Num(f64),
-    /// A string (escapes resolved).
-    Str(String),
+    /// A string (escapes resolved): borrowed when the literal had no
+    /// escapes, owned otherwise.
+    Str(Cow<'a, str>),
     /// An array.
-    Array(Vec<Value>),
-    /// An object's `(key, value)` fields, in document order.
-    Object(Vec<(String, Value)>),
+    Array(Vec<Value<'a>>),
+    /// An object's `(key, value)` fields, in document order; keys
+    /// borrow or own as strings do.
+    Object(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// The value as a string slice, if a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -75,7 +83,7 @@ impl Value {
     }
 
     /// The elements, if an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub fn as_array(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Array(items) => Some(items),
             _ => None,
@@ -83,7 +91,7 @@ impl Value {
     }
 
     /// The `(key, value)` fields in document order, if an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+    pub fn as_object(&self) -> Option<&[(Cow<'a, str>, Value<'a>)]> {
         match self {
             Value::Object(fields) => Some(fields),
             _ => None,
@@ -115,7 +123,7 @@ impl std::error::Error for Error {}
 ///
 /// Returns [`Error`] for anything that is not exactly one JSON value,
 /// including truncated input and trailing content.
-pub fn parse(text: &str) -> Result<Value, Error> {
+pub fn parse(text: &str) -> Result<Value<'_>, Error> {
     let mut parser = Parser {
         text,
         at: 0,
@@ -166,6 +174,29 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// True for the bytes that end the unescaped part of a string: `"`,
+/// `\` and control characters.
+fn is_stop_byte(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+/// True if any byte of an 8-byte `word` is a stop byte, tested on all
+/// eight at once: for each byte `x`, `(x - n) & !x & 0x80` has its high
+/// bit set for the lowest byte below `n` (and no bit set when there is
+/// none), so `x < 0x20` and `x ^ c < 1` (`x == c`) are checked with a
+/// few word operations. Bytes of 0x80 and up never match, as in
+/// [`is_stop_byte`].
+fn has_stop_byte(word: &[u8]) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let x = u64::from_ne_bytes(word.try_into().unwrap_or_default());
+    let below = |x: u64, n: u64| x.wrapping_sub(ONES * n) & !x & HIGHS;
+    below(x ^ (ONES * u64::from(b'"')), 1)
+        | below(x ^ (ONES * u64::from(b'\\')), 1)
+        | below(x, 0x20)
+        != 0
+}
+
 /// A byte cursor over the input. It slices `text` only at ASCII bytes,
 /// so every slice starts and ends on a `char` boundary.
 struct Parser<'a> {
@@ -174,7 +205,7 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.at).copied()
     }
@@ -220,7 +251,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    fn value(&mut self) -> Result<Value<'a>, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'{') => self
@@ -270,7 +301,7 @@ impl Parser<'_> {
         Ok(items)
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, Error> {
+    fn literal(&mut self, word: &str, value: Value<'a>) -> Result<Value<'a>, Error> {
         if self.text[self.at..].starts_with(word) {
             self.at += word.len();
             Ok(value)
@@ -279,30 +310,56 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
+    /// Reads a string literal. The unescaped prefix is found by one
+    /// scan for the first `"`, `\` or control byte; a literal that ends
+    /// there is borrowed, and one with escapes is decoded into an owned
+    /// string run by run.
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.require(b'"')?;
+        let start = self.at;
+        self.skip_plain();
+        if self.peek() == Some(b'"') {
+            self.at += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.at - 1]));
+        }
         let mut out = String::new();
-        let mut run = self.at;
+        let mut run = start;
         loop {
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     out.push_str(&self.text[run..self.at]);
                     self.at += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     out.push_str(&self.text[run..self.at]);
                     self.at += 1;
                     out.push(self.escaped()?);
                     run = self.at;
+                    self.skip_plain();
                 }
-                Some(b) if b < 0x20 => {
-                    return Err(self.error("unescaped control character in string"))
-                }
-                Some(_) => self.at += 1,
+                Some(_) => return Err(self.error("unescaped control character in string")),
             }
         }
+    }
+
+    /// Advances past string bytes that need no decoding: everything but
+    /// `"`, `\` and control characters. Whole 8-byte words without
+    /// such a byte are skipped at once; the word holding one is then
+    /// scanned byte by byte.
+    fn skip_plain(&mut self) {
+        let rest = &self.text.as_bytes()[self.at..];
+        let plain_words = rest
+            .chunks_exact(8)
+            .take_while(|word| !has_stop_byte(word))
+            .count();
+        let tail = &rest[8 * plain_words..];
+        self.at += 8 * plain_words
+            + tail
+                .iter()
+                .position(|&b| is_stop_byte(b))
+                .unwrap_or(tail.len());
     }
 
     /// Decodes one escape; the cursor sits just past the backslash.
@@ -346,14 +403,15 @@ impl Parser<'_> {
     }
 
     fn digits(&mut self) -> usize {
-        let start = self.at;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        self.at - start
+        let n = self.text.as_bytes()[self.at..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        self.at += n;
+        n
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<Value<'a>, Error> {
         let start = self.at;
         let signed = self.eat(b'-');
         let int_digits = self.digits();
@@ -390,8 +448,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn str_value(s: &str) -> Value {
-        Value::Str(s.to_string())
+    fn str_value(s: &str) -> Value<'_> {
+        Value::Str(Cow::Borrowed(s))
     }
 
     #[test]
@@ -399,7 +457,7 @@ mod tests {
         let doc =
             parse(r#"{"n":null,"b":[true,false],"u":7,"f":-0.5,"s":"x","o":{}}"#).expect("parses");
         let fields = doc.as_object().expect("object");
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_ref()).collect();
         assert_eq!(keys, ["n", "b", "u", "f", "s", "o"]);
         assert_eq!(fields[0].1, Value::Null);
         assert_eq!(
@@ -446,6 +504,62 @@ mod tests {
     }
 
     #[test]
+    fn unescaped_text_is_borrowed_and_escaped_text_is_owned() {
+        let text = r#"{"plain":"cannon_lake/quiet","esc\naped":"a\"b","é":"☃"}"#;
+        let doc = parse(text).expect("parses");
+        let fields = doc.as_object().expect("object");
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        let kinds: Vec<(bool, bool)> = fields
+            .iter()
+            .map(|(k, v)| match v {
+                Value::Str(s) => (borrowed(k), borrowed(s)),
+                other => panic!("not a string: {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, [(true, true), (false, false), (true, true)]);
+        assert_eq!(fields[1].0, "esc\naped");
+        assert_eq!(fields[1].1.as_str(), Some("a\"b"));
+        // A borrowed string is a slice of the input, not a copy.
+        let Value::Str(Cow::Borrowed(plain)) = &fields[0].1 else {
+            unreachable!("checked above")
+        };
+        assert!(text.as_bytes().as_ptr_range().contains(&plain.as_ptr()));
+        // Error offsets after the scan are the byte-at-a-time ones.
+        assert_eq!(parse("\"abc").unwrap_err().at, 4);
+        assert_eq!(parse("\"ab\\nc\td\"").unwrap_err().at, 6);
+        assert_eq!(parse("\"ab\tc\"").unwrap_err().at, 3);
+    }
+
+    #[test]
+    fn word_scan_finds_the_first_stop_byte() {
+        // Every stop byte (and the bytes around the thresholds) at every
+        // offset of a 24-byte run, after plain ASCII and UTF-8 text.
+        let naive = |text: &str| text.bytes().position(is_stop_byte).unwrap_or(text.len());
+        let stops = ["\"", "\\", "\u{0}", "\u{1f}"];
+        let plain = ["a", " ", "!", "#", "[", "]", "é", "☃", "\u{7f}"];
+        for prefix in ["", "cannon_lake/", "héllo ☃ ", "x".repeat(17).as_str()] {
+            for stop in stops.iter().chain(&plain) {
+                for at in 0..24 {
+                    let text = format!("{prefix}{}{stop}{}", "b".repeat(at), "c".repeat(9));
+                    let mut parser = Parser {
+                        text: &text,
+                        at: 0,
+                        depth: 0,
+                    };
+                    parser.skip_plain();
+                    assert_eq!(parser.at, naive(&text), "{text:?}");
+                }
+            }
+        }
+        for b in 0..=255u8 {
+            assert_eq!(has_stop_byte(&[b; 8]), is_stop_byte(b), "byte {b:#x}");
+            let mut word = [b'a'; 8];
+            word[7] = b;
+            assert_eq!(has_stop_byte(&word), is_stop_byte(b), "last byte {b:#x}");
+        }
+    }
+
+    #[test]
     fn unicode_escapes_take_exactly_four_hex_digits() {
         for bad in [
             r#""\u+041""#,
@@ -472,7 +586,7 @@ mod tests {
         assert_eq!(
             doc,
             Value::Object(vec![(
-                "a".to_string(),
+                "a".into(),
                 Value::Array(vec![Value::Uint(1), Value::Uint(2)])
             )])
         );
@@ -550,7 +664,8 @@ mod tests {
             )
         ) {
             let s: String = codes.into_iter().filter_map(char::from_u32).collect();
-            prop_assert_eq!(parse(&format!("\"{}\"", escape(&s))), Ok(Value::Str(s)));
+            let quoted = format!("\"{}\"", escape(&s));
+            prop_assert_eq!(parse(&quoted), Ok(Value::Str(s.into())));
         }
     }
 }

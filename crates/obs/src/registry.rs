@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::{HistogramSnapshot, MetricsSnapshot};
 
@@ -130,8 +130,17 @@ pub struct MetricsRegistry {
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// Locks one of the registry's maps, poisoned or not. A thread that
+/// panics while holding the lock leaves the map whole: every critical
+/// section is one lookup, one insert of a fresh metric, a clear, or a
+/// read, so the next caller can go on using it, and telemetry never
+/// turns one failed trial into a second panic.
+fn locked<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn cell(map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>, name: &str) -> Arc<AtomicU64> {
-    let mut map = map.lock().expect("metrics registry lock");
+    let mut map = locked(map);
     if let Some(existing) = map.get(name) {
         return Arc::clone(existing);
     }
@@ -159,7 +168,7 @@ impl MetricsRegistry {
 
     /// The named histogram, created empty on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("metrics registry lock");
+        let mut map = locked(&self.histograms);
         if let Some(existing) = map.get(name) {
             return Arc::clone(existing);
         }
@@ -185,27 +194,20 @@ impl MetricsRegistry {
 
     /// Drops every metric.
     pub fn clear(&self) {
-        self.counters.lock().expect("metrics registry lock").clear();
-        self.gauges.lock().expect("metrics registry lock").clear();
-        self.histograms
-            .lock()
-            .expect("metrics registry lock")
-            .clear();
+        locked(&self.counters).clear();
+        locked(&self.gauges).clear();
+        locked(&self.histograms).clear();
     }
 
     /// Exports the current state of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>| {
-            map.lock()
-                .expect("metrics registry lock")
+            locked(map)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect::<BTreeMap<String, u64>>()
         };
-        let histograms = self
-            .histograms
-            .lock()
-            .expect("metrics registry lock")
+        let histograms = locked(&self.histograms)
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
@@ -278,6 +280,35 @@ mod tests {
         let snap = r.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.histograms.is_empty());
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_does_not_poison_the_registry() {
+        let r = MetricsRegistry::new();
+        r.add_counter("c", 1);
+        r.observe("h", 4);
+        let panicked = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = r.counters.lock();
+                    let _histograms = r.histograms.lock();
+                    panic!("telemetry site failed while holding the lock");
+                })
+                .join()
+        });
+        assert!(panicked.is_err());
+        assert!(r.counters.is_poisoned() && r.histograms.is_poisoned());
+        r.add_counter("c", 2);
+        r.add_counter("fresh", 5);
+        r.observe("h", 8);
+        r.gauge_max("g", 3);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["c"], 3);
+        assert_eq!(snap.counters["fresh"], 5);
+        assert_eq!(snap.histograms["h"].count, 2);
+        assert_eq!(snap.gauges["g"], 3);
+        r.clear();
+        assert!(r.snapshot().counters.is_empty());
     }
 
     #[test]

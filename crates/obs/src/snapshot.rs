@@ -15,6 +15,7 @@
 //! as identity, which the workspace pins with a proptest over shard
 //! splits (`tests/telemetry_invariance.rs`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -162,7 +163,7 @@ impl MetricsSnapshot {
         let mut schema = None;
         let mut snap = MetricsSnapshot::new();
         for (key, value) in object(&doc, "snapshot")? {
-            match key.as_str() {
+            match key.as_ref() {
                 "schema" => {
                     schema = Some(value.as_str().ok_or("snapshot schema is not a string")?);
                 }
@@ -191,7 +192,10 @@ fn render_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
-fn object<'a>(value: &'a Value, what: &str) -> Result<&'a [(String, Value)], String> {
+fn object<'v, 'a>(
+    value: &'v Value<'a>,
+    what: &str,
+) -> Result<&'v [(Cow<'a, str>, Value<'a>)], String> {
     value
         .as_object()
         .ok_or_else(|| format!("{what:?} is not an object"))
@@ -211,14 +215,14 @@ fn named<T>(
 ) -> Result<BTreeMap<String, T>, String> {
     object(value, what)?
         .iter()
-        .map(|(name, v)| Ok((name.clone(), read(v, name)?)))
+        .map(|(name, v)| Ok((name.to_string(), read(v, name)?)))
         .collect()
 }
 
 fn histogram(value: &Value, name: &str) -> Result<HistogramSnapshot, String> {
     let mut h = HistogramSnapshot::default();
     for (key, value) in object(value, name)? {
-        match key.as_str() {
+        match key.as_ref() {
             "count" => h.count = uint(value, key)?,
             "sum" => h.sum = uint(value, key)?,
             "min" => h.min = uint(value, key)?,

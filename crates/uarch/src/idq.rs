@@ -18,7 +18,6 @@
 
 use crate::counters::PerfCounters;
 use crate::ipc::{ISSUE_WIDTH, THROTTLE_WINDOW_CYCLES};
-use crate::isa::InstClass;
 
 /// Identifies one of the (up to two) SMT hardware threads of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,28 +43,22 @@ pub enum ThrottlePolicy {
     PerThreadPhiOnly,
 }
 
-/// Per-thread input state: what the thread is currently trying to issue.
+/// Per-thread input state: whether the thread is trying to issue. The
+/// baseline gate blocks every thread alike, so the class of its uops
+/// does not enter the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadDemand {
-    /// Class of the uops at the head of this thread's IDQ partition.
-    pub class: InstClass,
     /// Whether the thread has uops ready to deliver this cycle.
     pub active: bool,
 }
 
 impl ThreadDemand {
     /// An idle thread (nothing to deliver).
-    pub const IDLE: ThreadDemand = ThreadDemand {
-        class: InstClass::Scalar64,
-        active: false,
-    };
+    pub const IDLE: ThreadDemand = ThreadDemand { active: false };
 
-    /// A thread continuously issuing uops of `class`.
-    pub const fn busy(class: InstClass) -> ThreadDemand {
-        ThreadDemand {
-            class,
-            active: true,
-        }
+    /// A thread continuously issuing uops.
+    pub const fn busy() -> ThreadDemand {
+        ThreadDemand { active: true }
     }
 }
 
@@ -94,13 +87,12 @@ impl DeliveryResult {
 ///
 /// ```
 /// use ichannels_uarch::idq::{Idq, ThreadDemand};
-/// use ichannels_uarch::isa::InstClass;
 ///
 /// let mut idq = Idq::new();
 /// idq.set_throttled(true);
 /// let mut delivered = 0;
 /// for _ in 0..400 {
-///     let r = idq.cycle(ThreadDemand::busy(InstClass::Heavy256), ThreadDemand::IDLE);
+///     let r = idq.cycle(ThreadDemand::busy(), ThreadDemand::IDLE);
 ///     delivered += r.total();
 /// }
 /// // Throttled: only ~1 in 4 cycles delivers → ~25% of 400*4 slots.
@@ -256,7 +248,7 @@ mod tests {
     #[test]
     fn unthrottled_single_thread_gets_full_width() {
         let mut idq = Idq::new();
-        let r = idq.cycle(ThreadDemand::busy(InstClass::Scalar64), ThreadDemand::IDLE);
+        let r = idq.cycle(ThreadDemand::busy(), ThreadDemand::IDLE);
         assert_eq!(r.t0_uops, ISSUE_WIDTH);
         assert_eq!(r.t1_uops, 0);
         assert!(!r.gate_blocked);
@@ -269,7 +261,7 @@ mod tests {
         let mut delivered_cycles = 0;
         let n = 4000;
         for _ in 0..n {
-            let r = idq.cycle(ThreadDemand::busy(InstClass::Heavy256), ThreadDemand::IDLE);
+            let r = idq.cycle(ThreadDemand::busy(), ThreadDemand::IDLE);
             if r.total() > 0 {
                 delivered_cycles += 1;
             }
@@ -283,7 +275,7 @@ mod tests {
         let mut idq = Idq::new();
         idq.set_throttled(true);
         let frac = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Heavy256),
+            ThreadDemand::busy(),
             ThreadDemand::IDLE,
             10_000,
             SmtId::T0,
@@ -293,7 +285,7 @@ mod tests {
         // Unthrottled iteration: ~0% undelivered.
         let mut idq = Idq::new();
         let frac = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Heavy256),
+            ThreadDemand::busy(),
             ThreadDemand::IDLE,
             10_000,
             SmtId::T0,
@@ -308,8 +300,8 @@ mod tests {
         let mut idq = Idq::new();
         idq.set_throttled(true);
         let frac_sibling = idq.run_normalized_undelivered(
-            ThreadDemand::busy(InstClass::Heavy256),
-            ThreadDemand::busy(InstClass::Scalar64),
+            ThreadDemand::busy(),
+            ThreadDemand::busy(),
             10_000,
             SmtId::T1,
         );
@@ -325,10 +317,7 @@ mod tests {
         let mut t0 = 0u64;
         let mut t1 = 0u64;
         for _ in 0..1000 {
-            let r = idq.cycle(
-                ThreadDemand::busy(InstClass::Scalar64),
-                ThreadDemand::busy(InstClass::Scalar64),
-            );
+            let r = idq.cycle(ThreadDemand::busy(), ThreadDemand::busy());
             t0 += u64::from(r.t0_uops);
             t1 += u64::from(r.t1_uops);
         }
@@ -339,7 +328,7 @@ mod tests {
     #[test]
     fn counters_reset() {
         let mut idq = Idq::new();
-        idq.cycle(ThreadDemand::busy(InstClass::Scalar64), ThreadDemand::IDLE);
+        idq.cycle(ThreadDemand::busy(), ThreadDemand::IDLE);
         assert!(idq.counters(SmtId::T0).cpu_clk_unhalted > 0);
         idq.reset_counters();
         assert_eq!(idq.counters(SmtId::T0).cpu_clk_unhalted, 0);

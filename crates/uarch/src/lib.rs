@@ -24,12 +24,11 @@
 //!
 //! ```
 //! use ichannels_uarch::idq::{Idq, SmtId, ThreadDemand};
-//! use ichannels_uarch::isa::InstClass;
 //!
 //! let mut idq = Idq::new();
 //! idq.set_throttled(true);
 //! let frac = idq.run_normalized_undelivered(
-//!     ThreadDemand::busy(InstClass::Heavy256),
+//!     ThreadDemand::busy(),
 //!     ThreadDemand::IDLE,
 //!     10_000,
 //!     SmtId::T0,
