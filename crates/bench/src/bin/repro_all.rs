@@ -26,6 +26,24 @@ use ichannels_lab::campaigns;
 use ichannels_lab::report::summarize_rows;
 use ichannels_lab::Executor;
 
+/// Runs the figure and table harnesses in paper order, stopping at
+/// the first that fails.
+fn run_figures(quick: bool) -> Result<(), String> {
+    use ichannels_bench::figs;
+    figs::fig06::run(quick)?;
+    figs::fig07::run(quick)?;
+    figs::fig08::run(quick)?;
+    figs::fig09::run(quick)?;
+    figs::fig10::run(quick)?;
+    figs::fig11::run(quick)?;
+    figs::fig12::run(quick)?;
+    figs::fig13::run(quick)?;
+    figs::fig14::run(quick)?;
+    figs::table1::run(quick)?;
+    figs::table2::run(quick)?;
+    figs::ablation::run(quick)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -51,19 +69,10 @@ fn main() -> ExitCode {
         "IChannels (ISCA 2021) full reproduction{}",
         if quick { " (quick mode)" } else { "" }
     );
-    use ichannels_bench::figs;
-    figs::fig06::run(quick);
-    figs::fig07::run(quick);
-    figs::fig08::run(quick);
-    figs::fig09::run(quick);
-    figs::fig10::run(quick);
-    let _ = figs::fig11::run(quick);
-    let _ = figs::fig12::run(quick);
-    let _ = figs::fig13::run(quick);
-    figs::fig14::run(quick);
-    let _ = figs::table1::run(quick);
-    let _ = figs::table2::run(quick);
-    figs::ablation::run(quick);
+    if let Err(e) = run_figures(quick) {
+        eprintln!("  FAILED: {e}");
+        return ExitCode::FAILURE;
+    }
 
     let results_dir = ichannels_bench::results_dir();
     let mut trial_streams: Vec<(String, std::path::PathBuf)> = Vec::new();

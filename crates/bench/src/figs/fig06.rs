@@ -29,7 +29,11 @@ fn series_csv(run: &TraceRun) -> CsvTable {
 }
 
 /// Runs the Figure 6(a) experiment; returns (series CSV, step summary).
-pub fn run_avx2_steps(quick: bool) -> (CsvTable, Vec<(String, f64)>) {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_avx2_steps(quick: bool) -> Result<(CsvTable, Vec<(String, f64)>), String> {
     banner("Figure 6(a): Vcc steps under staggered multi-core AVX2 @ 2 GHz");
     let scale = if quick { 0.1 } else { 1.0 };
     let t = |s: f64| SimTime::from_secs(s * scale);
@@ -105,12 +109,12 @@ pub fn run_avx2_steps(quick: bool) -> (CsvTable, Vec<(String, f64)>) {
             st.after
         );
     }
-    write_csv(&csv, "fig06a_vcc_steps.csv");
-    (csv, steps)
+    write_csv(&csv, "fig06a_vcc_steps.csv")?;
+    Ok((csv, steps))
 }
 
 /// Runs the Figure 6(b) calculix-like experiment; returns the series.
-fn run_calculix(quick: bool) -> CsvTable {
+fn run_calculix(quick: bool) -> Result<CsvTable, String> {
     banner("Figure 6(b): Vcc tracking 454.calculix-like AVX2 phases");
     let total = if quick {
         SimTime::from_secs(0.3)
@@ -136,12 +140,17 @@ fn run_calculix(quick: bool) -> CsvTable {
         "  peak Vcc delta: {vmax:.2} mV over {} samples",
         run.trace.len()
     );
-    write_csv(&csv, "fig06b_calculix.csv");
-    csv
+    write_csv(&csv, "fig06b_calculix.csv")?;
+    Ok(csv)
 }
 
 /// Runs both Figure 6 experiments.
-pub fn run(quick: bool) {
-    let _ = run_avx2_steps(quick);
-    let _ = run_calculix(quick);
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run(quick: bool) -> Result<(), String> {
+    run_avx2_steps(quick)?;
+    run_calculix(quick)?;
+    Ok(())
 }

@@ -85,7 +85,11 @@ fn to_row(record: &TrialRecord, system_prefix: &str) -> OperatingPoint {
 }
 
 /// Runs Figure 7(a); returns the operating-point table.
-pub fn run_limits(_quick: bool) -> Vec<OperatingPoint> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_limits(_quick: bool) -> Result<Vec<OperatingPoint>, String> {
     banner("Figure 7(a): Vccmax/Iccmax protection — projected operating points");
     let executor = Executor::auto();
     let mut rows: Vec<OperatingPoint> = executor
@@ -131,8 +135,8 @@ pub fn run_limits(_quick: bool) -> Vec<OperatingPoint> {
             r.violation.clone().unwrap_or_else(|| "-".to_string()),
         ]);
     }
-    write_csv(&csv, "fig07a_limits.csv");
-    rows
+    write_csv(&csv, "fig07a_limits.csv")?;
+    Ok(rows)
 }
 
 /// Phase summary row for Figure 7(b).
@@ -149,7 +153,11 @@ pub struct PhasePoint {
 }
 
 /// Runs Figure 7(b); returns per-phase midpoint summaries.
-pub fn run_phases(quick: bool) -> Vec<PhasePoint> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_phases(quick: bool) -> Result<Vec<PhasePoint>, String> {
     banner("Figure 7(b): Non-AVX → AVX2 → AVX512 at the performance governor (mobile)");
     // Long phases (2 s each in full mode) let the RC thermal model show
     // the paper's 58–62 °C band — and that it never approaches Tjmax.
@@ -181,7 +189,7 @@ pub fn run_phases(quick: bool) -> Vec<PhasePoint> {
             s.temp_c,
         ]);
     }
-    write_csv(&csv, "fig07b_phases.csv");
+    write_csv(&csv, "fig07b_phases.csv")?;
 
     let mut rows = Vec::new();
     for (k, label) in [(0.5, "Non-AVX"), (1.5, "AVX2"), (2.5, "AVX512")] {
@@ -205,11 +213,16 @@ pub fn run_phases(quick: bool) -> Vec<PhasePoint> {
             r.phase, r.freq_ghz, r.icc_a, r.temp_c
         );
     }
-    rows
+    Ok(rows)
 }
 
 /// Runs both parts of Figure 7.
-pub fn run(quick: bool) {
-    let _ = run_limits(quick);
-    let _ = run_phases(quick);
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run(quick: bool) -> Result<(), String> {
+    run_limits(quick)?;
+    run_phases(quick)?;
+    Ok(())
 }

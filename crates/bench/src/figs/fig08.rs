@@ -18,7 +18,7 @@ use ichannels_meter::stats::summarize_samples;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::Freq;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +49,11 @@ fn measurement_noise_us(record: &TrialRecord) -> f64 {
 }
 
 /// Runs the Figure 8(a) TP distributions (AVX2 loop, many trials).
-pub fn run_distributions(quick: bool) -> Vec<TpDistribution> {
+///
+/// # Errors
+///
+/// A platform whose TPs cannot be summarized, or a failed CSV write.
+pub fn run_distributions(quick: bool) -> Result<Vec<TpDistribution>, String> {
     banner("Figure 8(a): AVX2 throttling-period distribution per platform");
     let trials = if quick { 8 } else { 50 };
     let platforms = [
@@ -82,10 +86,7 @@ pub fn run_distributions(quick: bool) -> Vec<TpDistribution> {
         for (i, tp) in tps.iter().enumerate() {
             csv.push_row([spec.name.to_string(), i.to_string(), format!("{tp:.4}")]);
         }
-        // lint:allow(R001): one TP per trial is asserted above, and
-        // `max(0.0)` maps a NaN probe to 0, so the series is non-empty
-        // and finite.
-        let s = summarize_samples(&tps).expect("one finite TP per trial");
+        let s = summarize_samples(&tps).map_err(|e| format!("{} TPs: {e}", spec.name))?;
         println!(
             "  {:<24} TP = {:>6.2} ± {:>4.2} µs  (min {:.2}, max {:.2}, {} trials @ {})",
             spec.name, s.mean, s.std_dev, s.min, s.max, trials, freq
@@ -98,8 +99,8 @@ pub fn run_distributions(quick: bool) -> Vec<TpDistribution> {
             max_us: s.max,
         });
     }
-    write_csv(&csv, "fig08a_tp_distribution.csv");
-    out
+    write_csv(&csv, "fig08a_tp_distribution.csv")?;
+    Ok(out)
 }
 
 /// First-iteration deltas for one platform (Figure 8(b,c)).
@@ -112,7 +113,11 @@ pub struct IterationDeltas {
 }
 
 /// Runs the Figure 8(b,c) power-gate wake measurement.
-pub fn run_power_gate(_quick: bool) -> Vec<IterationDeltas> {
+///
+/// # Errors
+///
+/// An iteration cell the grid did not run.
+pub fn run_power_gate(_quick: bool) -> Result<Vec<IterationDeltas>, String> {
     banner("Figure 8(b,c): first-iteration power-gate wake penalty");
     let platforms = [PlatformId::CoffeeLake, PlatformId::Haswell];
     let grid = Grid::new()
@@ -128,25 +133,20 @@ pub fn run_power_gate(_quick: bool) -> Vec<IterationDeltas> {
 
     let mut out = Vec::new();
     for platform in platforms {
-        let duration_us = |iter: u8| {
-            records
-                .iter()
-                .find(|r| {
-                    r.scenario.platform == platform
-                        && r.scenario.channel
-                            == ChannelSelect::Probe(ProbeKind::GateIteration { iter })
-                })
-                .expect("grid covers every iteration")
-                .metrics
-                .probe_value
-        };
-        let steady = duration_us(2);
-        let deltas = [
-            (duration_us(0) - steady) * 1e3,
-            (duration_us(1) - steady) * 1e3,
-            (duration_us(2) - steady) * 1e3,
-        ];
         let name = platform.spec().name;
+        let duration_us = |iter: u8| {
+            let channel = ChannelSelect::Probe(ProbeKind::GateIteration { iter });
+            find_cell(&records, &format!("{name} iteration {iter}"), |s| {
+                s.platform == platform && s.channel == channel
+            })
+            .map(|r| r.metrics.probe_value)
+        };
+        let steady = duration_us(2)?;
+        let deltas = [
+            (duration_us(0)? - steady) * 1e3,
+            (duration_us(1)? - steady) * 1e3,
+            (duration_us(2)? - steady) * 1e3,
+        ];
         println!(
             "  {:<24} iteration deltas vs steady-state: {:+.1} ns, {:+.1} ns, {:+.1} ns",
             name, deltas[0], deltas[1], deltas[2]
@@ -163,11 +163,16 @@ pub fn run_power_gate(_quick: bool) -> Vec<IterationDeltas> {
         "  gate wake ({wake_ns} ns) / throttling period ({tp_us} µs) = {:.2}% (paper: ~0.1%)",
         wake_ns / (tp_us * 1000.0) * 100.0
     );
-    out
+    Ok(out)
 }
 
 /// Runs both parts of Figure 8.
-pub fn run(quick: bool) {
-    let _ = run_distributions(quick);
-    let _ = run_power_gate(quick);
+///
+/// # Errors
+///
+/// What [`run_distributions`] or [`run_power_gate`] returns.
+pub fn run(quick: bool) -> Result<(), String> {
+    run_distributions(quick)?;
+    run_power_gate(quick)?;
+    Ok(())
 }

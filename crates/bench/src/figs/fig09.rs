@@ -19,7 +19,7 @@ use ichannels_uarch::time::SimTime;
 
 use crate::{banner, write_csv};
 
-fn timeline(run: &TraceRun, label: &str, csv_name: &str) -> CsvTable {
+fn timeline(run: &TraceRun, label: &str, csv_name: &str) -> Result<CsvTable, String> {
     let mut csv = CsvTable::new(["time_us", "ipc", "freq_ghz", "vcc_delta_mv", "throttled"]);
     for s in run.trace.samples() {
         csv.push_floats([
@@ -48,12 +48,17 @@ fn timeline(run: &TraceRun, label: &str, csv_name: &str) -> CsvTable {
         ),
         _ => println!("  {label}: no throttling observed"),
     }
-    write_csv(&csv, csv_name);
-    csv
+    write_csv(&csv, csv_name)?;
+    Ok(csv)
 }
 
 /// Runs the three Figure 9 panels.
-pub fn run(_quick: bool) {
+///
+/// # Errors
+///
+/// A failed CSV write, or a Cannon Lake preset without an AVX power
+/// gate.
+pub fn run(_quick: bool) -> Result<(), String> {
     banner("Figure 9: AVX2 PHI timelines on Cannon Lake");
     let burst = || TraceProgram::Burst {
         class: InstClass::Heavy256,
@@ -84,12 +89,12 @@ pub fn run(_quick: bool) {
         &runs[0],
         "(a) 1.4 GHz (di/dt guardband ramp)",
         "fig09a_guardband.csv",
-    );
+    )?;
 
     // (b) ns zoom: the power-gate wake.
     let wake = PlatformSpec::cannon_lake()
         .avx_pg_wake
-        .expect("cannon lake has an AVX power gate");
+        .ok_or_else(|| "the Cannon Lake preset has no AVX power gate".to_string())?;
     println!(
         "  (b) AVX power-gate staggered wake: {} (~0.1% of the {}-µs TP)",
         wake, 12
@@ -99,5 +104,6 @@ pub fn run(_quick: bool) {
         &runs[1],
         "(c) turbo (P-state transition)",
         "fig09c_pstate.csv",
-    );
+    )?;
+    Ok(())
 }

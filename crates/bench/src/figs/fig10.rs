@@ -18,11 +18,15 @@ use ichannels_meter::export::CsvTable;
 use ichannels_meter::stats::distinct_levels;
 use ichannels_uarch::isa::InstClass;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 
 /// Runs Figure 10(a): TP per class × frequency × core count.
 /// Returns `(class, freq_ghz, cores, tp_us)` rows.
-pub fn run_sweep(_quick: bool) -> Vec<(InstClass, f64, usize, f64)> {
+///
+/// # Errors
+///
+/// A cell the grid did not run, or a failed CSV write.
+pub fn run_sweep(_quick: bool) -> Result<Vec<(InstClass, f64, usize, f64)>, String> {
     banner("Figure 10(a): throttling period vs class, frequency, core count");
     let mut channels = Vec::new();
     for class in InstClass::ALL {
@@ -36,15 +40,11 @@ pub fn run_sweep(_quick: bool) -> Vec<(InstClass, f64, usize, f64)> {
         .base_seed(0x10A);
     let records = Executor::auto().run(&grid.scenarios());
     let tp_of = |class: InstClass, cores: u8, ghz: f64| {
-        records
-            .iter()
-            .find(|r| {
-                r.scenario.freq_ghz == Some(ghz)
-                    && r.scenario.channel == ChannelSelect::Probe(ProbeKind::Tp { class, cores })
-            })
-            .expect("grid covers every cell")
-            .metrics
-            .probe_value
+        let channel = ChannelSelect::Probe(ProbeKind::Tp { class, cores });
+        find_cell(&records, &format!("{class} x{cores} @ {ghz} GHz"), |s| {
+            s.freq_ghz == Some(ghz) && s.channel == channel
+        })
+        .map(|r| r.metrics.probe_value)
     };
 
     let mut rows = Vec::new();
@@ -58,7 +58,7 @@ pub fn run_sweep(_quick: bool) -> Vec<(InstClass, f64, usize, f64)> {
         let mut line = format!("  {:<12}", class.to_string());
         for cores in [1usize, 2] {
             for ghz in [1.0, 1.2, 1.4] {
-                let tp = tp_of(class, cores as u8, ghz);
+                let tp = tp_of(class, cores as u8, ghz)?;
                 rows.push((class, ghz, cores, tp));
                 csv.push_row([
                     class.to_string(),
@@ -72,13 +72,17 @@ pub fn run_sweep(_quick: bool) -> Vec<(InstClass, f64, usize, f64)> {
         }
         println!("{line}");
     }
-    write_csv(&csv, "fig10a_tp_sweep.csv");
-    rows
+    write_csv(&csv, "fig10a_tp_sweep.csv")?;
+    Ok(rows)
 }
 
 /// Runs Figure 10(b): TP of 512b-Heavy after each preceding class.
 /// Returns `(preceding_class, tp_us)` pairs.
-pub fn run_preceded(_quick: bool) -> Vec<(InstClass, f64)> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_preceded(_quick: bool) -> Result<Vec<(InstClass, f64)>, String> {
     banner("Figure 10(b): 512b-Heavy TP vs preceding instruction class (1.4 GHz)");
     let grid = Grid::new()
         .channels(
@@ -106,12 +110,17 @@ pub fn run_preceded(_quick: bool) -> Vec<(InstClass, f64)> {
     let tps: Vec<f64> = rows.iter().map(|(_, t)| *t).collect();
     let levels = distinct_levels(&tps, 0.5);
     println!("  distinct throttling levels (0.5 µs tolerance): {levels} (paper: ≥5)");
-    write_csv(&csv, "fig10b_preceded.csv");
-    rows
+    write_csv(&csv, "fig10b_preceded.csv")?;
+    Ok(rows)
 }
 
 /// Runs both parts of Figure 10.
-pub fn run(quick: bool) {
-    let _ = run_sweep(quick);
-    let _ = run_preceded(quick);
+///
+/// # Errors
+///
+/// What [`run_sweep`] or [`run_preceded`] returns.
+pub fn run(quick: bool) -> Result<(), String> {
+    run_sweep(quick)?;
+    run_preceded(quick)?;
+    Ok(())
 }

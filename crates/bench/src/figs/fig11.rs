@@ -30,7 +30,12 @@ const fn condition_label(cond: IdqCondition) -> &'static str {
 
 /// Runs the Figure 11(a) distributions via the cycle-accurate IDQ model.
 /// Returns `(throttled_mean, unthrottled_mean, sibling_mean)`.
-pub fn run(quick: bool) -> (f64, f64, f64) {
+///
+/// # Errors
+///
+/// A condition whose values cannot be summarized, or a failed CSV
+/// write.
+pub fn run(quick: bool) -> Result<(f64, f64, f64), String> {
     banner("Figure 11: normalized undelivered uops, throttled vs unthrottled");
     let windows = if quick { 50 } else { 500 };
 
@@ -64,9 +69,10 @@ pub fn run(quick: bool) -> (f64, f64, f64) {
                 format!("{v:.4}"),
             ]);
         }
-        // lint:allow(R001): one value per window is asserted above, and
-        // the IDQ model's undelivered fraction is always finite.
-        means.push(summarize_samples(&values).expect("one finite value per window"));
+        means.push(
+            summarize_samples(&values)
+                .map_err(|e| format!("{} windows: {e}", condition_label(cond)))?,
+        );
     }
     let (st, su, ss) = (means[0], means[1], means[2]);
     println!(
@@ -82,6 +88,6 @@ pub fn run(quick: bool) -> (f64, f64, f64) {
         ss.mean, ss.std_dev
     );
     println!("  window pattern: deliver on 1 cycle, block 3, per 4-cycle window (Fig. 11(b))");
-    write_csv(&csv, "fig11_idq_undelivered.csv");
-    (st.mean, su.mean, ss.mean)
+    write_csv(&csv, "fig11_idq_undelivered.csv")?;
+    Ok((st.mean, su.mean, ss.mean))
 }

@@ -15,7 +15,7 @@ use ichannels_lab::scenario::{BaselineKind, ChannelSelect};
 use ichannels_lab::{campaigns, Executor};
 use ichannels_meter::export::CsvTable;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 
 /// Measured throughput of one channel.
 #[derive(Debug, Clone)]
@@ -29,7 +29,11 @@ pub struct Throughput {
 }
 
 /// Runs both panels; returns all measured throughputs.
-pub fn run(quick: bool) -> Vec<Throughput> {
+///
+/// # Errors
+///
+/// A channel the grid did not run, or a failed CSV write.
+pub fn run(quick: bool) -> Result<Vec<Throughput>, String> {
     banner("Figure 12: channel throughput vs state of the art");
     let n = if quick { 12 } else { 40 };
 
@@ -59,8 +63,11 @@ pub fn run(quick: bool) -> Vec<Throughput> {
     assert_eq!(out.len(), channels.len(), "one record per channel");
 
     // Report.
-    let find = |n: &str| out.iter().find(|t| t.name == n).expect("present");
-    let icc = find("IccSMTcovert").bps;
+    let bps = |name: &str| {
+        find_cell(&report.records, name, |s| s.channel.label() == name)
+            .map(|r| r.metrics.throughput_bps)
+    };
+    let icc = bps("IccSMTcovert")?;
     println!(
         "  {:<16} {:>12} {:>8} {:>10}",
         "channel", "bits/s", "BER", "IChannels×"
@@ -79,14 +86,14 @@ pub fn run(quick: bool) -> Vec<Throughput> {
             format!("{ratio:.1}"),
         ]);
     }
-    let ns_ratio = find("IccThreadCovert").bps / find("NetSpectre").bps;
+    let ns_ratio = bps("IccThreadCovert")? / bps("NetSpectre")?;
     println!("  IccThreadCovert / NetSpectre = {ns_ratio:.2}x (paper: 2x)");
     println!(
         "  IccSMT / DFScovert = {:.0}x, / TurboCC = {:.0}x, / POWERT = {:.0}x (paper: 145x/47x/24x)",
-        icc / find("DFScovert").bps,
-        icc / find("TurboCC").bps,
-        icc / find("POWERT").bps
+        icc / bps("DFScovert")?,
+        icc / bps("TurboCC")?,
+        icc / bps("POWERT")?
     );
-    write_csv(&csv, "fig12_throughput.csv");
-    out
+    write_csv(&csv, "fig12_throughput.csv")?;
+    Ok(out)
 }

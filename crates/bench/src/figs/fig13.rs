@@ -30,7 +30,12 @@ pub struct LevelCluster {
 
 /// Runs the Figure 13 experiment; returns the four clusters and the
 /// minimum separation.
-pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
+///
+/// # Errors
+///
+/// A level whose durations cannot be summarized, or a failed CSV
+/// write.
+pub fn run(quick: bool) -> Result<(Vec<LevelCluster>, f64), String> {
     banner("Figure 13: receiver TP distribution per level (low-noise system)");
     let reps = if quick { 10 } else { 100 };
     // "relatively low noise (interrupt and context-switch rates below
@@ -65,9 +70,10 @@ pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
                 format!("{d:.0}"),
             ]);
         }
-        // lint:allow(R001): one duration per trial is asserted above; a
-        // failed probe's NaN stops the figure rather than skew a cluster.
-        let sum = summarize_samples(&durations).expect("one finite duration per trial");
+        // A failed probe's NaN stops the figure rather than skew a
+        // cluster.
+        let sum = summarize_samples(&durations)
+            .map_err(|e| format!("L{} durations: {e}", 4 - s.value()))?;
         println!(
             "  L{} (bits {}): {:>8.0} ± {:>5.0} cycles  [{:.0}, {:.0}]",
             4 - s.value(),
@@ -86,6 +92,6 @@ pub fn run(quick: bool) -> (Vec<LevelCluster>, f64) {
     let means: Vec<f64> = clusters.iter().map(|c| c.mean_cycles).collect();
     let min_sep = min_separation(&means);
     println!("  minimum level separation: {min_sep:.0} cycles (paper: > 2000)");
-    write_csv(&csv, "fig13_tp_distribution.csv");
-    (clusters, min_sep)
+    write_csv(&csv, "fig13_tp_distribution.csv")?;
+    Ok((clusters, min_sep))
 }

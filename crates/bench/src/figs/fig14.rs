@@ -21,7 +21,11 @@ use crate::{banner, write_csv};
 
 /// Runs Figure 14(a): BER vs OS-event rate. Returns
 /// `(kind, rate, ber)` rows.
-pub fn run_event_noise(quick: bool) -> Vec<(String, f64, f64)> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_event_noise(quick: bool) -> Result<Vec<(String, f64, f64)>, String> {
     banner("Figure 14(a): BER vs interrupt / context-switch rate");
     let n = if quick { 40 } else { 250 };
     let rates = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
@@ -62,13 +66,17 @@ pub fn run_event_noise(quick: bool) -> Vec<(String, f64, f64)> {
         }
         println!();
     }
-    write_csv(&csv, "fig14a_ber_vs_event_rate.csv");
-    rows
+    write_csv(&csv, "fig14a_ber_vs_event_rate.csv")?;
+    Ok(rows)
 }
 
 /// Runs Figure 14(b): the App-PHI × ICh-PHI error matrix. Returns the
 /// per-cell symbol error rates (`[app_level][channel_level]`).
-pub fn run_error_matrix(quick: bool) -> Vec<Vec<f64>> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_error_matrix(quick: bool) -> Result<Vec<Vec<f64>>, String> {
     banner("Figure 14(b): App-PHI level vs ICh-PHI level error matrix");
     let reps = if quick { 8 } else { 25 };
     // App level and channel level are two grid axes: the interfering
@@ -123,12 +131,16 @@ pub fn run_error_matrix(quick: bool) -> Vec<Vec<f64>> {
         matrix.push(row);
     }
     println!("  (paper: errors concentrate where the app level exceeds the channel level)");
-    write_csv(&csv, "fig14b_error_matrix.csv");
-    matrix
+    write_csv(&csv, "fig14b_error_matrix.csv")?;
+    Ok(matrix)
 }
 
 /// Runs Figure 14(c): BER vs App-PHI rate. Returns `(rate, ber)` rows.
-pub fn run_app_rate(quick: bool) -> Vec<(f64, f64)> {
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run_app_rate(quick: bool) -> Result<Vec<(f64, f64)>, String> {
     banner("Figure 14(c): BER vs concurrent App-PHI injection rate");
     let n = if quick { 40 } else { 200 };
     let rates = [10.0, 100.0, 1_000.0, 10_000.0];
@@ -158,8 +170,8 @@ pub fn run_app_rate(quick: bool) -> Vec<(f64, f64)> {
         csv.push_row([format!("{rate}"), format!("{ber:.4}")]);
         rows.push((*rate, ber));
     }
-    write_csv(&csv, "fig14c_ber_vs_app_rate.csv");
-    rows
+    write_csv(&csv, "fig14c_ber_vs_app_rate.csv")?;
+    Ok(rows)
 }
 
 /// Runs the §6.3 7-zip experiment; returns the measured BER.
@@ -190,9 +202,14 @@ pub fn run_sevenzip(quick: bool) -> f64 {
 }
 
 /// Runs all Figure 14 parts.
-pub fn run(quick: bool) {
-    let _ = run_event_noise(quick);
-    let _ = run_error_matrix(quick);
-    let _ = run_app_rate(quick);
-    let _ = run_sevenzip(quick);
+///
+/// # Errors
+///
+/// A failed CSV write.
+pub fn run(quick: bool) -> Result<(), String> {
+    run_event_noise(quick)?;
+    run_error_matrix(quick)?;
+    run_app_rate(quick)?;
+    run_sevenzip(quick);
+    Ok(())
 }

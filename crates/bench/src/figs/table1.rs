@@ -15,7 +15,7 @@ use ichannels_meter::export::CsvTable;
 use ichannels_soc::config::PlatformSpec;
 use ichannels_uarch::isa::InstClass;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 
 /// One Table 1 cell, measured through the campaign engine.
 #[derive(Debug, Clone)]
@@ -35,7 +35,11 @@ pub struct Table1Cell {
 }
 
 /// Runs the full 3×3 Table 1 evaluation on the campaign engine.
-pub fn run(quick: bool) -> Vec<Table1Cell> {
+///
+/// # Errors
+///
+/// A cell the grid did not run, or a failed CSV write.
+pub fn run(quick: bool) -> Result<Vec<Table1Cell>, String> {
     banner("Table 1: mitigation effectiveness and overhead");
     // Quick mode still needs ≥32 symbols: below that the Miller–Madow
     // correction leaves enough residual MI on a dead channel to blur
@@ -61,15 +65,10 @@ pub fn run(quick: bool) -> Vec<Table1Cell> {
     let records = Executor::auto().run(&grid.scenarios());
 
     let cell = |kind: ChannelKind, set: &[Mitigation]| {
-        records
-            .iter()
-            .find(|r| {
-                matches!(
-                    r.scenario.channel,
-                    ichannels_lab::ChannelSelect::Icc(k) if k == kind
-                ) && r.scenario.mitigations == set
-            })
-            .expect("grid covers every cell")
+        let name = set.first().map_or("unmitigated", |m| m.name());
+        find_cell(&records, &format!("{} {name}", kind.name()), |s| {
+            s.channel == ichannels_lab::ChannelSelect::Icc(kind) && s.mitigations == set
+        })
     };
 
     let mut outcomes = Vec::new();
@@ -89,8 +88,8 @@ pub fn run(quick: bool) -> Vec<Table1Cell> {
     for mitigation in Mitigation::ALL {
         let mut cells = Vec::new();
         for kind in kinds {
-            let baseline = cell(kind, &[]);
-            let mitigated = cell(kind, &[mitigation]);
+            let baseline = cell(kind, &[])?;
+            let mitigated = cell(kind, &[mitigation])?;
             let effectiveness = classify_capacity(
                 mitigated.metrics.capacity_bps,
                 baseline.metrics.capacity_bps,
@@ -130,6 +129,6 @@ pub fn run(quick: bool) -> Vec<Table1Cell> {
         secure_mode_power_overhead(&p, InstClass::Heavy256) * 100.0,
         secure_mode_power_overhead(&p, InstClass::Heavy512) * 100.0
     );
-    write_csv(&csv, "table1_mitigations.csv");
-    outcomes
+    write_csv(&csv, "table1_mitigations.csv")?;
+    Ok(outcomes)
 }

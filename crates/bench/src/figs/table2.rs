@@ -8,7 +8,7 @@ use ichannels_lab::scenario::{BaselineKind, ChannelSelect};
 use ichannels_lab::{campaigns, Executor};
 use ichannels_meter::export::CsvTable;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 
 /// One comparison row.
 #[derive(Debug, Clone)]
@@ -36,7 +36,11 @@ pub struct ComparisonRow {
 }
 
 /// Runs the comparison (re-measuring bandwidths); returns the rows.
-pub fn run(quick: bool) -> Vec<ComparisonRow> {
+///
+/// # Errors
+///
+/// A channel the grid did not run, or a failed CSV write.
+pub fn run(quick: bool) -> Result<Vec<ComparisonRow>, String> {
     banner("Table 2: comparison with state-of-the-art covert channels");
     let n = if quick { 12 } else { 40 };
     let grid = campaigns::channel_shootout(
@@ -50,12 +54,8 @@ pub fn run(quick: bool) -> Vec<ComparisonRow> {
     );
     let report = campaigns::run("table2_comparison", &grid, Executor::auto());
     let bw = |name: &str| {
-        report
-            .records
-            .iter()
-            .find(|r| r.scenario.channel.label() == name)
+        find_cell(&report.records, name, |s| s.channel.label() == name)
             .map(|r| r.metrics.throughput_bps)
-            .unwrap_or(0.0)
     };
     let rows = vec![
         ComparisonRow {
@@ -63,7 +63,7 @@ pub fn run(quick: bool) -> Vec<ComparisonRow> {
             same_core: true,
             cross_smt: false,
             cross_core: false,
-            bw_bps: bw("NetSpectre"),
+            bw_bps: bw("NetSpectre")?,
             privilege: "U",
             mechanism: "Single-level thread throttling",
             turbo_independent: true,
@@ -75,7 +75,7 @@ pub fn run(quick: bool) -> Vec<ComparisonRow> {
             same_core: false,
             cross_smt: false,
             cross_core: true,
-            bw_bps: bw("TurboCC"),
+            bw_bps: bw("TurboCC")?,
             privilege: "K",
             mechanism: "Turbo frequency change",
             turbo_independent: false,
@@ -87,7 +87,7 @@ pub fn run(quick: bool) -> Vec<ComparisonRow> {
             same_core: true,
             cross_smt: true,
             cross_core: true,
-            bw_bps: bw("IccSMTcovert"),
+            bw_bps: bw("IccSMTcovert")?,
             privilege: "U",
             mechanism: "Multi-level thread, SMT, and core (VR) throttling",
             turbo_independent: true,
@@ -139,6 +139,6 @@ pub fn run(quick: bool) -> Vec<ComparisonRow> {
             tick(r.mitigations).to_string(),
         ]);
     }
-    write_csv(&csv, "table2_comparison.csv");
-    rows
+    write_csv(&csv, "table2_comparison.csv")?;
+    Ok(rows)
 }

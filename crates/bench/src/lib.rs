@@ -1,10 +1,12 @@
 //! # `ichannels-bench` — the paper-regeneration harness
 //!
 //! One module per evaluation artifact of the IChannels paper. Each
-//! module exposes `run(quick)`, which the `repro_all` binary calls in
-//! sequence (`cargo run -p ichannels-bench --bin repro_all`).
-//! `quick = true` shrinks trial counts for smoke tests; the binary
-//! defaults to full fidelity.
+//! module exposes `run(quick)`, which returns a `Result` and which the
+//! `repro_all` binary calls in sequence, stopping at the first error
+//! (`cargo run -p ichannels-bench --bin repro_all`). An error is a
+//! `String`: a CSV that could not be written, or a grid cell the
+//! harness needs that the grid did not run. `quick = true` shrinks
+//! trial counts for smoke tests; the binary defaults to full fidelity.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -25,6 +27,7 @@
 pub mod figs;
 
 use ichannels_analysis::AnalysisConfig;
+use ichannels_lab::{Scenario, TrialRecord};
 use ichannels_meter::export::CsvTable;
 use std::path::{Path, PathBuf};
 
@@ -39,12 +42,35 @@ pub fn results_dir() -> PathBuf {
 /// Writes a table under the results dir and logs the path. A missing
 /// results directory is created by [`CsvTable::write_to`] (it creates
 /// every parent of the target path).
-pub fn write_csv(table: &CsvTable, name: &str) {
+///
+/// # Errors
+///
+/// The `io::Error` of the write, with the path it failed on.
+pub fn write_csv(table: &CsvTable, name: &str) -> Result<(), String> {
     let path = results_dir().join(name);
-    match table.write_to(&path) {
-        Ok(()) => println!("  wrote {} ({} rows)", path.display(), table.len()),
-        Err(e) => eprintln!("  FAILED to write {}: {e}", path.display()),
-    }
+    table
+        .write_to(&path)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("  wrote {} ({} rows)", path.display(), table.len());
+    Ok(())
+}
+
+/// The first record whose scenario `matches`. A grid drops the cells
+/// its platform cannot host, so a harness treats a cell it needs as
+/// possibly missing.
+///
+/// # Errors
+///
+/// Names the missing `cell` when no record matches.
+pub(crate) fn find_cell<'r>(
+    records: &'r [TrialRecord],
+    cell: &str,
+    matches: impl Fn(&Scenario) -> bool,
+) -> Result<&'r TrialRecord, String> {
+    records
+        .iter()
+        .find(|r| matches(&r.scenario))
+        .ok_or_else(|| format!("the grid ran no {cell} cell"))
 }
 
 /// Prints a banner for one artifact.
@@ -120,5 +146,16 @@ fn print_analysis_summary(report: &ichannels_analysis::CampaignAnalysis) {
             top.max_value,
             top.max_mean
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_cell_is_an_error_naming_it() {
+        let err = find_cell(&[], "NetSpectre", |_| true).expect_err("no records");
+        assert_eq!(err, "the grid ran no NetSpectre cell");
     }
 }

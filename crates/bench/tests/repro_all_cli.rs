@@ -181,3 +181,26 @@ fn bad_arguments_exit_2_and_write_nothing() {
     }
     assert!(!dir.exists(), "rejected runs must not write results");
 }
+
+#[test]
+fn an_unwritable_results_dir_stops_at_the_first_csv() {
+    // A results directory under a regular file cannot be created, so
+    // Figure 6's first CSV fails: the run must stop there, with one
+    // FAILED line, instead of reporting every later write.
+    let dir = temp_dir("unwritable");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let blocker = dir.join("not_a_dir");
+    std::fs::write(&blocker, "").expect("regular file");
+    let out = repro_all(&blocker.join("results"), &["--quick"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stderr = stderr_of(&out);
+    assert!(!out.status.success(), "an unwritable results dir exited 0");
+    let failed = stdout
+        .lines()
+        .chain(stderr.lines())
+        .filter(|l| l.contains("FAILED"))
+        .count();
+    assert_eq!(failed, 1, "{stdout}{stderr}");
+    assert!(!stdout.contains("Figure 7"), "{stdout}");
+}

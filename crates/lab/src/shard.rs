@@ -182,13 +182,25 @@ pub fn parse_header_line(line: &str) -> Option<(String, ShardSpec, usize)> {
 pub fn header_from_fields(
     fields: &[(Cow<'_, str>, Value<'_>)],
 ) -> Option<(String, ShardSpec, usize)> {
+    read_header(fields)?.ok()
+}
+
+/// The one reader of the shard-header schema: `None` when a header
+/// field is absent or mistyped, `Some(Err)` when the fields are there
+/// but name an invalid [`ShardSpec`].
+fn read_header(
+    fields: &[(Cow<'_, str>, Value<'_>)],
+) -> Option<Result<(String, ShardSpec, usize), ShardSpecError>> {
     let campaign = field(fields, "shard_campaign")
         .and_then(Value::as_str)?
         .to_string();
     let uint = |key: &str| field(fields, key).and_then(Value::as_u64);
-    let spec = ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize).ok()?;
+    let spec = match ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize) {
+        Ok(spec) => spec,
+        Err(e) => return Some(Err(e)),
+    };
     let total = uint("shard_total")? as usize;
-    Some((campaign, spec, total))
+    Some(Ok((campaign, spec, total)))
 }
 
 /// One reloaded shard output: the header plus its trial rows in shard
@@ -297,23 +309,11 @@ impl ShardStream {
     /// unparseable trial line.
     pub fn parse(source: &str, text: &str) -> Result<Self, MergeError> {
         let mut lines = text.lines();
-        let header = lines
+        let (campaign, spec, total) = lines
             .next()
-            .ok_or_else(|| MergeError::MissingHeader(source.to_string()))?;
-        let fields =
-            parse_jsonl_line(header).map_err(|_| MergeError::MissingHeader(source.to_string()))?;
-        let campaign = field(&fields, "shard_campaign")
-            .and_then(Value::as_str)
+            .and_then(|header| read_header(&parse_jsonl_line(header).ok()?))
             .ok_or_else(|| MergeError::MissingHeader(source.to_string()))?
-            .to_string();
-        let uint = |key: &str| {
-            field(&fields, key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| MergeError::MissingHeader(source.to_string()))
-        };
-        let spec = ShardSpec::new(uint("shard_index")? as usize, uint("shard_count")? as usize)
             .map_err(|e| MergeError::InconsistentHeaders(e.to_string()))?;
-        let total = uint("shard_total")? as usize;
         let mut rows = Vec::new();
         for (i, line) in lines.enumerate() {
             rows.push(TrialRow::parse(line).map_err(|message| MergeError::BadRow {

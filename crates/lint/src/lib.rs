@@ -21,19 +21,17 @@
 //! | R003 | `pub fn`/`pub const`/`pub static` no other file references |
 //!
 //! Findings are suppressible only via an inline justification
-//! (`// lint:allow(D001): reason`), and `lint_baseline.json`
-//! grandfathers existing counts per (rule, file) while failing CI on
-//! any increase — the ratchet. `docs/LINTS.md` documents every rule,
-//! the suppression syntax, and the ratchet workflow.
+//! (`// lint:allow(D001): reason`). There is no baseline: any
+//! unsuppressed finding of any rule fails the check.
+//! `docs/LINTS.md` documents every rule and the suppression syntax.
 //!
 //! One dependency, `ichannels-obs`, which has none of its own: the
-//! baseline and report JSON go through its shared reader and escaper
-//! (`ichannels_obs::json`); the scanner, rules, and report rendering
-//! are hand-rolled here.
+//! JSON report's strings go through its escaper
+//! (`ichannels_obs::json::escape`); the lint reads no JSON. The
+//! scanner, rules, and report rendering are hand-rolled here.
 
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod report;
 pub mod rules;
 pub mod scanner;
@@ -41,7 +39,6 @@ pub mod scanner;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use baseline::{count_findings, Baseline};
 use report::Report;
 use rules::{run_rules, unreferenced_pub};
 use scanner::{scan_str, SourceFile};
@@ -172,23 +169,21 @@ pub fn scan_references(root: &Path) -> io::Result<Vec<SourceFile>> {
     scan_paths(root, reference_sources(root)?)
 }
 
-/// Runs the full check: scan, rules, baseline comparison.
+/// Runs the full check: scan, then every rule.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the workspace scan.
-pub fn check(root: &Path, baseline: &Baseline) -> io::Result<Report> {
+pub fn check(root: &Path) -> io::Result<Report> {
     let files = scan_workspace(root)?;
     let mut findings = Vec::new();
     for file in &files {
         findings.extend(run_rules(file));
     }
     findings.extend(unreferenced_pub(&files, &scan_references(root)?));
-    let ratchet = baseline.compare(&count_findings(&findings));
     Ok(Report {
         files_scanned: files.len(),
         findings,
-        ratchet,
     })
 }
 

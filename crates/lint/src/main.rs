@@ -1,36 +1,27 @@
 //! The `lint` CLI: `cargo run -p ichannels-lint -- check [flags]`.
 //!
-//! Exit codes: 0 clean, 1 baseline regression or broken suppression,
-//! 2 usage/IO error.
+//! Exit codes: 0 clean, 1 any unsuppressed finding, 2 usage/IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ichannels_lint::baseline::{count_findings, Baseline};
 use ichannels_lint::{check, find_workspace_root};
 
 const USAGE: &str = "\
-usage: lint check [--json] [--out FILE] [--root DIR] [--baseline FILE]
-                  [--ratchet-down] [--write-baseline]
+usage: lint check [--json] [--out FILE] [--root DIR]
 
-  check            scan the workspace and compare against the baseline
+  check            scan the workspace; fail on any unsuppressed finding
   --json           print the JSON report to stdout instead of the summary
   --out FILE       additionally write the JSON report to FILE
   --root DIR       workspace root (default: ascend from the current dir)
-  --baseline FILE  baseline path (default: <root>/lint_baseline.json)
-  --ratchet-down   rewrite the baseline when counts dropped (never raises)
-  --write-baseline re-bless the baseline from this scan (maintainer only)
 
-Rules, suppression syntax (`// lint:allow(RULE): reason`), and the
-ratchet workflow are documented in docs/LINTS.md.";
+Rules and the suppression syntax (`// lint:allow(RULE): reason`) are
+documented in docs/LINTS.md.";
 
 struct Args {
     json: bool,
     out: Option<PathBuf>,
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    ratchet_down: bool,
-    write_baseline: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -38,23 +29,18 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: false,
         out: None,
         root: None,
-        baseline: None,
-        ratchet_down: false,
-        write_baseline: false,
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => args.json = true,
-            "--ratchet-down" => args.ratchet_down = true,
-            "--write-baseline" => args.write_baseline = true,
-            "--out" | "--root" | "--baseline" => {
+            "--out" | "--root" => {
                 let value = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
                 let path = PathBuf::from(value);
-                match arg.as_str() {
-                    "--out" => args.out = Some(path),
-                    "--root" => args.root = Some(path),
-                    _ => args.baseline = Some(path),
+                if arg == "--out" {
+                    args.out = Some(path);
+                } else {
+                    args.root = Some(path);
                 }
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -95,28 +81,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .unwrap_or_else(|| root.join("lint_baseline.json"));
-    let baseline = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path).and_then(|t| Baseline::parse(&t)) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else if args.write_baseline {
-        Baseline::default()
-    } else {
-        eprintln!(
-            "{}: missing baseline — run `lint check --write-baseline` once to seed it",
-            baseline_path.display()
-        );
-        return ExitCode::from(2);
-    };
 
-    let report = match check(&root, &baseline) {
+    let report = match check(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("scan failed: {e}");
@@ -139,39 +105,11 @@ fn main() -> ExitCode {
     if args.json {
         print!("{}", report.render_json());
     } else {
-        print!("{}", report.render_human(&baseline));
+        print!("{}", report.render_human());
     }
-
-    let counts = count_findings(&report.findings);
-    if args.write_baseline {
-        // Re-bless: record exactly this scan. Deliberate policy
-        // changes only — the ratchet exists so this stays rare.
-        if let Err(e) = std::fs::write(&baseline_path, Baseline::from_counts(&counts).to_json()) {
-            eprintln!("cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("baseline re-blessed at {}", baseline_path.display());
-        return if report.has_broken_allows() {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
+    if report.clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-    if !report.clean() {
-        return ExitCode::FAILURE;
-    }
-    if args.ratchet_down && !report.ratchet.improvements.is_empty() {
-        // Counts only ever go down here: regressions already failed
-        // above, so this rewrite cannot raise any entry.
-        if let Err(e) = std::fs::write(&baseline_path, Baseline::from_counts(&counts).to_json()) {
-            eprintln!("cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "baseline ratcheted down at {} ({} entries improved)",
-            baseline_path.display(),
-            report.ratchet.improvements.len()
-        );
-    }
-    ExitCode::SUCCESS
 }

@@ -5,11 +5,10 @@ use std::fmt::Write as _;
 
 use ichannels_obs::json::escape;
 
-use crate::baseline::{Baseline, Delta, Ratchet};
 use crate::rules::{Finding, RuleId};
 
 /// Schema tag of the JSON report.
-const REPORT_SCHEMA: &str = "ichannels-lint-report-v1";
+const REPORT_SCHEMA: &str = "ichannels-lint-report-v2";
 
 /// Everything one `check` run produced.
 #[derive(Debug, Clone)]
@@ -18,22 +17,17 @@ pub struct Report {
     pub files_scanned: usize,
     /// Every finding (including suppressed ones, for audit).
     pub findings: Vec<Finding>,
-    /// The scan-vs-baseline comparison.
-    pub ratchet: Ratchet,
 }
 
 impl Report {
-    /// True when CI should pass: no count above its grandfathered
-    /// baseline and no broken suppression.
+    /// True when CI should pass: no unsuppressed finding of any rule.
     pub fn clean(&self) -> bool {
-        self.ratchet.regressions.is_empty() && !self.has_broken_allows()
+        self.active().next().is_none()
     }
 
-    /// True when any `lint:allow` was malformed or unjustified.
-    pub fn has_broken_allows(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.rule == RuleId::L001 && !f.suppressed)
+    /// The unsuppressed findings, in scan order.
+    fn active(&self) -> impl Iterator<Item = &Finding> {
+        self.findings.iter().filter(|f| !f.suppressed)
     }
 
     /// (active, suppressed) finding totals per rule, in rule order.
@@ -41,11 +35,7 @@ impl Report {
         RuleId::ALL
             .iter()
             .map(|&rule| {
-                let active = self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == rule && !f.suppressed)
-                    .count();
+                let active = self.active().filter(|f| f.rule == rule).count();
                 let suppressed = self
                     .findings
                     .iter()
@@ -56,81 +46,43 @@ impl Report {
             .collect()
     }
 
-    /// The human summary. Grandfathered findings are totalled, not
-    /// listed — only regressions (and broken suppressions) print line
-    /// detail, so a clean run stays a short table.
-    pub fn render_human(&self, baseline: &Baseline) -> String {
+    /// The human summary: per-rule totals, then every active finding
+    /// with its line.
+    pub fn render_human(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "ichannels-lint: scanned {} files", self.files_scanned);
-        let _ = writeln!(out, "  rule  active  suppressed  baseline  summary");
+        let _ = writeln!(out, "  rule  active  suppressed  summary");
         for (rule, active, suppressed) in self.totals() {
             let _ = writeln!(
                 out,
-                "  {:<5} {:>6} {:>11} {:>9}  {}",
+                "  {:<5} {:>6} {:>11}  {}",
                 rule.name(),
                 active,
                 suppressed,
-                baseline.total(rule),
                 rule.summary()
             );
         }
-        if self.has_broken_allows() {
+        if self.clean() {
+            let _ = writeln!(out, "\nOK: no active finding");
+            return out;
+        }
+        let _ = writeln!(out, "\nactive findings:");
+        for f in self.active() {
             let _ = writeln!(
                 out,
-                "\nbroken suppressions (fix the comment, L001 is never grandfathered):"
-            );
-            for f in self.findings.iter().filter(|f| f.rule == RuleId::L001) {
-                let _ = writeln!(out, "  {}:{}: {}", f.path, f.line, f.message);
-            }
-        }
-        if self.ratchet.regressions.is_empty() {
-            if !self.has_broken_allows() {
-                let _ = writeln!(
-                    out,
-                    "\nOK: no (rule, file) count exceeds lint_baseline.json"
-                );
-            }
-            if !self.ratchet.improvements.is_empty() {
-                let _ = writeln!(
-                    out,
-                    "{} (rule, file) count(s) are below baseline — run `check --ratchet-down` \
-                     to lock in the improvement",
-                    self.ratchet.improvements.len()
-                );
-            }
-        } else {
-            let _ = writeln!(out, "\nbaseline regressions:");
-            for delta in &self.ratchet.regressions {
-                let _ = writeln!(
-                    out,
-                    "  {} in {}: {} found, {} grandfathered",
-                    delta.rule.name(),
-                    delta.path,
-                    delta.found,
-                    delta.baseline
-                );
-                for f in self
-                    .findings
-                    .iter()
-                    .filter(|f| f.rule == delta.rule && f.path == delta.path && !f.suppressed)
-                {
-                    let _ = writeln!(out, "    line {}: {}", f.line, f.excerpt);
-                }
-                if let Some(f) = self
-                    .findings
-                    .iter()
-                    .find(|f| f.rule == delta.rule && f.path == delta.path)
-                {
-                    let _ = writeln!(out, "    -> {}", f.message);
-                }
-            }
-            let _ = writeln!(
-                out,
-                "\nFAIL: fix the site, justify it with `// lint:allow(RULE): reason`, \
-                 or (for deliberate policy changes) re-bless via `check --write-baseline` \
-                 (see docs/LINTS.md)"
+                "  {} {}:{}: {}\n    -> {}",
+                f.rule.name(),
+                f.path,
+                f.line,
+                f.excerpt,
+                f.message
             );
         }
+        let _ = writeln!(
+            out,
+            "\nFAIL: fix the site or justify it with `// lint:allow(RULE): reason` \
+             (see docs/LINTS.md)"
+        );
         out
     }
 
@@ -145,17 +97,6 @@ impl Report {
                 rule.name()
             )
         }));
-        let deltas = |deltas: &[Delta]| {
-            json_lines(deltas.iter().map(|d| {
-                format!(
-                    "{{\"rule\": \"{}\", \"path\": \"{}\", \"found\": {}, \"baseline\": {}}}",
-                    d.rule.name(),
-                    escape(&d.path),
-                    d.found,
-                    d.baseline
-                )
-            }))
-        };
         let findings = json_lines(findings.iter().map(|f| {
             format!(
                 "{{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
@@ -170,12 +111,9 @@ impl Report {
         }));
         format!(
             "{{\n  \"schema\": \"{REPORT_SCHEMA}\",\n  \"files_scanned\": {},\n  \"status\": \"{}\",\n  \
-             \"totals\": {{{totals}\n  }},\n  \"regressions\": [{}\n  ],\n  \
-             \"improvements\": [{}\n  ],\n  \"findings\": [{findings}\n  ]\n}}\n",
+             \"totals\": {{{totals}\n  }},\n  \"findings\": [{findings}\n  ]\n}}\n",
             self.files_scanned,
-            if self.clean() { "clean" } else { "regressions" },
-            deltas(&self.ratchet.regressions),
-            deltas(&self.ratchet.improvements),
+            if self.clean() { "clean" } else { "fail" },
         )
     }
 }
@@ -191,54 +129,52 @@ fn json_lines(items: impl Iterator<Item = String>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::count_findings;
     use crate::rules::run_rules;
     use crate::scanner::scan_str;
 
-    fn report_for(src: &str, baseline: &Baseline) -> Report {
-        let findings = run_rules(&scan_str("crates/core/src/x.rs", src));
-        let ratchet = baseline.compare(&count_findings(&findings));
+    fn report_for(src: &str) -> Report {
         Report {
             files_scanned: 1,
-            findings,
-            ratchet,
+            findings: run_rules(&scan_str("crates/core/src/x.rs", src)),
         }
     }
 
     #[test]
     fn clean_report_is_short_and_regressions_carry_detail() {
-        let empty = Baseline::default();
-        let clean = report_for("let x = 1;\n", &empty);
+        let clean = report_for("let x = 1;\n");
         assert!(clean.clean());
-        assert!(clean.render_human(&empty).contains("OK: no (rule, file)"));
+        assert!(clean.render_human().contains("OK: no active finding"));
 
-        let dirty = report_for("x.unwrap();\n", &empty);
+        let dirty = report_for("x.unwrap();\n");
         assert!(!dirty.clean());
-        let human = dirty.render_human(&empty);
-        assert!(human.contains("R001 in crates/core/src/x.rs: 1 found, 0 grandfathered"));
-        assert!(human.contains("line 1: x.unwrap();"));
+        let human = dirty.render_human();
+        assert!(human.contains("R001 crates/core/src/x.rs:1: x.unwrap();"));
+        assert!(human.contains("FAIL"));
     }
 
     #[test]
     fn json_report_is_deterministic_and_tagged() {
-        let empty = Baseline::default();
-        let r = report_for(
-            "x.unwrap();\nlet m: std::collections::HashMap<u8, u8>;\n",
-            &empty,
-        );
+        let r = report_for("x.unwrap();\nlet m: std::collections::HashMap<u8, u8>;\n");
         let a = r.render_json();
         let b = r.render_json();
         assert_eq!(a, b);
         assert!(a.contains(REPORT_SCHEMA));
-        assert!(a.contains("\"status\": \"regressions\""));
+        assert!(a.contains("\"status\": \"fail\""));
         assert!(a.contains("\"rule\": \"D001\""));
+        assert!(!a.contains("regressions"));
     }
 
     #[test]
     fn broken_allow_fails_even_with_empty_baseline() {
-        let empty = Baseline::default();
-        let r = report_for("let a = 1; // lint:allow(R001)\n", &empty);
+        let r = report_for("let a = 1; // lint:allow(R001)\n");
         assert!(!r.clean());
-        assert!(r.render_human(&empty).contains("broken suppressions"));
+        assert!(r.render_human().contains("L001 crates/core/src/x.rs:1:"));
+    }
+
+    #[test]
+    fn suppressed_findings_are_listed_in_json_but_do_not_fail() {
+        let r = report_for("// lint:allow(R001): fixture\nx.unwrap();\n");
+        assert!(r.clean(), "{:#?}", r.findings);
+        assert!(r.render_json().contains("\"suppressed\": true"));
     }
 }

@@ -1,13 +1,12 @@
 //! Fixture corpus: every rule has a positive fixture (must fire) and a
-//! negative one (must stay silent), plus a suppression fixture and a
-//! ratchet-regression case. The fixtures live under `tests/fixtures/`
-//! as plain `.rs` files scanned under a synthetic output-crate path, so
-//! adding a hazard pattern is a one-file change.
+//! negative one (must stay silent), plus a suppression fixture. The
+//! fixtures live under `tests/fixtures/` as plain `.rs` files scanned
+//! under a synthetic output-crate path, so adding a hazard pattern is a
+//! one-file change.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use ichannels_lint::baseline::{count_findings, Baseline};
 use ichannels_lint::rules::{run_rules, Finding, RuleId};
 use ichannels_lint::scanner::scan_str;
 
@@ -122,40 +121,6 @@ fn suppression_fixture_counts_nothing_but_stays_auditable() {
     // unwrap it sits on.
     assert_eq!(active(&findings, RuleId::L001), 1);
     assert_eq!(active(&findings, RuleId::R001), 1);
-    // Suppressed findings never enter the ratchet counts.
-    let counts = count_findings(&findings);
-    assert!(!counts.keys().any(|(r, _)| *r == RuleId::D001));
-}
-
-#[test]
-fn ratchet_regression_case() {
-    // Grandfather the positive fixture's R001 count, then "edit" the
-    // file to add one more unwrap: the ratchet must fail on exactly
-    // that (rule, file) pair, and removing one must register as an
-    // improvement eligible for --ratchet-down.
-    let path = "crates/core/src/r001_positive.rs";
-    let original = fixture("r001_positive.rs");
-    let base_counts = count_findings(&run_rules(&scan_str(path, &original)));
-    let baseline = Baseline::from_counts(&base_counts);
-
-    let grown = format!("{original}\nfn extra() {{ Some(1).unwrap(); }}\n");
-    let grown_counts = count_findings(&run_rules(&scan_str(path, &grown)));
-    let ratchet = baseline.compare(&grown_counts);
-    assert_eq!(ratchet.regressions.len(), 1, "{ratchet:#?}");
-    assert_eq!(ratchet.regressions[0].rule, RuleId::R001);
-    assert_eq!(ratchet.regressions[0].path, path);
-
-    let shrunk = original.replacen(".unwrap()", ".unwrap_or_default()", 1);
-    let shrunk_counts = count_findings(&run_rules(&scan_str(path, &shrunk)));
-    let down = baseline.compare(&shrunk_counts);
-    assert!(down.regressions.is_empty(), "{down:#?}");
-    assert_eq!(down.improvements.len(), 1);
-    // --ratchet-down locks the lower count in.
-    let rewritten = Baseline::from_counts(&shrunk_counts);
-    assert_eq!(
-        rewritten.allowed(RuleId::R001, path),
-        baseline.allowed(RuleId::R001, path) - 1
-    );
 }
 
 #[test]

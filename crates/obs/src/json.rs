@@ -3,9 +3,9 @@
 //!
 //! [`parse`] reads one RFC 8259 document into a [`Value`] tree; callers
 //! impose their schema by walking the tree (trial rows in
-//! `ichannels_meter::parse`, [`crate::MetricsSnapshot::parse`], the
-//! lint baseline). The tree borrows from the input: a string or object
-//! key without escapes is a [`Cow::Borrowed`] slice of the text, and
+//! `ichannels_meter::parse`, [`crate::MetricsSnapshot::parse`]). The
+//! tree borrows from the input: a string or object key without
+//! escapes is a [`Cow::Borrowed`] slice of the text, and
 //! only one with escapes is decoded into an owned `String`, so reading
 //! a trial row allocates the field vector and nothing per field. A
 //! literal of plain digits that fits a `u64` parses to [`Value::Uint`]

@@ -90,18 +90,18 @@ fn golden_figure_outputs_match() {
     // (single #[test] touching it), so there is no cross-test race.
     std::env::set_var("ICHANNELS_RESULTS", &out);
 
-    figs::fig06::run(true);
-    figs::fig07::run(true);
-    figs::fig08::run(true);
-    figs::fig09::run(true);
-    figs::fig10::run(true);
-    figs::fig11::run(true);
-    let _ = figs::fig12::run(true);
-    let _ = figs::fig13::run(true);
-    figs::fig14::run(true);
-    let _ = figs::table1::run(true);
-    let _ = figs::table2::run(true);
-    figs::ablation::run(true);
+    figs::fig06::run(true).expect("harness runs");
+    figs::fig07::run(true).expect("harness runs");
+    figs::fig08::run(true).expect("harness runs");
+    figs::fig09::run(true).expect("harness runs");
+    figs::fig10::run(true).expect("harness runs");
+    figs::fig11::run(true).expect("harness runs");
+    figs::fig12::run(true).expect("harness runs");
+    figs::fig13::run(true).expect("harness runs");
+    figs::fig14::run(true).expect("harness runs");
+    figs::table1::run(true).expect("harness runs");
+    figs::table2::run(true).expect("harness runs");
+    figs::ablation::run(true).expect("harness runs");
     // The same writer `campaign` and `repro_all` use.
     for (name, grid) in campaigns::catalog(true) {
         campaigns::run_to_dir(name, &grid, Executor::auto(), &out, Default::default())

@@ -6,7 +6,7 @@ use ichannels_bench::figs;
 
 #[test]
 fn fig06_vcc_steps_and_flat_frequency() {
-    let (_csv, steps) = figs::fig06::run_avx2_steps(true);
+    let (_csv, steps) = figs::fig06::run_avx2_steps(true).expect("harness runs");
     let get = |name: &str| {
         steps
             .iter()
@@ -24,7 +24,7 @@ fn fig06_vcc_steps_and_flat_frequency() {
 
 #[test]
 fn fig07_limit_violations_match_paper() {
-    let rows = figs::fig07::run_limits(true);
+    let rows = figs::fig07::run_limits(true).expect("harness runs");
     let find = |sys: &str, wl: &str| {
         rows.iter()
             .find(|r| r.system.contains(sys) && r.workload == wl)
@@ -51,7 +51,7 @@ fn fig07_limit_violations_match_paper() {
 
 #[test]
 fn fig07_phases_step_down_and_stay_cool() {
-    let rows = figs::fig07::run_phases(true);
+    let rows = figs::fig07::run_phases(true).expect("harness runs");
     assert_eq!(rows.len(), 3);
     assert!(rows[0].freq_ghz > rows[1].freq_ghz);
     assert!(rows[1].freq_ghz > rows[2].freq_ghz);
@@ -62,7 +62,7 @@ fn fig07_phases_step_down_and_stay_cool() {
 
 #[test]
 fn fig08_tp_ordering_and_gate_wake() {
-    let dists = figs::fig08::run_distributions(true);
+    let dists = figs::fig08::run_distributions(true).expect("harness runs");
     let tp = |name: &str| {
         dists
             .iter()
@@ -75,7 +75,7 @@ fn fig08_tp_ordering_and_gate_wake() {
     assert!((7.0..11.0).contains(&tp("Haswell")), "{}", tp("Haswell"));
     assert!((11.0..17.0).contains(&tp("Coffee")), "{}", tp("Coffee"));
 
-    let deltas = figs::fig08::run_power_gate(true);
+    let deltas = figs::fig08::run_power_gate(true).expect("harness runs");
     let first = |name: &str| {
         deltas
             .iter()
@@ -94,7 +94,7 @@ fn fig08_tp_ordering_and_gate_wake() {
 
 #[test]
 fn fig10_multilevel_and_preceded() {
-    let sweep = figs::fig10::run_sweep(true);
+    let sweep = figs::fig10::run_sweep(true).expect("harness runs");
     // TP grows with frequency for a fixed class/core count.
     let tp = |ghz: f64, cores: usize, rank: u8| {
         sweep
@@ -107,7 +107,7 @@ fn fig10_multilevel_and_preceded() {
     // TP grows with core count (exacerbation).
     assert!(tp(1.0, 2, 4) > tp(1.0, 1, 4) * 1.5);
     // Preceded experiment: monotone decreasing, ≥5 levels.
-    let preceded = figs::fig10::run_preceded(true);
+    let preceded = figs::fig10::run_preceded(true).expect("harness runs");
     for w in preceded.windows(2) {
         assert!(w[1].1 <= w[0].1 + 1e-6);
     }
@@ -115,7 +115,7 @@ fn fig10_multilevel_and_preceded() {
 
 #[test]
 fn fig11_idq_fractions() {
-    let (throttled, unthrottled, sibling) = figs::fig11::run(true);
+    let (throttled, unthrottled, sibling) = figs::fig11::run(true).expect("harness runs");
     assert!((throttled - 0.75).abs() < 0.01);
     assert!(unthrottled < 0.01);
     assert!((sibling - 0.75).abs() < 0.01);
@@ -123,7 +123,7 @@ fn fig11_idq_fractions() {
 
 #[test]
 fn fig13_levels_are_separable() {
-    let (clusters, min_sep) = figs::fig13::run(true);
+    let (clusters, min_sep) = figs::fig13::run(true).expect("harness runs");
     assert_eq!(clusters.len(), 4);
     // >~2k cycles separation (quick mode tolerates slightly less).
     assert!(min_sep > 1500.0, "separation = {min_sep}");
@@ -132,7 +132,7 @@ fn fig13_levels_are_separable() {
 #[test]
 fn fig14_noise_shapes() {
     // (a) BER grows with event rate but stays moderate at low rates.
-    let rows = figs::fig14::run_event_noise(true);
+    let rows = figs::fig14::run_event_noise(true).expect("harness runs");
     let ber_at = |kind: &str, rate: f64| {
         rows.iter()
             .find(|(k, r, _)| k == kind && *r == rate)
@@ -142,7 +142,7 @@ fn fig14_noise_shapes() {
     assert!(ber_at("interrupts", 10.0) < 0.02);
     assert!(ber_at("interrupts", 10_000.0) > ber_at("interrupts", 100.0));
     // (c) BER grows with App-PHI rate.
-    let rows = figs::fig14::run_app_rate(true);
+    let rows = figs::fig14::run_app_rate(true).expect("harness runs");
     assert!(rows.last().unwrap().1 >= rows.first().unwrap().1);
     // 7-zip: BER < 0.07 (§6.3).
     let ber = figs::fig14::run_sevenzip(true);
@@ -151,7 +151,7 @@ fn fig14_noise_shapes() {
 
 #[test]
 fn fig14_error_matrix_is_lower_triangular() {
-    let m = figs::fig14::run_error_matrix(true);
+    let m = figs::fig14::run_error_matrix(true).expect("harness runs");
     // Diagonal and upper triangle (app level ≤ channel level in paper
     // terms: app symbol ≤ ich symbol) stay clean; at least one cell
     // where the app exceeds the channel level shows errors.
@@ -170,7 +170,7 @@ fn fig14_error_matrix_is_lower_triangular() {
 
 #[test]
 fn fig12_ratios_match_paper_through_the_engine() {
-    let rows = figs::fig12::run(true);
+    let rows = figs::fig12::run(true).expect("harness runs");
     let bps = |name: &str| {
         rows.iter()
             .find(|t| t.name == name)
@@ -195,7 +195,7 @@ fn fig12_ratios_match_paper_through_the_engine() {
 fn table1_verdicts_match_paper_through_the_engine() {
     use ichannels_repro::ichannels::channel::ChannelKind;
     use ichannels_repro::ichannels::mitigations::{Effectiveness, Mitigation};
-    let cells = figs::table1::run(true);
+    let cells = figs::table1::run(true).expect("harness runs");
     assert_eq!(cells.len(), 9);
     let verdict = |m: Mitigation, k: ChannelKind| {
         cells
@@ -230,7 +230,7 @@ fn table1_verdicts_match_paper_through_the_engine() {
 
 #[test]
 fn table2_summary_consistency() {
-    let rows = figs::table2::run(true);
+    let rows = figs::table2::run(true).expect("harness runs");
     let ich = rows.iter().find(|r| r.proposal == "IChannels").unwrap();
     let ns = rows.iter().find(|r| r.proposal == "NetSpectre").unwrap();
     let turbo = rows.iter().find(|r| r.proposal == "TurboCC").unwrap();

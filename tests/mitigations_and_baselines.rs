@@ -17,7 +17,7 @@ use ichannels_repro::ichannels::mitigations::{Effectiveness, Mitigation};
 ///   Secure mode:         Thread full,    SMT full,    Cores full
 #[test]
 fn table1_matrix_matches_paper() {
-    let cells = figs::table1::run(true);
+    let cells = figs::table1::run(true).expect("harness runs");
     assert_eq!(cells.len(), 9);
     let expect = [
         (
