@@ -122,3 +122,41 @@ fn turbocc_requires_turbo_but_ichannels_does_not() {
     let tx = ch.try_transmit_symbols(&symbols, &cal).unwrap();
     assert_eq!(tx.received, symbols);
 }
+
+/// Pins the exact raw receiver durations (TSC cycles) of every
+/// timed-loop channel on the default Cannon Lake configurations. The
+/// goldens see only BER and throughput, so a change to a sender or
+/// receiver program that shifts a duration without flipping a decoded
+/// bit would otherwise pass unnoticed.
+#[test]
+fn raw_receiver_durations_are_pinned() {
+    use ichannels_repro::ichannels::extended::{LevelAlphabet, MultiLevelChannel};
+    use ichannels_repro::ichannels::symbols::Symbol;
+
+    let bits = |v: &[u8]| v.iter().map(|&b| b == 1).collect::<Vec<_>>();
+    assert_eq!(
+        NetSpectreChannel::default_cannon_lake().run_bits(&bits(&[1, 0, 0, 1, 1, 0, 1, 0])),
+        [17686, 27831, 27724, 17612, 17607, 28324, 17737, 27966]
+    );
+    assert_eq!(
+        TurboCcChannel::default().run_bits(&bits(&[1, 0, 1, 1, 0])),
+        [183333, 141935, 183333, 183333, 141935]
+    );
+
+    let symbols: Vec<Symbol> = [0, 3, 1, 2].into_iter().map(Symbol::new).collect();
+    for (kind, expected) in [
+        (ChannelKind::Thread, [33848, 17229, 31333, 28765]),
+        (ChannelKind::Smt, [24211, 40294, 25917, 29975]),
+        (ChannelKind::Cores, [27722, 41441, 29104, 32651]),
+    ] {
+        let ch = IChannel::new(kind, ChannelConfig::default_cannon_lake());
+        assert_eq!(ch.run_symbols(&symbols).unwrap(), expected, "{kind}");
+    }
+
+    let multi = MultiLevelChannel::new(
+        ChannelKind::Thread,
+        ChannelConfig::default_cannon_lake(),
+        LevelAlphabet::paper4(),
+    );
+    assert_eq!(multi.calibrate(2), [33762.0, 31811.0, 28753.0, 17600.0]);
+}
