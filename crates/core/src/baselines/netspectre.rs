@@ -10,17 +10,13 @@
 //! (we compare "to NetSpectre's main gadget … not to the end-to-end
 //! NetSpectre implementation", §6.2).
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use ichannels_soc::program::{Action, ProgCtx, Program};
 use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
 use ichannels_workload::loops::{instructions_for_duration, Recorder};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-use crate::channel::ChannelConfig;
+use crate::channel::{ChannelConfig, JitterSource, SlotProgram};
 
 /// The NetSpectre-style 1-bit covert channel.
 #[derive(Debug, Clone)]
@@ -78,23 +74,22 @@ impl NetSpectreChannel {
         let recv_insts = instructions_for_duration(InstClass::Heavy256, freq, cfg.receiver_loop);
         let recorder = Recorder::new();
         let sigma = tsc.duration_to_cycles(cfg.measurement_jitter) as f64;
-        soc.spawn(
-            0,
-            0,
-            Box::new(NetSpectreProg {
-                bits: bits.to_vec(),
-                idx: 0,
-                stage: 0,
-                slot0,
-                period,
-                sender_insts,
-                recv_insts,
-                t_start: 0,
-                recorder: recorder.clone(),
-                rng: Rc::new(RefCell::new(SmallRng::seed_from_u64(cfg.jitter_seed))),
-                sigma,
-            }),
+        // Bit 1: the "leak" executes the AVX2 instruction; bit 0:
+        // nothing executes before the timed AVX2 loop.
+        let gadget = SlotProgram::new(
+            "NetSpectre gadget",
+            bits.iter().map(|&b| u8::from(b)).collect(),
+            slot0,
+            period,
+        )
+        .sending(Rc::from([None, Some((InstClass::Heavy256, sender_insts))]))
+        .measuring(
+            InstClass::Heavy256,
+            recv_insts,
+            recorder.clone(),
+            JitterSource::new(cfg.jitter_seed, sigma),
         );
+        soc.spawn(0, 0, Box::new(gadget));
         let deadline = cfg.start_offset + cfg.slot_period.scale((bits.len() + 2) as f64);
         soc.run_until_idle(deadline);
         recorder.values()
@@ -126,79 +121,6 @@ impl NetSpectreChannel {
             durations,
             throughput_bps: bits.len() as f64 / elapsed.as_secs(),
         }
-    }
-}
-
-struct NetSpectreProg {
-    bits: Vec<bool>,
-    idx: usize,
-    stage: u8,
-    slot0: u64,
-    period: u64,
-    sender_insts: u64,
-    recv_insts: u64,
-    t_start: u64,
-    recorder: Recorder,
-    rng: Rc<RefCell<SmallRng>>,
-    sigma: f64,
-}
-
-impl std::fmt::Debug for NetSpectreProg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NetSpectreProg(idx={})", self.idx)
-    }
-}
-
-impl Program for NetSpectreProg {
-    fn next(&mut self, ctx: &ProgCtx) -> Action {
-        loop {
-            if self.idx >= self.bits.len() {
-                return Action::Halt;
-            }
-            match self.stage {
-                0 => {
-                    self.stage = 1;
-                    return Action::WaitUntilTsc(self.slot0 + self.idx as u64 * self.period);
-                }
-                1 => {
-                    self.stage = 2;
-                    if self.bits[self.idx] {
-                        // Bit 1: the "leak" executes the AVX2 instruction.
-                        return Action::Run {
-                            class: InstClass::Heavy256,
-                            instructions: self.sender_insts,
-                        };
-                    }
-                    // Bit 0: nothing executed; fall through to measure.
-                }
-                2 => {
-                    self.stage = 3;
-                    self.t_start = ctx.tsc;
-                    return Action::Run {
-                        class: InstClass::Heavy256,
-                        instructions: self.recv_insts,
-                    };
-                }
-                _ => {
-                    let mut d = ctx.tsc.saturating_sub(self.t_start) as f64;
-                    if self.sigma > 0.0 {
-                        let mut rng = self.rng.borrow_mut();
-                        let u1: f64 = rng.gen_range(1e-12..1.0);
-                        let u2: f64 = rng.gen_range(0.0..1.0);
-                        d += (-2.0 * u1.ln()).sqrt()
-                            * (2.0 * std::f64::consts::PI * u2).cos()
-                            * self.sigma;
-                    }
-                    self.recorder.push(d.max(0.0).round() as u64);
-                    self.idx += 1;
-                    self.stage = 0;
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "NetSpectre gadget"
     }
 }
 

@@ -16,6 +16,8 @@ use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::SimTime;
 use ichannels_workload::loops::Recorder;
 
+use crate::channel::{JitterSource, SlotProgram};
+
 /// TurboCC channel configuration.
 #[derive(Debug, Clone)]
 pub struct TurboCcConfig {
@@ -92,20 +94,20 @@ impl TurboCcChannel {
                 block_insts: 40_000,
             }),
         );
-        soc.spawn(
-            1,
-            0,
-            Box::new(TurboReceiver {
-                n: bits.len(),
-                idx: 0,
-                stage: 0,
-                slot0: slot0 + probe_offset,
-                period,
-                probe_insts: cfg.probe_insts,
-                t_start: 0,
-                recorder: recorder.clone(),
-            }),
+        // Receiver: timed scalar loop — duration ∝ 1/frequency.
+        let probe = SlotProgram::new(
+            "TurboCC receiver",
+            bits.iter().map(|&b| u8::from(b)).collect(),
+            slot0 + probe_offset,
+            period,
+        )
+        .measuring(
+            InstClass::Scalar64,
+            cfg.probe_insts,
+            recorder.clone(),
+            JitterSource::none(),
         );
+        soc.spawn(1, 0, Box::new(probe));
         let deadline = cfg.start_offset + cfg.bit_period.scale((bits.len() + 1) as f64);
         soc.run_until_idle(deadline);
         recorder.values()
@@ -187,57 +189,6 @@ impl Program for TurboSender {
 
     fn name(&self) -> &str {
         "TurboCC sender"
-    }
-}
-
-/// Receiver: timed scalar loop — duration ∝ 1/frequency.
-struct TurboReceiver {
-    n: usize,
-    idx: usize,
-    stage: u8,
-    slot0: u64,
-    period: u64,
-    probe_insts: u64,
-    t_start: u64,
-    recorder: Recorder,
-}
-
-impl std::fmt::Debug for TurboReceiver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TurboReceiver(idx={})", self.idx)
-    }
-}
-
-impl Program for TurboReceiver {
-    fn next(&mut self, ctx: &ProgCtx) -> Action {
-        loop {
-            if self.idx >= self.n {
-                return Action::Halt;
-            }
-            match self.stage {
-                0 => {
-                    self.stage = 1;
-                    return Action::WaitUntilTsc(self.slot0 + self.idx as u64 * self.period);
-                }
-                1 => {
-                    self.stage = 2;
-                    self.t_start = ctx.tsc;
-                    return Action::Run {
-                        class: InstClass::Scalar64,
-                        instructions: self.probe_insts,
-                    };
-                }
-                _ => {
-                    self.recorder.push(ctx.tsc.saturating_sub(self.t_start));
-                    self.idx += 1;
-                    self.stage = 0;
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "TurboCC receiver"
     }
 }
 

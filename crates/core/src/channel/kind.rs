@@ -24,6 +24,16 @@ impl ChannelKind {
         }
     }
 
+    /// The receiver's hardware thread `(core, smt)`: the sender's own
+    /// thread (0, 0), its SMT sibling, or the next core.
+    pub(crate) const fn receiver_thread(self) -> (usize, usize) {
+        match self {
+            ChannelKind::Thread => (0, 0),
+            ChannelKind::Smt => (0, 1),
+            ChannelKind::Cores => (1, 0),
+        }
+    }
+
     /// Display name used in the paper.
     pub const fn name(self) -> &'static str {
         match self {

@@ -28,6 +28,8 @@ mod programs;
 pub mod receiver;
 pub mod run;
 
+pub(crate) use programs::{JitterSource, SlotProgram};
+
 pub use calibration::Calibration;
 pub use config::ChannelConfig;
 pub use kind::ChannelKind;

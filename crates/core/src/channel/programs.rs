@@ -1,7 +1,12 @@
-//! The simulated sender/receiver programs a [`super::run::SymbolRun`]
-//! spawns onto the SoC, plus the receiver's measurement-jitter source.
+//! The one simulated program every timed-loop channel spawns onto the
+//! SoC — [`SlotProgram`] — plus the receiver's measurement-jitter
+//! source.
+//!
+//! Every channel here has the per-transaction shape of Figure 3: in
+//! each fixed slot the sender may run a PHI loop for the slot's level,
+//! then the receiver times its own loop with `rdtsc` and records the
+//! duration. A [`SlotProgram`] plays either role or both.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use ichannels_soc::program::{Action, ProgCtx, Program};
@@ -9,8 +14,6 @@ use ichannels_uarch::isa::InstClass;
 use ichannels_workload::loops::Recorder;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-use crate::symbols::Symbol;
 
 /// Gaussian measurement jitter on the receiver's `rdtsc` delta.
 #[derive(Debug)]
@@ -27,6 +30,11 @@ impl JitterSource {
         }
     }
 
+    /// A source that returns every duration unchanged.
+    pub(crate) fn none() -> Self {
+        JitterSource::new(0, 0.0)
+    }
+
     fn apply(&mut self, cycles: u64) -> u64 {
         if self.sigma_cycles <= 0.0 {
             return cycles;
@@ -39,162 +47,129 @@ impl JitterSource {
     }
 }
 
-/// Same-hardware-thread program: alternates sender and receiver roles
-/// within each transaction slot (IccThreadCovert).
-pub(crate) struct ThreadChannelProg {
-    pub(crate) symbols: Rc<[Symbol]>,
-    pub(crate) idx: usize,
-    pub(crate) stage: u8,
-    pub(crate) slot0: u64,
-    pub(crate) period: u64,
-    pub(crate) sender_insts: [u64; 4],
-    pub(crate) recv_class: InstClass,
-    pub(crate) recv_insts: u64,
-    pub(crate) t_start: u64,
-    pub(crate) recorder: Recorder,
-    pub(crate) jitter: Rc<RefCell<JitterSource>>,
+/// The receiver role of a [`SlotProgram`]: a timed loop whose jittered
+/// duration is recorded once per slot.
+#[derive(Debug)]
+struct Measure {
+    class: InstClass,
+    insts: u64,
+    recorder: Recorder,
+    jitter: JitterSource,
 }
 
-impl std::fmt::Debug for ThreadChannelProg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ThreadChannelProg(idx={})", self.idx)
+/// Where a [`SlotProgram`] is within the current slot.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Wait,
+    Send,
+    Measure,
+    Record { t_start: u64 },
+}
+
+/// One slotted channel program. Slot `i` starts at TSC
+/// `slot0 + i * period` and carries level `levels[i]`; in it the
+/// program waits for the slot, runs the level's sender loop (if
+/// [`SlotProgram::sending`] gives one), runs the timed receiver loop
+/// (if [`SlotProgram::measuring`] was called) and records its
+/// duration. It halts after the last slot.
+#[derive(Debug)]
+pub(crate) struct SlotProgram {
+    name: &'static str,
+    levels: Rc<[u8]>,
+    slot0: u64,
+    period: u64,
+    send: Rc<[Option<(InstClass, u64)>]>,
+    measure: Option<Measure>,
+    idx: usize,
+    stage: Stage,
+}
+
+impl SlotProgram {
+    /// A program over one slot per entry of `levels` that neither sends
+    /// nor measures until configured.
+    pub(crate) fn new(name: &'static str, levels: Rc<[u8]>, slot0: u64, period: u64) -> Self {
+        SlotProgram {
+            name,
+            levels,
+            slot0,
+            period,
+            send: Rc::from([]),
+            measure: None,
+            idx: 0,
+            stage: Stage::Wait,
+        }
+    }
+
+    /// The sender loop per level: `send[level]` is the `(class,
+    /// instructions)` run in a slot of that level, `None` to send
+    /// nothing.
+    pub(crate) fn sending(mut self, send: Rc<[Option<(InstClass, u64)>]>) -> Self {
+        self.send = send;
+        self
+    }
+
+    /// Times an `insts`-instruction `class` loop in every slot and
+    /// pushes its duration, perturbed by `jitter`, to `recorder`.
+    pub(crate) fn measuring(
+        mut self,
+        class: InstClass,
+        insts: u64,
+        recorder: Recorder,
+        jitter: JitterSource,
+    ) -> Self {
+        self.measure = Some(Measure {
+            class,
+            insts,
+            recorder,
+            jitter,
+        });
+        self
     }
 }
 
-impl Program for ThreadChannelProg {
+impl Program for SlotProgram {
     fn next(&mut self, ctx: &ProgCtx) -> Action {
         loop {
-            if self.idx >= self.symbols.len() {
+            let Some(&level) = self.levels.get(self.idx) else {
                 return Action::Halt;
-            }
+            };
             match self.stage {
-                0 => {
-                    self.stage = 1;
+                Stage::Wait => {
+                    self.stage = Stage::Send;
                     return Action::WaitUntilTsc(self.slot0 + self.idx as u64 * self.period);
                 }
-                1 => {
-                    // Sender role: PHI loop encoding two bits.
-                    self.stage = 2;
-                    let s = self.symbols[self.idx];
-                    return Action::Run {
-                        class: s.sender_class(),
-                        instructions: self.sender_insts[s.value() as usize],
-                    };
+                Stage::Send => {
+                    self.stage = Stage::Measure;
+                    if let Some(&Some((class, instructions))) = self.send.get(usize::from(level)) {
+                        return Action::Run {
+                            class,
+                            instructions,
+                        };
+                    }
+                    continue;
                 }
-                2 => {
-                    // Receiver role: timed 512b-Heavy loop.
-                    self.stage = 3;
-                    self.t_start = ctx.tsc;
-                    return Action::Run {
-                        class: self.recv_class,
-                        instructions: self.recv_insts,
-                    };
+                Stage::Measure => {
+                    if let Some(m) = &self.measure {
+                        self.stage = Stage::Record { t_start: ctx.tsc };
+                        return Action::Run {
+                            class: m.class,
+                            instructions: m.insts,
+                        };
+                    }
                 }
-                _ => {
-                    let d = ctx.tsc.saturating_sub(self.t_start);
-                    self.recorder.push(self.jitter.borrow_mut().apply(d));
-                    self.idx += 1;
-                    self.stage = 0;
+                Stage::Record { t_start } => {
+                    if let Some(m) = &mut self.measure {
+                        let d = m.jitter.apply(ctx.tsc.saturating_sub(t_start));
+                        m.recorder.push(d);
+                    }
                 }
             }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "IccThreadCovert"
-    }
-}
-
-/// Standalone sender (IccSMTcovert / IccCoresCovert).
-pub(crate) struct SenderProg {
-    pub(crate) symbols: Rc<[Symbol]>,
-    pub(crate) idx: usize,
-    pub(crate) running: bool,
-    pub(crate) slot0: u64,
-    pub(crate) period: u64,
-    pub(crate) sender_insts: [u64; 4],
-}
-
-impl std::fmt::Debug for SenderProg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SenderProg(idx={})", self.idx)
-    }
-}
-
-impl Program for SenderProg {
-    fn next(&mut self, _ctx: &ProgCtx) -> Action {
-        if self.idx >= self.symbols.len() {
-            return Action::Halt;
-        }
-        if !self.running {
-            self.running = true;
-            Action::WaitUntilTsc(self.slot0 + self.idx as u64 * self.period)
-        } else {
-            self.running = false;
-            let s = self.symbols[self.idx];
             self.idx += 1;
-            Action::Run {
-                class: s.sender_class(),
-                instructions: self.sender_insts[s.value() as usize],
-            }
+            self.stage = Stage::Wait;
         }
     }
 
     fn name(&self) -> &str {
-        "IChannels sender"
-    }
-}
-
-/// Standalone receiver (IccSMTcovert / IccCoresCovert).
-pub(crate) struct ReceiverProg {
-    pub(crate) n: usize,
-    pub(crate) idx: usize,
-    pub(crate) stage: u8,
-    pub(crate) slot0: u64,
-    pub(crate) period: u64,
-    pub(crate) class: InstClass,
-    pub(crate) insts: u64,
-    pub(crate) t_start: u64,
-    pub(crate) recorder: Recorder,
-    pub(crate) jitter: Rc<RefCell<JitterSource>>,
-}
-
-impl std::fmt::Debug for ReceiverProg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ReceiverProg(idx={})", self.idx)
-    }
-}
-
-impl Program for ReceiverProg {
-    fn next(&mut self, ctx: &ProgCtx) -> Action {
-        loop {
-            if self.idx >= self.n {
-                return Action::Halt;
-            }
-            match self.stage {
-                0 => {
-                    self.stage = 1;
-                    return Action::WaitUntilTsc(self.slot0 + self.idx as u64 * self.period);
-                }
-                1 => {
-                    self.stage = 2;
-                    self.t_start = ctx.tsc;
-                    return Action::Run {
-                        class: self.class,
-                        instructions: self.insts,
-                    };
-                }
-                _ => {
-                    let d = ctx.tsc.saturating_sub(self.t_start);
-                    self.recorder.push(self.jitter.borrow_mut().apply(d));
-                    self.idx += 1;
-                    self.stage = 0;
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        "IChannels receiver"
+        self.name
     }
 }

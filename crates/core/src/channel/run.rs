@@ -3,7 +3,7 @@
 //! [`IChannel`] (a channel bound to its configuration), the
 //! [`Transmission`] result, and the typed [`ChannelError`].
 
-use std::cell::RefCell;
+use std::borrow::Cow;
 use std::rc::Rc;
 
 use ichannels_soc::config::SocConfig;
@@ -18,7 +18,7 @@ use crate::symbols::Symbol;
 use super::calibration::Calibration;
 use super::config::ChannelConfig;
 use super::kind::ChannelKind;
-use super::programs::{JitterSource, ReceiverProg, SenderProg, ThreadChannelProg};
+use super::programs::{JitterSource, SlotProgram};
 use super::receiver::ReceiverCalibration;
 
 /// A typed failure of a channel run.
@@ -120,7 +120,8 @@ pub struct SymbolRun {
     slot_period: SimTime,
     slot0: u64,
     period: u64,
-    sender_insts: [u64; 4],
+    /// The sender loop of each of the four levels.
+    send: Rc<[Option<(InstClass, u64)>]>,
     recv_class: InstClass,
     recv_insts: u64,
     recv_delay: u64,
@@ -151,9 +152,15 @@ impl SymbolRun {
         let tsc = Tsc::new(cfg.soc.platform.tsc_freq);
         let slot0 = tsc.read(cfg.start_offset);
         let period = tsc.duration_to_cycles(cfg.slot_period);
-        let sender_insts: [u64; 4] = std::array::from_fn(|i| {
-            instructions_for_duration(Symbol::new(i as u8).sender_class(), freq, cfg.sender_loop)
-        });
+        let send = (0..4)
+            .map(|i| {
+                let class = Symbol::new(i).sender_class();
+                Some((
+                    class,
+                    instructions_for_duration(class, freq, cfg.sender_loop),
+                ))
+            })
+            .collect();
         let recv_class = channel.kind().receiver_class();
         // The calibrated integration window; the exact untouched
         // duration when the tuning is the identity, so legacy-tuned
@@ -177,7 +184,7 @@ impl SymbolRun {
             slot_period: cfg.slot_period,
             slot0,
             period,
-            sender_insts,
+            send,
             recv_class,
             recv_insts,
             recv_delay,
@@ -200,25 +207,6 @@ impl SymbolRun {
     where
         F: FnOnce(&mut Soc),
     {
-        self.run_shared(&Rc::from(symbols), setup)
-    }
-
-    /// [`SymbolRun::run`] over an already-shared symbol buffer: the
-    /// programs clone the `Rc`, so no per-program symbol copies are
-    /// made.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::ReceiverMissedTransactions`] when the receiver
-    /// recorded fewer durations than transmitted slots.
-    pub(crate) fn run_shared<F>(
-        &mut self,
-        symbols: &Rc<[Symbol]>,
-        setup: F,
-    ) -> Result<Vec<u64>, ChannelError>
-    where
-        F: FnOnce(&mut Soc),
-    {
         // Re-arm in place after the first run: `Soc::rearm` is pinned
         // bit-identical to a fresh `Soc::new` and skips both the
         // config clone and the PMU/core/trace rebuild.
@@ -231,67 +219,25 @@ impl SymbolRun {
         };
         setup(soc);
         let recorder = Recorder::new();
-        let jitter = Rc::new(RefCell::new(JitterSource::new(
-            self.jitter_seed,
-            self.jitter_sigma_cycles,
-        )));
-
-        match self.kind {
-            ChannelKind::Thread => {
-                soc.spawn(
-                    0,
-                    0,
-                    Box::new(ThreadChannelProg {
-                        symbols: symbols.clone(),
-                        idx: 0,
-                        stage: 0,
-                        slot0: self.slot0,
-                        period: self.period,
-                        sender_insts: self.sender_insts,
-                        recv_class: self.recv_class,
-                        recv_insts: self.recv_insts,
-                        t_start: 0,
-                        recorder: recorder.clone(),
-                        jitter: jitter.clone(),
-                    }),
-                );
-            }
+        let levels: Rc<[u8]> = symbols.iter().map(|s| s.value()).collect();
+        let slots =
+            |name, delay| SlotProgram::new(name, levels.clone(), self.slot0 + delay, self.period);
+        // The thread channel sends and measures in one program; SMT and
+        // Cores pair a sender on (0, 0) with a receiver `recv_delay`
+        // into each slot on the sibling thread or the next core.
+        let receiver = match self.kind {
+            ChannelKind::Thread => slots("IccThreadCovert", 0).sending(self.send.clone()),
             ChannelKind::Smt | ChannelKind::Cores => {
-                soc.spawn(
-                    0,
-                    0,
-                    Box::new(SenderProg {
-                        symbols: symbols.clone(),
-                        idx: 0,
-                        running: false,
-                        slot0: self.slot0,
-                        period: self.period,
-                        sender_insts: self.sender_insts,
-                    }),
-                );
-                let (rc, rs) = if self.kind == ChannelKind::Smt {
-                    (0, 1)
-                } else {
-                    (1, 0)
-                };
-                soc.spawn(
-                    rc,
-                    rs,
-                    Box::new(ReceiverProg {
-                        n: symbols.len(),
-                        idx: 0,
-                        stage: 0,
-                        slot0: self.slot0 + self.recv_delay,
-                        period: self.period,
-                        class: self.recv_class,
-                        insts: self.recv_insts,
-                        t_start: 0,
-                        recorder: recorder.clone(),
-                        jitter: jitter.clone(),
-                    }),
-                );
+                let sender = slots("IChannels sender", 0).sending(self.send.clone());
+                soc.spawn(0, 0, Box::new(sender));
+                slots("IChannels receiver", self.recv_delay)
             }
-        }
+        };
+        let jitter = JitterSource::new(self.jitter_seed, self.jitter_sigma_cycles);
+        let receiver =
+            receiver.measuring(self.recv_class, self.recv_insts, recorder.clone(), jitter);
+        let (core, smt) = self.kind.receiver_thread();
+        soc.spawn(core, smt, Box::new(receiver));
 
         let deadline = self.start_offset + self.slot_period.scale((symbols.len() + 2) as f64);
         // Per-rearm SoC stepping time. The Instant is taken only while
@@ -414,21 +360,7 @@ impl IChannel {
     /// [`ChannelError::ReceiverMissedTransactions`] when the slot
     /// schedule broke down before the run deadline.
     pub fn run_symbols(&self, symbols: &[Symbol]) -> Result<Vec<u64>, ChannelError> {
-        self.run_symbols_with(symbols, |_| {})
-    }
-
-    /// Like [`IChannel::run_symbols`], with a hook to add extra programs
-    /// (noise applications) to the SoC before the run.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::ReceiverMissedTransactions`] when the slot
-    /// schedule broke down before the run deadline.
-    fn run_symbols_with<F>(&self, symbols: &[Symbol], setup: F) -> Result<Vec<u64>, ChannelError>
-    where
-        F: FnOnce(&mut Soc),
-    {
-        SymbolRun::new(self).run(symbols, setup)
+        SymbolRun::new(self).run(symbols, |_| {})
     }
 
     /// Calibrates the channel: transmits each of the four levels
@@ -495,17 +427,15 @@ impl IChannel {
         F: FnOnce(&mut Soc),
     {
         let votes = self.slots_per_symbol();
-        // Build the slot schedule once as a shared buffer: the spawned
-        // programs clone the `Rc` instead of re-copying the symbols.
-        let slots: Rc<[Symbol]> = if votes == 1 {
-            Rc::from(symbols)
+        let slots: Cow<[Symbol]> = if votes == 1 {
+            Cow::Borrowed(symbols)
         } else {
             symbols
                 .iter()
                 .flat_map(|&s| std::iter::repeat_n(s, votes))
                 .collect()
         };
-        let durations = SymbolRun::new(self).run_shared(&slots, setup)?;
+        let durations = SymbolRun::new(self).run(&slots, setup)?;
         let received: Vec<Symbol> = if votes == 1 {
             durations.iter().map(|&d| cal.decode(d)).collect()
         } else {

@@ -8,12 +8,17 @@
 //! how many bits/transaction actually survive, trading level spacing
 //! against measurement noise.
 
+use std::rc::Rc;
+
 use ichannels_meter::stats::ConfusionMatrix;
+use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
+use ichannels_uarch::time::SimTime;
+use ichannels_workload::loops::{instructions_for_duration, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::channel::{ChannelConfig, ChannelKind};
+use crate::channel::{ChannelConfig, ChannelKind, JitterSource, SlotProgram};
 
 /// A level alphabet: the ordered set of sender classes used as symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,17 +148,15 @@ impl MultiLevelChannel {
 
     /// Low-level driver: one transaction per class in `classes`. The
     /// fixed 4-symbol table of [`crate::channel::IChannel`] cannot carry
-    /// arbitrary classes, so each transaction drives the SoC directly.
+    /// arbitrary classes, so each transaction is a one-slot
+    /// [`SlotProgram`] run at TSC 0 with no measurement jitter.
     fn run_classes(&self, classes: &[InstClass]) -> Vec<u64> {
-        use ichannels_soc::program::Script;
-        use ichannels_soc::sim::Soc;
-        use ichannels_uarch::time::SimTime;
-        use ichannels_workload::loops::{instructions_for_duration, MeasuredLoop, Recorder};
-
         let cfg = &self.cfg;
         let freq = cfg.freq();
         let recv_class = self.kind.receiver_class();
         let recv_insts = instructions_for_duration(recv_class, freq, cfg.receiver_loop);
+        let (core, smt) = self.kind.receiver_thread();
+        let level: Rc<[u8]> = Rc::from([0]);
         let mut out = Vec::with_capacity(classes.len());
         // One independent SoC run per transaction: equivalent to the
         // slotted protocol (each slot starts from a decayed license) and
@@ -169,67 +172,27 @@ impl MultiLevelChannel {
                 }
                 None => armed.insert(Soc::new(cfg.soc.clone())),
             };
-            let sender_insts = instructions_for_duration(class, freq, cfg.sender_loop);
-            let rec = Recorder::new();
-            match self.kind {
-                ChannelKind::Thread => {
-                    // Sender phase then timed receiver phase on (0,0).
-                    let rec2 = rec.clone();
-                    let mut stage = 0u8;
-                    let mut t0 = 0u64;
-                    let prog = ichannels_soc::program::FnProgram::new(
-                        "multilevel thread",
-                        move |ctx: &ichannels_soc::program::ProgCtx| {
-                            match stage {
-                                0 => {
-                                    stage = 1;
-                                    if class == InstClass::Scalar64 {
-                                        // "Send nothing" level: skip the PHI.
-                                        stage = 2;
-                                        t0 = ctx.tsc;
-                                        return ichannels_soc::program::Action::Run {
-                                            class: recv_class,
-                                            instructions: recv_insts,
-                                        };
-                                    }
-                                    ichannels_soc::program::Action::Run {
-                                        class,
-                                        instructions: sender_insts,
-                                    }
-                                }
-                                1 => {
-                                    stage = 2;
-                                    t0 = ctx.tsc;
-                                    ichannels_soc::program::Action::Run {
-                                        class: recv_class,
-                                        instructions: recv_insts,
-                                    }
-                                }
-                                _ => {
-                                    rec2.push(ctx.tsc.saturating_sub(t0));
-                                    ichannels_soc::program::Action::Halt
-                                }
-                            }
-                        },
-                    );
-                    soc.spawn(0, 0, Box::new(prog));
-                }
+            // The scalar level is "send nothing": no PHI runs.
+            let send: Rc<[_]> = Rc::from([(class != InstClass::Scalar64).then(|| {
+                (
+                    class,
+                    instructions_for_duration(class, freq, cfg.sender_loop),
+                )
+            })]);
+            let slot = |name| SlotProgram::new(name, level.clone(), 0, 0);
+            let receiver = match self.kind {
+                ChannelKind::Thread => slot("multilevel thread").sending(send),
                 ChannelKind::Smt | ChannelKind::Cores => {
-                    let (rc, rs) = if self.kind == ChannelKind::Smt {
-                        (0, 1)
-                    } else {
-                        (1, 0)
-                    };
-                    if class != InstClass::Scalar64 {
-                        soc.spawn(0, 0, Box::new(Script::run_loop(class, sender_insts)));
+                    if send[0].is_some() {
+                        soc.spawn(0, 0, Box::new(slot("multilevel sender").sending(send)));
                     }
-                    soc.spawn(
-                        rc,
-                        rs,
-                        Box::new(MeasuredLoop::once(recv_class, recv_insts, rec.clone())),
-                    );
+                    slot("multilevel receiver")
                 }
-            }
+            };
+            let rec = Recorder::new();
+            let receiver =
+                receiver.measuring(recv_class, recv_insts, rec.clone(), JitterSource::none());
+            soc.spawn(core, smt, Box::new(receiver));
             // Per-transaction SoC stepping time (out-of-band, like
             // `SymbolRun::run`): each independent run is one rearm
             // simulating a single slot.
