@@ -60,17 +60,24 @@ fn limits_grid(platform: PlatformId, freqs_mhz: [u32; 2], cores: u8) -> Grid {
 }
 
 /// Renders one operating-point record as a Figure 7(a) row.
-fn to_row(record: &TrialRecord, system_prefix: &str) -> OperatingPoint {
+///
+/// # Errors
+///
+/// A record that is not an operating-point probe.
+fn to_row(record: &TrialRecord, system_prefix: &str) -> Result<OperatingPoint, String> {
     let ChannelSelect::Probe(ProbeKind::OperatingPoint {
         class, freq_mhz, ..
     }) = record.scenario.channel
     else {
-        unreachable!("operating-point grid only")
+        return Err(format!(
+            "{} is not an operating-point cell",
+            record.scenario.channel.label()
+        ));
     };
     let spec = record.scenario.platform.spec();
     let vcc_mv = record.metrics.probe_value;
     let icc_a = record.metrics.probe_aux;
-    OperatingPoint {
+    Ok(OperatingPoint {
         system: format!("{system_prefix} {:.1}GHz", f64::from(freq_mhz) / 1000.0),
         freq: Freq::from_mhz(f64::from(freq_mhz)),
         workload: if class == InstClass::Heavy256 {
@@ -81,14 +88,15 @@ fn to_row(record: &TrialRecord, system_prefix: &str) -> OperatingPoint {
         vcc_mv,
         icc_a,
         violation: spec.limits.check(vcc_mv, icc_a).map(|v| v.to_string()),
-    }
+    })
 }
 
 /// Runs Figure 7(a); returns the operating-point table.
 ///
 /// # Errors
 ///
-/// A failed CSV write.
+/// A record that is not an operating-point probe, or a failed CSV
+/// write.
 pub fn run_limits(_quick: bool) -> Result<Vec<OperatingPoint>, String> {
     banner("Figure 7(a): Vccmax/Iccmax protection — projected operating points");
     let executor = Executor::auto();
@@ -96,13 +104,10 @@ pub fn run_limits(_quick: bool) -> Result<Vec<OperatingPoint>, String> {
         .run(&limits_grid(PlatformId::CoffeeLake, [4900, 4800], 1).scenarios())
         .iter()
         .map(|r| to_row(r, "Desktop i7-9700K"))
-        .collect();
-    rows.extend(
-        executor
-            .run(&limits_grid(PlatformId::CannonLake, [3100, 2200], 2).scenarios())
-            .iter()
-            .map(|r| to_row(r, "Mobile i3-8121U")),
-    );
+        .collect::<Result<_, _>>()?;
+    for r in executor.run(&limits_grid(PlatformId::CannonLake, [3100, 2200], 2).scenarios()) {
+        rows.push(to_row(&r, "Mobile i3-8121U")?);
+    }
 
     let mut csv = CsvTable::new([
         "system",

@@ -18,7 +18,7 @@ use ichannels_meter::stats::summarize_samples;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::Freq;
 
-use crate::{banner, find_cell, write_csv};
+use crate::{banner, expect_trials, find_cell, write_csv};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,7 +82,7 @@ pub fn run_distributions(quick: bool) -> Result<Vec<TpDistribution>, String> {
             .filter(|r| r.scenario.platform == platform)
             .map(|r| (r.metrics.probe_value + measurement_noise_us(r)).max(0.0))
             .collect();
-        assert_eq!(tps.len(), trials as usize, "one TP per trial");
+        expect_trials(tps.len(), trials as usize, &format!("{} TP", spec.name))?;
         for (i, tp) in tps.iter().enumerate() {
             csv.push_row([spec.name.to_string(), i.to_string(), format!("{tp:.4}")]);
         }

@@ -17,7 +17,7 @@ use ichannels_lab::{Executor, Grid};
 use ichannels_meter::export::CsvTable;
 use ichannels_meter::stats::summarize_samples;
 
-use crate::{banner, write_csv};
+use crate::{banner, expect_trials, write_csv};
 
 /// The CSV/report label of one IDQ condition.
 const fn condition_label(cond: IdqCondition) -> &'static str {
@@ -61,7 +61,7 @@ pub fn run(quick: bool) -> Result<(f64, f64, f64), String> {
     let mut means = Vec::new();
     for cond in IdqCondition::ALL {
         let values = values_of(cond);
-        assert_eq!(values.len(), windows as usize, "one value per window");
+        expect_trials(values.len(), windows as usize, condition_label(cond))?;
         for (i, v) in values.iter().enumerate() {
             csv.push_row([
                 condition_label(cond).to_string(),

@@ -51,16 +51,17 @@ pub fn run(quick: bool) -> Result<Vec<Throughput>, String> {
 
     // One record per channel (single platform, one trial per cell), in
     // grid axis order.
-    let out: Vec<Throughput> = report
-        .records
+    let out = channels
         .iter()
-        .map(|r| Throughput {
-            name: r.scenario.channel.label(),
-            bps: r.metrics.throughput_bps,
-            ber: r.metrics.ber,
+        .map(|c| {
+            let r = find_cell(&report.records, &c.label(), |s| s.channel == *c)?;
+            Ok(Throughput {
+                name: r.scenario.channel.label(),
+                bps: r.metrics.throughput_bps,
+                ber: r.metrics.ber,
+            })
         })
-        .collect();
-    assert_eq!(out.len(), channels.len(), "one record per channel");
+        .collect::<Result<Vec<_>, String>>()?;
 
     // Report.
     let bps = |name: &str| {

@@ -15,7 +15,7 @@ use ichannels_lab::{Executor, Grid};
 use ichannels_meter::export::CsvTable;
 use ichannels_meter::stats::{min_separation, summarize_samples};
 
-use crate::{banner, write_csv};
+use crate::{banner, expect_trials, write_csv};
 
 /// Per-level cluster summary.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ pub fn run(quick: bool) -> Result<(Vec<LevelCluster>, f64), String> {
             })
             .map(|r| r.metrics.probe_value)
             .collect();
-        assert_eq!(durations.len(), reps as usize, "one duration per trial");
+        expect_trials(durations.len(), reps as usize, &format!("level {s}"))?;
         for d in &durations {
             csv.push_row([
                 format!("L{}", 4 - s.value()),

@@ -17,14 +17,14 @@ use ichannels_lab::scenario::{AppKind, AppSpec, NoiseSpec, PayloadSpec};
 use ichannels_lab::{Executor, Grid};
 use ichannels_meter::export::CsvTable;
 
-use crate::{banner, write_csv};
+use crate::{banner, find_cell, write_csv};
 
 /// Runs Figure 14(a): BER vs OS-event rate. Returns
 /// `(kind, rate, ber)` rows.
 ///
 /// # Errors
 ///
-/// A failed CSV write.
+/// A record off the noise axis, or a failed CSV write.
 pub fn run_event_noise(quick: bool) -> Result<Vec<(String, f64, f64)>, String> {
     banner("Figure 14(a): BER vs interrupt / context-switch rate");
     let n = if quick { 40 } else { 250 };
@@ -50,7 +50,7 @@ pub fn run_event_noise(quick: bool) -> Result<Vec<(String, f64, f64)>, String> {
         let (label, rate) = match record.scenario.noise {
             NoiseSpec::Interrupts(rate) => ("interrupts", rate),
             NoiseSpec::CtxSwitches(rate) => ("context_switches", rate),
-            other => unreachable!("unexpected noise axis value {other:?}"),
+            other => return Err(format!("unexpected noise axis value {other:?}")),
         };
         csv.push_row([
             label.to_string(),
@@ -75,7 +75,7 @@ pub fn run_event_noise(quick: bool) -> Result<Vec<(String, f64, f64)>, String> {
 ///
 /// # Errors
 ///
-/// A failed CSV write.
+/// A matrix cell the grid did not run, or a failed CSV write.
 pub fn run_error_matrix(quick: bool) -> Result<Vec<Vec<f64>>, String> {
     banner("Figure 14(b): App-PHI level vs ICh-PHI level error matrix");
     let reps = if quick { 8 } else { 25 };
@@ -97,13 +97,12 @@ pub fn run_error_matrix(quick: bool) -> Result<Vec<Vec<f64>>, String> {
         .collect();
     let grid = Grid::new()
         .kinds(&[ChannelKind::Thread])
-        .apps(apps)
+        .apps(apps.clone())
         .payloads(payloads)
         .payload_symbols(reps)
         .calib_reps(2)
         .base_seed(99);
     let records = Executor::auto().run(&grid.scenarios());
-    assert_eq!(records.len(), 16, "4 app levels x 4 channel levels");
 
     let mut matrix = Vec::new();
     let mut csv = CsvTable::new(["app_level", "ich_level", "symbol_error_rate"]);
@@ -113,12 +112,20 @@ pub fn run_error_matrix(quick: bool) -> Result<Vec<Vec<f64>>, String> {
         print!(" ICh-L{}", 4 - s.value());
     }
     println!();
-    // Grid order: app axis outer, payload axis inner.
-    for (a, app_level) in Symbol::ALL.iter().enumerate() {
+    for (app, app_level) in apps.iter().zip(Symbol::ALL) {
         let mut row = Vec::new();
         print!("  App-L{:<5}", 4 - app_level.value());
-        for (i, ich_level) in Symbol::ALL.iter().enumerate() {
-            let ser = records[a * 4 + i].metrics.ser;
+        for ich_level in Symbol::ALL {
+            let cell = format!(
+                "App-L{} ICh-L{}",
+                4 - app_level.value(),
+                4 - ich_level.value()
+            );
+            let ser = find_cell(&records, &cell, |s| {
+                s.app == *app && s.payload == PayloadSpec::Constant(ich_level.value())
+            })?
+            .metrics
+            .ser;
             print!(" {ser:>6.2}");
             csv.push_row([
                 format!("L{}", 4 - app_level.value()),
@@ -175,7 +182,11 @@ pub fn run_app_rate(quick: bool) -> Result<Vec<(f64, f64)>, String> {
 }
 
 /// Runs the §6.3 7-zip experiment; returns the measured BER.
-pub fn run_sevenzip(quick: bool) -> f64 {
+///
+/// # Errors
+///
+/// The grid ran no 7-zip cell.
+pub fn run_sevenzip(quick: bool) -> Result<f64, String> {
     banner("§6.3: 60 s transmission beside a 7-zip-like AVX2 app");
     let seconds = if quick { 2.0 } else { 60.0 };
     let slot_period_s = ichannels::channel::ChannelConfig::default_cannon_lake()
@@ -193,12 +204,16 @@ pub fn run_sevenzip(quick: bool) -> f64 {
         .calib_reps(3)
         .base_seed(2021);
     let records = Executor::serial().run(&grid.scenarios());
-    let ber = records[0].metrics.ber;
+    let ber = find_cell(&records, "7-zip", |s| {
+        s.app.is_some_and(|a| a.kind == AppKind::SevenZip)
+    })?
+    .metrics
+    .ber;
     println!(
         "  {} symbols over {seconds} s beside 7-zip (AVX2-only): BER = {ber:.4} (paper: < 0.07)",
         n
     );
-    ber
+    Ok(ber)
 }
 
 /// Runs all Figure 14 parts.
@@ -210,6 +225,6 @@ pub fn run(quick: bool) -> Result<(), String> {
     run_event_noise(quick)?;
     run_error_matrix(quick)?;
     run_app_rate(quick)?;
-    run_sevenzip(quick);
+    run_sevenzip(quick)?;
     Ok(())
 }

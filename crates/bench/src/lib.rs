@@ -55,6 +55,21 @@ pub fn write_csv(table: &CsvTable, name: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `Ok` when the grid ran `expected` trials of `cell` (`got` of them).
+///
+/// # Errors
+///
+/// Names the `cell` and both counts when they differ.
+pub(crate) fn expect_trials(got: usize, expected: usize, cell: &str) -> Result<(), String> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(format!(
+            "the grid ran {got} {cell} trials, expected {expected}"
+        ))
+    }
+}
+
 /// The first record whose scenario `matches`. A grid drops the cells
 /// its platform cannot host, so a harness treats a cell it needs as
 /// possibly missing.

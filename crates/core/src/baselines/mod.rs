@@ -3,7 +3,12 @@
 //! turbo-frequency channel, DFScovert's governor channel, and POWERT's
 //! power-budget channel.
 //!
-//! NetSpectre and TurboCC run end-to-end on the full SoC simulator;
+//! NetSpectre and TurboCC run end-to-end on the full SoC simulator,
+//! through the same slotted program as the IChannels themselves
+//! (`SlotProgram`): NetSpectre is one same-thread program whose level 0
+//! sends nothing and level 1 runs the AVX2 gadget before the timed AVX2
+//! loop; TurboCC pairs its block-repeating sender with an unjittered
+//! scalar probe on the second core;
 //! DFScovert and POWERT are modelled directly over the governor/P-state
 //! and power-limit state machines (their original attack surfaces —
 //! sysfs writes and package power budgeting — have no in-process

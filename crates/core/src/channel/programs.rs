@@ -173,3 +173,75 @@ impl Program for SlotProgram {
         self.name
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn actions(mut prog: SlotProgram) -> Vec<Action> {
+        let mut ctx = ProgCtx {
+            now: ichannels_uarch::time::SimTime::ZERO,
+            tsc: 0,
+            core: 0,
+            smt: 0,
+        };
+        let mut out = Vec::new();
+        loop {
+            let a = prog.next(&ctx);
+            out.push(a);
+            if a == Action::Halt {
+                return out;
+            }
+            ctx.tsc += 100;
+        }
+    }
+
+    fn run(class: InstClass, instructions: u64) -> Action {
+        Action::Run {
+            class,
+            instructions,
+        }
+    }
+
+    #[test]
+    fn each_slot_waits_then_sends_its_level_then_measures() {
+        let recorder = Recorder::new();
+        let prog = SlotProgram::new("test", Rc::from([1, 0]), 1_000, 500)
+            .sending(Rc::from([None, Some((InstClass::Heavy256, 7))]))
+            .measuring(
+                InstClass::Heavy512,
+                9,
+                recorder.clone(),
+                JitterSource::none(),
+            );
+        assert_eq!(
+            actions(prog),
+            [
+                Action::WaitUntilTsc(1_000),
+                run(InstClass::Heavy256, 7),
+                run(InstClass::Heavy512, 9),
+                // Level 0 sends nothing: straight to the timed loop.
+                Action::WaitUntilTsc(1_500),
+                run(InstClass::Heavy512, 9),
+                Action::Halt,
+            ]
+        );
+        assert_eq!(recorder.values(), [100, 100]);
+    }
+
+    #[test]
+    fn a_sender_alone_records_nothing() {
+        let prog = SlotProgram::new("test", Rc::from([0, 0]), 0, 10)
+            .sending(Rc::from([Some((InstClass::Light128, 3))]));
+        assert_eq!(
+            actions(prog),
+            [
+                Action::WaitUntilTsc(0),
+                run(InstClass::Light128, 3),
+                Action::WaitUntilTsc(10),
+                run(InstClass::Light128, 3),
+                Action::Halt,
+            ]
+        );
+    }
+}

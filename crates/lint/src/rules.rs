@@ -73,7 +73,7 @@ impl RuleId {
             RuleId::D003 => "ambient entropy source (unseeded RNG)",
             RuleId::D004 => "Debug formatting ({:?}) in formatted output",
             RuleId::L001 => "malformed or unjustified lint:allow",
-            RuleId::R001 => "unwrap()/expect()/panic! in non-test pipeline code",
+            RuleId::R001 => "unwrap()/expect()/panic!/unreachable! in non-test pipeline code",
             RuleId::R002 => "env var read outside the documented set",
             RuleId::R003 => "pub fn/const/static referenced by no other file",
         }
@@ -316,9 +316,10 @@ pub fn run_rules(file: &SourceFile) -> Vec<Finding> {
             (".unwrap()", "unwrap()"),
             (".expect(\"", "expect()"),
             ("panic!", "panic!"),
+            ("unreachable!", "unreachable!"),
         ] {
-            let hit = if pat == "panic!" {
-                has_token(masked, "panic!")
+            let hit = if pat.ends_with('!') {
+                has_token(masked, pat)
             } else {
                 masked.contains(pat)
             };
@@ -572,10 +573,10 @@ mod tests {
 
     #[test]
     fn r001_matches_real_panics_not_lookalikes() {
-        let src = "x.unwrap();\ny.expect(\"msg\");\npanic!(\"boom\");\ncur.expect(':');\nlet z = x.unwrap_or_default();\n";
+        let src = "x.unwrap();\ny.expect(\"msg\");\npanic!(\"boom\");\nunreachable!(\"no\");\ncur.expect(':');\nlet z = x.unwrap_or_default();\nmy_unreachable!();\n";
         assert_eq!(
             rules_of(&findings("crates/pdn/src/x.rs", src)),
-            vec![RuleId::R001, RuleId::R001, RuleId::R001]
+            vec![RuleId::R001; 4]
         );
     }
 

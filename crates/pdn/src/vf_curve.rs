@@ -101,15 +101,15 @@ impl VfCurve {
         if freq >= pts[pts.len() - 1].0 {
             return pts[pts.len() - 1].1;
         }
-        for w in pts.windows(2) {
-            let (f0, v0) = w[0];
-            let (f1, v1) = w[1];
-            if freq >= f0 && freq <= f1 {
-                let t = (freq.as_hz() - f0.as_hz()) as f64 / (f1.as_hz() - f0.as_hz()) as f64;
-                return v0 + t * (v1 - v0);
-            }
-        }
-        unreachable!("frequency {freq} not bracketed by curve");
+        // `pts[0] < freq < pts[last]` on a frequency-sorted curve, so
+        // the first point at or above `freq` has a predecessor.
+        let i = pts
+            .iter()
+            .position(|&(f, _)| freq <= f)
+            .unwrap_or(pts.len() - 1);
+        let ((f0, v0), (f1, v1)) = (pts[i - 1], pts[i]);
+        let t = (freq.as_hz() - f0.as_hz()) as f64 / (f1.as_hz() - f0.as_hz()) as f64;
+        v0 + t * (v1 - v0)
     }
 }
 

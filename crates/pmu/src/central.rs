@@ -222,31 +222,17 @@ impl CentralPmu {
     pub fn new(cfg: PmuConfig, freq: Freq, base_mv: f64) -> Self {
         assert!(cfg.n_cores > 0, "PMU needs at least one core");
         let n_rails = if cfg.per_core_vr { cfg.n_cores } else { 1 };
-        let initial_mv = if cfg.secure_mode {
-            // Secure mode: start (and stay) at the worst-case guardband.
-            let per_core = if cfg.per_core_vr { 1 } else { cfg.n_cores };
-            base_mv
-                + cfg
-                    .guardband
-                    .secure_mode_guardband_mv(per_core, base_mv, freq)
-        } else {
-            base_mv
-        };
-        let rails = (0..n_rails)
-            .map(|_| VrRail::new(cfg.vr_model, initial_mv))
-            .collect();
-        let licenses = (0..cfg.n_cores)
-            .map(|_| CoreLicense::new(cfg.reset_time))
-            .collect();
-        CentralPmu {
+        let mut pmu = CentralPmu {
+            rails: vec![VrRail::new(cfg.vr_model, base_mv); n_rails],
+            licenses: vec![CoreLicense::new(cfg.reset_time); cfg.n_cores],
             cfg,
-            licenses,
             licensed: Vec::new(),
-            rails,
             base_mv,
             freq,
             targets_valid_until: SimTime::ZERO,
-        }
+        };
+        pmu.reset(freq, base_mv);
+        pmu
     }
 
     /// Resets the PMU to its exactly-as-constructed state at an initial
@@ -257,6 +243,7 @@ impl CentralPmu {
         self.freq = freq;
         self.base_mv = base_mv;
         let initial_mv = if self.cfg.secure_mode {
+            // Secure mode: start (and stay) at the worst-case guardband.
             let per_core = if self.cfg.per_core_vr {
                 1
             } else {

@@ -145,7 +145,7 @@ fn fig14_noise_shapes() {
     let rows = figs::fig14::run_app_rate(true).expect("harness runs");
     assert!(rows.last().unwrap().1 >= rows.first().unwrap().1);
     // 7-zip: BER < 0.07 (§6.3).
-    let ber = figs::fig14::run_sevenzip(true);
+    let ber = figs::fig14::run_sevenzip(true).expect("harness runs");
     assert!(ber < 0.07, "7-zip BER = {ber}");
 }
 
