@@ -56,7 +56,7 @@ pub fn run(quick: bool) -> Result<Vec<Throughput>, String> {
         .map(|c| {
             let r = find_cell(&report.records, &c.label(), |s| s.channel == *c)?;
             Ok(Throughput {
-                name: r.scenario.channel.label(),
+                name: c.label(),
                 bps: r.metrics.throughput_bps,
                 ber: r.metrics.ber,
             })

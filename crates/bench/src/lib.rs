@@ -173,4 +173,13 @@ mod tests {
         let err = find_cell(&[], "NetSpectre", |_| true).expect_err("no records");
         assert_eq!(err, "the grid ran no NetSpectre cell");
     }
+
+    #[test]
+    fn a_short_cell_is_an_error_naming_it() {
+        assert_eq!(expect_trials(8, 8, "Haswell TP"), Ok(()));
+        assert_eq!(
+            expect_trials(7, 8, "Haswell TP"),
+            Err("the grid ran 7 Haswell TP trials, expected 8".to_string())
+        );
+    }
 }
