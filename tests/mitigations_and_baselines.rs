@@ -159,4 +159,29 @@ fn raw_receiver_durations_are_pinned() {
         LevelAlphabet::paper4(),
     );
     assert_eq!(multi.calibrate(2), [33762.0, 31811.0, 28753.0, 17600.0]);
+
+    // Level 0 of `full7` is the scalar "send nothing" level: on the
+    // two-thread channels its receiver measures with no PHI running on
+    // the sender's thread.
+    for (kind, expected) in [
+        (
+            ChannelKind::Smt,
+            [
+                17600.0, 22180.0, 24125.0, 26395.0, 29963.0, 33854.0, 40665.0,
+            ],
+        ),
+        (
+            ChannelKind::Cores,
+            [
+                23193.0, 26632.0, 27883.0, 29829.0, 32887.0, 36222.0, 42060.0,
+            ],
+        ),
+    ] {
+        let multi = MultiLevelChannel::new(
+            kind,
+            ChannelConfig::default_cannon_lake(),
+            LevelAlphabet::full7(),
+        );
+        assert_eq!(multi.calibrate(2), expected, "{kind}");
+    }
 }
