@@ -242,18 +242,9 @@ impl CentralPmu {
     pub fn reset(&mut self, freq: Freq, base_mv: f64) {
         self.freq = freq;
         self.base_mv = base_mv;
+        // Secure mode starts (and stays) at the worst-case guardband.
         let initial_mv = if self.cfg.secure_mode {
-            // Secure mode: start (and stay) at the worst-case guardband.
-            let per_core = if self.cfg.per_core_vr {
-                1
-            } else {
-                self.cfg.n_cores
-            };
-            base_mv
-                + self
-                    .cfg
-                    .guardband
-                    .secure_mode_guardband_mv(per_core, base_mv, freq)
+            self.secure_mode_mv()
         } else {
             base_mv
         };
@@ -300,20 +291,26 @@ impl CentralPmu {
         self.licenses[core].effective_class(now)
     }
 
+    /// The pinned secure-mode rail voltage: the V/F base plus the
+    /// worst-case guardband of every core the rail supplies.
+    fn secure_mode_mv(&self) -> f64 {
+        let per_core = if self.cfg.per_core_vr {
+            1
+        } else {
+            self.cfg.n_cores
+        };
+        self.base_mv
+            + self
+                .cfg
+                .guardband
+                .secure_mode_guardband_mv(per_core, self.base_mv, self.freq)
+    }
+
     /// The voltage target of the rail supplying `core`, given current
     /// licenses at `now`.
     fn target_mv(&self, rail_core: usize, now: SimTime) -> f64 {
         if self.cfg.secure_mode {
-            let per_core = if self.cfg.per_core_vr {
-                1
-            } else {
-                self.cfg.n_cores
-            };
-            return self.base_mv
-                + self
-                    .cfg
-                    .guardband
-                    .secure_mode_guardband_mv(per_core, self.base_mv, self.freq);
+            return self.secure_mode_mv();
         }
         let gb = if self.cfg.per_core_vr {
             let class = Some(self.licenses[rail_core].effective_class(now));
