@@ -26,7 +26,7 @@ impl ChannelKind {
 
     /// The receiver's hardware thread `(core, smt)`: the sender's own
     /// thread (0, 0), its SMT sibling, or the next core.
-    pub(crate) const fn receiver_thread(self) -> (usize, usize) {
+    pub const fn receiver_thread(self) -> (usize, usize) {
         match self {
             ChannelKind::Thread => (0, 0),
             ChannelKind::Smt => (0, 1),

@@ -94,11 +94,8 @@ impl<'a> TrialContext<'a> {
     /// A free hardware thread for the interfering app: one not occupied
     /// by the channel's sender/receiver.
     fn app_placement(&self, kind: ChannelKind, spec: &PlatformSpec) -> (usize, usize) {
-        let occupied: &[(usize, usize)] = match kind {
-            ChannelKind::Thread => &[(0, 0)],
-            ChannelKind::Smt => &[(0, 0), (0, 1)],
-            ChannelKind::Cores => &[(0, 0), (1, 0)],
-        };
+        // Every channel's sender runs on (0, 0).
+        let occupied = [(0, 0), kind.receiver_thread()];
         let mut candidates = vec![(spec.n_cores - 1, 0)];
         if spec.smt {
             candidates.push((0, 1));
