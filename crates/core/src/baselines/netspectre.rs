@@ -10,39 +10,15 @@
 //! (we compare "to NetSpectre's main gadget … not to the end-to-end
 //! NetSpectre implementation", §6.2).
 
-use std::rc::Rc;
-
-use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
-use ichannels_workload::loops::{instructions_for_duration, Recorder};
 
-use crate::channel::{ChannelConfig, JitterSource, SlotProgram};
+use super::{bit_levels, two_level_means, BitTransmission};
+use crate::channel::{ChannelConfig, ChannelKind, SymbolRun};
 
 /// The NetSpectre-style 1-bit covert channel.
 #[derive(Debug, Clone)]
 pub struct NetSpectreChannel {
     cfg: ChannelConfig,
-}
-
-/// A decoded NetSpectre transmission.
-#[derive(Debug, Clone)]
-pub struct NetSpectreTx {
-    /// Bits sent.
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Raw receiver durations (TSC cycles).
-    pub durations: Vec<u64>,
-    /// Throughput in bits/s (1 bit per slot).
-    pub throughput_bps: f64,
-}
-
-impl NetSpectreTx {
-    /// Fraction of wrong bits; a bit the receiver missed counts as
-    /// wrong.
-    pub fn bit_error_rate(&self) -> f64 {
-        super::bit_error_rate(&self.sent, &self.received)
-    }
 }
 
 impl NetSpectreChannel {
@@ -62,65 +38,39 @@ impl NetSpectreChannel {
         &self.cfg
     }
 
+    /// The gadget's schedule: bit 1, the "leak" executes the AVX2
+    /// instruction; bit 0, nothing executes before the timed AVX2 loop.
+    fn symbol_run(&self) -> SymbolRun {
+        SymbolRun::slotted(
+            ChannelKind::Thread,
+            &self.cfg,
+            &[None, Some(InstClass::Heavy256)],
+            InstClass::Heavy256,
+            self.cfg.receiver_loop,
+        )
+    }
+
     /// Runs a bit sequence, returning raw receiver durations.
     pub fn run_bits(&self, bits: &[bool]) -> Vec<u64> {
-        let cfg = &self.cfg;
-        let mut soc = Soc::new(cfg.soc.clone());
-        let tsc = *soc.tsc();
-        let freq = cfg.freq();
-        let slot0 = tsc.read(cfg.start_offset);
-        let period = tsc.duration_to_cycles(cfg.slot_period);
-        let sender_insts = instructions_for_duration(InstClass::Heavy256, freq, cfg.sender_loop);
-        let recv_insts = instructions_for_duration(InstClass::Heavy256, freq, cfg.receiver_loop);
-        let recorder = Recorder::new();
-        let sigma = tsc.duration_to_cycles(cfg.measurement_jitter) as f64;
-        // Bit 1: the "leak" executes the AVX2 instruction; bit 0:
-        // nothing executes before the timed AVX2 loop.
-        let gadget = SlotProgram::new(
-            "NetSpectre gadget",
-            bits.iter().map(|&b| u8::from(b)).collect(),
-            slot0,
-            period,
-        )
-        .sending(Rc::from([None, Some((InstClass::Heavy256, sender_insts))]))
-        .measuring(
-            InstClass::Heavy256,
-            recv_insts,
-            recorder.clone(),
-            JitterSource::new(cfg.jitter_seed, sigma),
-        );
-        soc.spawn(0, 0, Box::new(gadget));
-        let deadline = cfg.start_offset + cfg.slot_period.scale((bits.len() + 2) as f64);
-        soc.run_until_idle(deadline);
-        recorder.values()
+        self.symbol_run().record(&bit_levels(bits), |_| {})
     }
 
     /// Calibrates the two duration levels: returns `(mean_one, mean_zero)`
     /// in TSC cycles.
     pub fn calibrate(&self, reps: usize) -> (f64, f64) {
-        let ones = self.run_bits(&vec![true; reps]);
-        let zeros = self.run_bits(&vec![false; reps]);
-        let mean = |v: &[u64]| v.iter().map(|&x| x as f64).sum::<f64>() / v.len() as f64;
-        (mean(&ones), mean(&zeros))
+        let mut run = self.symbol_run();
+        two_level_means(reps, |bits| run.record(&bit_levels(bits), |_| {}))
     }
 
     /// Transmits bits and decodes against the calibrated means.
-    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> NetSpectreTx {
-        let durations = self.run_bits(bits);
-        let received: Vec<bool> = durations
-            .iter()
-            .map(|&d| {
-                let d = d as f64;
-                (d - cal.0).abs() < (d - cal.1).abs()
-            })
-            .collect();
+    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> BitTransmission {
         let elapsed = self.cfg.slot_period.scale(bits.len() as f64);
-        NetSpectreTx {
-            sent: bits.to_vec(),
-            received,
-            durations,
-            throughput_bps: bits.len() as f64 / elapsed.as_secs(),
-        }
+        BitTransmission::decode(
+            bits,
+            self.run_bits(bits),
+            cal,
+            bits.len() as f64 / elapsed.as_secs(),
+        )
     }
 }
 

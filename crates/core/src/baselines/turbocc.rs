@@ -9,14 +9,16 @@
 //! than the current-management throttling IChannels uses, which is why
 //! TurboCC tops out near 61 b/s while IChannels reaches ~2.9 kb/s.
 
+use std::rc::Rc;
+
 use ichannels_soc::config::{PlatformSpec, SocConfig};
 use ichannels_soc::program::{Action, ProgCtx, Program};
-use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::SimTime;
-use ichannels_workload::loops::Recorder;
+use ichannels_uarch::tsc::Tsc;
 
-use crate::channel::{JitterSource, SlotProgram};
+use super::{bit_levels, two_level_means, BitTransmission};
+use crate::channel::{ChannelKind, SymbolRun};
 
 /// TurboCC channel configuration.
 #[derive(Debug, Clone)]
@@ -49,94 +51,63 @@ pub struct TurboCcChannel {
     cfg: TurboCcConfig,
 }
 
-/// A decoded TurboCC transmission.
-#[derive(Debug, Clone)]
-pub struct TurboCcTx {
-    /// Bits sent.
-    pub sent: Vec<bool>,
-    /// Bits decoded.
-    pub received: Vec<bool>,
-    /// Probe durations (TSC cycles), one per bit.
-    pub durations: Vec<u64>,
-    /// Throughput in bits/s.
-    pub throughput_bps: f64,
-}
-
-impl TurboCcTx {
-    /// Fraction of wrong bits; a bit the receiver missed counts as
-    /// wrong.
-    pub fn bit_error_rate(&self) -> f64 {
-        super::bit_error_rate(&self.sent, &self.received)
-    }
-}
-
 impl TurboCcChannel {
+    /// The receiver's schedule: a timed scalar loop on the second core
+    /// (duration ∝ 1/frequency), unjittered, fired 70% into each bit
+    /// window after the license state has settled. The send table is
+    /// empty — the sender is [`TurboSender`], spawned per run.
+    fn symbol_run(&self) -> SymbolRun {
+        let cfg = &self.cfg;
+        let tsc = Tsc::new(cfg.soc.platform.tsc_freq);
+        SymbolRun {
+            kind: ChannelKind::Cores,
+            soc_cfg: cfg.soc.clone(),
+            start_offset: cfg.start_offset,
+            slot_period: cfg.bit_period,
+            slot0: tsc.read(cfg.start_offset),
+            period: tsc.duration_to_cycles(cfg.bit_period),
+            send: Rc::from([]),
+            recv_class: InstClass::Scalar64,
+            recv_insts: cfg.probe_insts,
+            recv_delay: tsc.duration_to_cycles(cfg.bit_period.scale(0.7)),
+            jitter_seed: 0,
+            jitter_sigma_cycles: 0.0,
+            soc: None,
+        }
+    }
+
+    /// Runs `bits` on `run`, spawning their sender first.
+    fn record(run: &mut SymbolRun, bits: &[bool]) -> Vec<u64> {
+        let sender = TurboSender {
+            bits: bits.to_vec(),
+            idx: 0,
+            running: false,
+            slot0: run.slot0,
+            period: run.period,
+            block_insts: 40_000,
+        };
+        run.record(&bit_levels(bits), |soc| soc.spawn(0, 0, Box::new(sender)))
+    }
+
     /// Runs a bit sequence; returns the receiver probe durations.
     pub fn run_bits(&self, bits: &[bool]) -> Vec<u64> {
-        let cfg = &self.cfg;
-        let mut soc = Soc::new(cfg.soc.clone());
-        let tsc = *soc.tsc();
-        let slot0 = tsc.read(cfg.start_offset);
-        let period = tsc.duration_to_cycles(cfg.bit_period);
-        // The probe fires near the end of each bit window, after the
-        // license state has settled.
-        let probe_offset = tsc.duration_to_cycles(cfg.bit_period.scale(0.7));
-        let recorder = Recorder::new();
-        soc.spawn(
-            0,
-            0,
-            Box::new(TurboSender {
-                bits: bits.to_vec(),
-                idx: 0,
-                running: false,
-                slot0,
-                period,
-                block_insts: 40_000,
-            }),
-        );
-        // Receiver: timed scalar loop — duration ∝ 1/frequency.
-        let probe = SlotProgram::new(
-            "TurboCC receiver",
-            bits.iter().map(|&b| u8::from(b)).collect(),
-            slot0 + probe_offset,
-            period,
-        )
-        .measuring(
-            InstClass::Scalar64,
-            cfg.probe_insts,
-            recorder.clone(),
-            JitterSource::none(),
-        );
-        soc.spawn(1, 0, Box::new(probe));
-        let deadline = cfg.start_offset + cfg.bit_period.scale((bits.len() + 1) as f64);
-        soc.run_until_idle(deadline);
-        recorder.values()
+        TurboCcChannel::record(&mut self.symbol_run(), bits)
     }
 
     /// Calibrates `(mean_one, mean_zero)` probe durations.
     pub fn calibrate(&self, reps: usize) -> (f64, f64) {
-        let ones = self.run_bits(&vec![true; reps]);
-        let zeros = self.run_bits(&vec![false; reps]);
-        let mean = |v: &[u64]| v.iter().map(|&x| x as f64).sum::<f64>() / v.len().max(1) as f64;
-        (mean(&ones), mean(&zeros))
+        let mut run = self.symbol_run();
+        two_level_means(reps, |bits| TurboCcChannel::record(&mut run, bits))
     }
 
     /// Transmits and decodes a bit sequence.
-    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> TurboCcTx {
-        let durations = self.run_bits(bits);
-        let received: Vec<bool> = durations
-            .iter()
-            .map(|&d| {
-                let d = d as f64;
-                (d - cal.0).abs() < (d - cal.1).abs()
-            })
-            .collect();
-        TurboCcTx {
-            sent: bits.to_vec(),
-            received,
-            durations,
-            throughput_bps: 1.0 / self.cfg.bit_period.as_secs(),
-        }
+    pub fn transmit(&self, bits: &[bool], cal: (f64, f64)) -> BitTransmission {
+        BitTransmission::decode(
+            bits,
+            self.run_bits(bits),
+            cal,
+            1.0 / self.cfg.bit_period.as_secs(),
+        )
     }
 }
 

@@ -18,8 +18,9 @@
 //!   platform-calibrated adaptive demodulator;
 //! * [`calibration`] — [`Calibration`], the per-level training means
 //!   and nearest-mean decoding;
-//! * [`run`] — [`SymbolRun`] (the re-armable Soc-owning driver),
-//!   [`IChannel`], [`Transmission`], and the typed [`ChannelError`].
+//! * [`run`] — [`SymbolRun`] (the re-armable Soc-owning driver every
+//!   slotted channel, baselines included, runs through), [`IChannel`],
+//!   [`Transmission`], and the typed [`ChannelError`].
 
 pub mod calibration;
 pub mod config;
@@ -27,8 +28,6 @@ pub mod kind;
 mod programs;
 pub mod receiver;
 pub mod run;
-
-pub(crate) use programs::{JitterSource, SlotProgram};
 
 pub use calibration::Calibration;
 pub use config::ChannelConfig;

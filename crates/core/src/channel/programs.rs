@@ -17,22 +17,17 @@ use rand::{Rng, SeedableRng};
 
 /// Gaussian measurement jitter on the receiver's `rdtsc` delta.
 #[derive(Debug)]
-pub(crate) struct JitterSource {
+pub(super) struct JitterSource {
     rng: SmallRng,
     sigma_cycles: f64,
 }
 
 impl JitterSource {
-    pub(crate) fn new(seed: u64, sigma_cycles: f64) -> Self {
+    pub(super) fn new(seed: u64, sigma_cycles: f64) -> Self {
         JitterSource {
             rng: SmallRng::seed_from_u64(seed),
             sigma_cycles,
         }
-    }
-
-    /// A source that returns every duration unchanged.
-    pub(crate) fn none() -> Self {
-        JitterSource::new(0, 0.0)
     }
 
     fn apply(&mut self, cycles: u64) -> u64 {
@@ -73,7 +68,7 @@ enum Stage {
 /// (if [`SlotProgram::measuring`] was called) and records its
 /// duration. It halts after the last slot.
 #[derive(Debug)]
-pub(crate) struct SlotProgram {
+pub(super) struct SlotProgram {
     name: &'static str,
     levels: Rc<[u8]>,
     slot0: u64,
@@ -87,7 +82,7 @@ pub(crate) struct SlotProgram {
 impl SlotProgram {
     /// A program over one slot per entry of `levels` that neither sends
     /// nor measures until configured.
-    pub(crate) fn new(name: &'static str, levels: Rc<[u8]>, slot0: u64, period: u64) -> Self {
+    pub(super) fn new(name: &'static str, levels: Rc<[u8]>, slot0: u64, period: u64) -> Self {
         SlotProgram {
             name,
             levels,
@@ -103,14 +98,14 @@ impl SlotProgram {
     /// The sender loop per level: `send[level]` is the `(class,
     /// instructions)` run in a slot of that level, `None` to send
     /// nothing.
-    pub(crate) fn sending(mut self, send: Rc<[Option<(InstClass, u64)>]>) -> Self {
+    pub(super) fn sending(mut self, send: Rc<[Option<(InstClass, u64)>]>) -> Self {
         self.send = send;
         self
     }
 
     /// Times an `insts`-instruction `class` loop in every slot and
     /// pushes its duration, perturbed by `jitter`, to `recorder`.
-    pub(crate) fn measuring(
+    pub(super) fn measuring(
         mut self,
         class: InstClass,
         insts: u64,
@@ -212,7 +207,7 @@ mod tests {
                 InstClass::Heavy512,
                 9,
                 recorder.clone(),
-                JitterSource::none(),
+                JitterSource::new(0, 0.0),
             );
         assert_eq!(
             actions(prog),

@@ -99,36 +99,41 @@ impl Transmission {
     }
 }
 
-/// The sender/receiver driver of one channel instance, with every
-/// per-configuration invariant — instruction counts, slot schedule,
-/// receiver window, jitter σ — derived once at construction.
+/// The driver of every slotted channel — the IChannels, the NetSpectre
+/// and TurboCC baselines and the multi-level channel — with every
+/// per-configuration invariant (instruction counts, slot schedule,
+/// receiver window, jitter σ) derived once at construction.
 ///
-/// A `SymbolRun` owns its [`Soc`] and **re-arms** for each run: the
-/// first [`SymbolRun::run`] builds the SoC from the stored
-/// configuration and every later run resets it in place via
-/// [`Soc::rearm`] (reusing the core, rail-segment, and trace
-/// allocations), so repeated runs (the four calibration levels, then
-/// the payload) are bit-identical to constructing a fresh driver each
+/// Slot `i` starts at TSC `slot0 + i·period`: the sender runs
+/// `send[levels[i]]` (nothing for `None`) and the receiver, on
+/// [`ChannelKind::receiver_thread`] and `recv_delay` cycles into the
+/// slot, times its loop. The thread channel does both in one program;
+/// SMT and Cores spawn a separate sender on (0, 0) iff `send` is
+/// non-empty. A run of `n` slots ends at the latest at
+/// `start_offset + slot_period·(n + 2)`.
+///
+/// A `SymbolRun` owns its [`Soc`] and **re-arms** it in place for each
+/// run via [`Soc::rearm`] (reusing the core, rail-segment, and trace
+/// allocations): repeated runs are bit-identical to a fresh driver each
 /// time — noise arrivals, program state, and measurement jitter all
 /// restart from the configuration seeds — while the schedule
-/// derivation and the SoC construction are paid once instead of per
-/// run.
+/// derivation and the SoC construction are paid once.
 pub struct SymbolRun {
-    kind: ChannelKind,
-    soc_cfg: SocConfig,
-    start_offset: SimTime,
-    slot_period: SimTime,
-    slot0: u64,
-    period: u64,
-    /// The sender loop of each of the four levels.
-    send: Rc<[Option<(InstClass, u64)>]>,
-    recv_class: InstClass,
-    recv_insts: u64,
-    recv_delay: u64,
-    jitter_seed: u64,
-    jitter_sigma_cycles: f64,
+    pub(crate) kind: ChannelKind,
+    pub(crate) soc_cfg: SocConfig,
+    pub(crate) start_offset: SimTime,
+    pub(crate) slot_period: SimTime,
+    pub(crate) slot0: u64,
+    pub(crate) period: u64,
+    /// The sender loop of each level.
+    pub(crate) send: Rc<[Option<(InstClass, u64)>]>,
+    pub(crate) recv_class: InstClass,
+    pub(crate) recv_insts: u64,
+    pub(crate) recv_delay: u64,
+    pub(crate) jitter_seed: u64,
+    pub(crate) jitter_sigma_cycles: f64,
     /// The most recently armed SoC; `None` until the first run.
-    soc: Option<Soc>,
+    pub(crate) soc: Option<Soc>,
 }
 
 impl std::fmt::Debug for SymbolRun {
@@ -142,26 +147,11 @@ impl std::fmt::Debug for SymbolRun {
 }
 
 impl SymbolRun {
-    /// Derives the run invariants of `channel`. No SoC is built yet —
-    /// each run arms its own (the TSC is a pure function of the
-    /// platform's invariant frequency, exactly what `Soc::new` would
-    /// construct).
+    /// Derives the run invariants of `channel`: its four sender levels
+    /// and its calibrated receiver window. No SoC is built yet.
     pub fn new(channel: &IChannel) -> Self {
         let cfg = channel.config();
-        let freq = cfg.freq();
-        let tsc = Tsc::new(cfg.soc.platform.tsc_freq);
-        let slot0 = tsc.read(cfg.start_offset);
-        let period = tsc.duration_to_cycles(cfg.slot_period);
-        let send = (0..4)
-            .map(|i| {
-                let class = Symbol::new(i).sender_class();
-                Some((
-                    class,
-                    instructions_for_duration(class, freq, cfg.sender_loop),
-                ))
-            })
-            .collect();
-        let recv_class = channel.kind().receiver_class();
+        let send = Symbol::ALL.map(|s| Some(s.sender_class()));
         // The calibrated integration window; the exact untouched
         // duration when the tuning is the identity, so legacy-tuned
         // platforms reproduce the fixed-window receiver bit for bit.
@@ -171,22 +161,48 @@ impl SymbolRun {
         } else {
             cfg.receiver_loop.scale(tuning.window_scale)
         };
-        let recv_insts = instructions_for_duration(recv_class, freq, recv_window);
-        let recv_delay = if channel.kind() == ChannelKind::Cores {
+        SymbolRun::slotted(
+            channel.kind(),
+            cfg,
+            &send,
+            channel.kind().receiver_class(),
+            recv_window,
+        )
+    }
+
+    /// A `kind` channel on `cfg`'s slot schedule whose level `i` sends
+    /// a `cfg.sender_loop`-long loop of `send[i]` and whose receiver
+    /// times a `recv_window`-long `recv_class` loop. The TSC is a pure
+    /// function of the platform's invariant frequency, exactly what
+    /// `Soc::new` would construct.
+    pub(crate) fn slotted(
+        kind: ChannelKind,
+        cfg: &ChannelConfig,
+        send: &[Option<InstClass>],
+        recv_class: InstClass,
+        recv_window: SimTime,
+    ) -> Self {
+        let freq = cfg.freq();
+        let tsc = Tsc::new(cfg.soc.platform.tsc_freq);
+        let send = send
+            .iter()
+            .map(|class| class.map(|c| (c, instructions_for_duration(c, freq, cfg.sender_loop))))
+            .collect();
+        let recv_delay = if kind == ChannelKind::Cores {
             tsc.duration_to_cycles(cfg.cross_core_delay)
         } else {
             0
         };
         SymbolRun {
-            kind: channel.kind(),
+            kind,
             soc_cfg: cfg.soc.clone(),
             start_offset: cfg.start_offset,
             slot_period: cfg.slot_period,
-            slot0,
-            period,
+            slot0: tsc.read(cfg.start_offset),
+            period: tsc.duration_to_cycles(cfg.slot_period),
             send,
             recv_class,
-            recv_insts,
+            recv_insts: instructions_for_duration(recv_class, freq, recv_window),
             recv_delay,
             jitter_seed: cfg.jitter_seed,
             jitter_sigma_cycles: tsc.duration_to_cycles(cfg.measurement_jitter) as f64,
@@ -194,16 +210,26 @@ impl SymbolRun {
         }
     }
 
-    /// Re-arms the SoC and runs the sender/receiver pair over
-    /// `symbols`, returning the raw receiver durations (TSC cycles),
-    /// one per transaction. `setup` may add extra programs (noise
-    /// applications) to the freshly armed SoC before the run.
-    ///
-    /// # Errors
-    ///
-    /// [`ChannelError::ReceiverMissedTransactions`] when the receiver
-    /// recorded fewer durations than transmitted slots.
-    pub fn run<F>(&mut self, symbols: &[Symbol], setup: F) -> Result<Vec<u64>, ChannelError>
+    /// Turns every run into independent one-slot transactions: sender
+    /// and receiver both start at TSC 0, the receiver records its
+    /// duration unjittered, and the run deadline is `deadline` (the
+    /// slots have zero length, so `start_offset` is the whole
+    /// deadline).
+    pub(crate) fn one_shot(mut self, deadline: SimTime) -> Self {
+        self.slot0 = 0;
+        self.period = 0;
+        self.recv_delay = 0;
+        self.jitter_sigma_cycles = 0.0;
+        self.start_offset = deadline;
+        self.slot_period = SimTime::ZERO;
+        self
+    }
+
+    /// Re-arms the SoC, lets `setup` add programs to it (noise
+    /// applications, a baseline's own sender), runs the slotted
+    /// sender/receiver pair over `levels` and returns every duration
+    /// the receiver recorded (TSC cycles), at most one per slot.
+    pub(crate) fn record<F>(&mut self, levels: &[u8], setup: F) -> Vec<u64>
     where
         F: FnOnce(&mut Soc),
     {
@@ -219,18 +245,18 @@ impl SymbolRun {
         };
         setup(soc);
         let recorder = Recorder::new();
-        let levels: Rc<[u8]> = symbols.iter().map(|s| s.value()).collect();
-        let slots =
-            |name, delay| SlotProgram::new(name, levels.clone(), self.slot0 + delay, self.period);
-        // The thread channel sends and measures in one program; SMT and
-        // Cores pair a sender on (0, 0) with a receiver `recv_delay`
-        // into each slot on the sibling thread or the next core.
+        let levels_rc: Rc<[u8]> = Rc::from(levels);
+        let slots = |name, delay| {
+            SlotProgram::new(name, levels_rc.clone(), self.slot0 + delay, self.period)
+        };
         let receiver = match self.kind {
-            ChannelKind::Thread => slots("IccThreadCovert", 0).sending(self.send.clone()),
+            ChannelKind::Thread => slots("slotted channel", 0).sending(self.send.clone()),
             ChannelKind::Smt | ChannelKind::Cores => {
-                let sender = slots("IChannels sender", 0).sending(self.send.clone());
-                soc.spawn(0, 0, Box::new(sender));
-                slots("IChannels receiver", self.recv_delay)
+                if !self.send.is_empty() {
+                    let sender = slots("slotted sender", 0).sending(self.send.clone());
+                    soc.spawn(0, 0, Box::new(sender));
+                }
+                slots("slotted receiver", self.recv_delay)
             }
         };
         let jitter = JitterSource::new(self.jitter_seed, self.jitter_sigma_cycles);
@@ -239,7 +265,7 @@ impl SymbolRun {
         let (core, smt) = self.kind.receiver_thread();
         soc.spawn(core, smt, Box::new(receiver));
 
-        let deadline = self.start_offset + self.slot_period.scale((symbols.len() + 2) as f64);
+        let deadline = self.start_offset + self.slot_period.scale((levels.len() + 2) as f64);
         // Per-rearm SoC stepping time. The Instant is taken only while
         // telemetry is on; timing lives strictly out-of-band and never
         // feeds back into the simulation.
@@ -250,11 +276,28 @@ impl SymbolRun {
         if let Some(started) = stepping {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ichannels_obs::observe("soc.step_ns", ns);
-            ichannels_obs::counter_add("soc.slots_simulated", symbols.len() as u64);
+            ichannels_obs::counter_add("soc.slots_simulated", levels.len() as u64);
             ichannels_obs::counter_add("soc.rearms", 1);
             ichannels_obs::counter_add("soc.steps", soc.steps());
         }
-        let durations = recorder.values();
+        recorder.values()
+    }
+
+    /// Re-arms the SoC and runs the sender/receiver pair over
+    /// `symbols`, returning the raw receiver durations (TSC cycles),
+    /// one per transaction. `setup` may add extra programs (noise
+    /// applications) to the freshly armed SoC before the run.
+    ///
+    /// # Errors
+    ///
+    /// [`ChannelError::ReceiverMissedTransactions`] when the receiver
+    /// recorded fewer durations than transmitted slots.
+    pub fn run<F>(&mut self, symbols: &[Symbol], setup: F) -> Result<Vec<u64>, ChannelError>
+    where
+        F: FnOnce(&mut Soc),
+    {
+        let levels: Vec<u8> = symbols.iter().map(|s| s.value()).collect();
+        let durations = self.record(&levels, setup);
         if durations.len() != symbols.len() {
             return Err(ChannelError::ReceiverMissedTransactions {
                 channel: self.kind,

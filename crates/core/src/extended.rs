@@ -8,17 +8,13 @@
 //! how many bits/transaction actually survive, trading level spacing
 //! against measurement noise.
 
-use std::rc::Rc;
-
 use ichannels_meter::stats::ConfusionMatrix;
-use ichannels_soc::sim::Soc;
 use ichannels_uarch::isa::InstClass;
 use ichannels_uarch::time::SimTime;
-use ichannels_workload::loops::{instructions_for_duration, Recorder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::channel::{ChannelConfig, ChannelKind, JitterSource, SlotProgram};
+use crate::channel::{ChannelConfig, ChannelKind, SymbolRun};
 
 /// A level alphabet: the ordered set of sender classes used as symbols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,10 +98,10 @@ pub struct ExtendedEval {
 
 /// A multi-level covert channel over an arbitrary alphabet.
 ///
-/// Internally reuses [`crate::channel::IChannel`]'s transaction
-/// machinery by mapping
-/// each alphabet level onto a dedicated single-symbol run; the
-/// calibration stores one mean per level.
+/// Runs through the same [`SymbolRun`] driver as
+/// [`crate::channel::IChannel`], with the alphabet as its send table
+/// and one single-slot run per transaction; the calibration stores one
+/// mean per level.
 #[derive(Debug, Clone)]
 pub struct MultiLevelChannel {
     kind: ChannelKind,
@@ -123,93 +119,37 @@ impl MultiLevelChannel {
         }
     }
 
-    /// Runs `digits` (alphabet indices) through the channel and returns
-    /// the raw receiver durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a digit is out of range for the alphabet.
-    fn run_digits(&self, digits: &[usize]) -> Vec<u64> {
-        self.run_classes(
-            &digits
-                .iter()
-                .map(|&d| {
-                    *self
-                        .alphabet
-                        .classes
-                        .get(d)
-                        // lint:allow(R001): documented precondition of a
-                        // panicking API (doc: "# Panics").
-                        .unwrap_or_else(|| panic!("digit {d} out of range"))
-                })
-                .collect::<Vec<_>>(),
+    /// The channel's driver: the alphabet is the send table (the
+    /// scalar level sends nothing) and every transaction is an
+    /// independent one-slot run at TSC 0 with no measurement jitter —
+    /// equivalent to the slotted protocol, as each slot starts from a
+    /// decayed license.
+    fn symbol_run(&self) -> SymbolRun {
+        let send: Vec<_> = self
+            .alphabet
+            .classes
+            .iter()
+            .map(|&c| (c != InstClass::Scalar64).then_some(c))
+            .collect();
+        SymbolRun::slotted(
+            self.kind,
+            &self.cfg,
+            &send,
+            self.kind.receiver_class(),
+            self.cfg.receiver_loop,
         )
+        .one_shot(SimTime::from_ms(5.0))
     }
 
-    /// Low-level driver: one transaction per class in `classes`. The
-    /// fixed 4-symbol table of [`crate::channel::IChannel`] cannot carry
-    /// arbitrary classes, so each transaction is a one-slot
-    /// [`SlotProgram`] run at TSC 0 with no measurement jitter.
-    fn run_classes(&self, classes: &[InstClass]) -> Vec<u64> {
-        let cfg = &self.cfg;
-        let freq = cfg.freq();
-        let recv_class = self.kind.receiver_class();
-        let recv_insts = instructions_for_duration(recv_class, freq, cfg.receiver_loop);
-        let (core, smt) = self.kind.receiver_thread();
-        let level: Rc<[u8]> = Rc::from([0]);
-        let mut out = Vec::with_capacity(classes.len());
-        // One independent SoC run per transaction: equivalent to the
-        // slotted protocol (each slot starts from a decayed license) and
-        // embarrassingly simple to reason about. The simulator itself is
-        // built once and re-armed in place between transactions —
-        // `Soc::rearm` is pinned bit-identical to a fresh `Soc::new`.
-        let mut armed: Option<Soc> = None;
-        for &class in classes {
-            let soc = match armed.take() {
-                Some(mut soc) => {
-                    soc.rearm();
-                    armed.insert(soc)
-                }
-                None => armed.insert(Soc::new(cfg.soc.clone())),
-            };
-            // The scalar level is "send nothing": no PHI runs.
-            let send: Rc<[_]> = Rc::from([(class != InstClass::Scalar64).then(|| {
-                (
-                    class,
-                    instructions_for_duration(class, freq, cfg.sender_loop),
-                )
-            })]);
-            let slot = |name| SlotProgram::new(name, level.clone(), 0, 0);
-            let receiver = match self.kind {
-                ChannelKind::Thread => slot("multilevel thread").sending(send),
-                ChannelKind::Smt | ChannelKind::Cores => {
-                    if send[0].is_some() {
-                        soc.spawn(0, 0, Box::new(slot("multilevel sender").sending(send)));
-                    }
-                    slot("multilevel receiver")
-                }
-            };
-            let rec = Recorder::new();
-            let receiver =
-                receiver.measuring(recv_class, recv_insts, rec.clone(), JitterSource::none());
-            soc.spawn(core, smt, Box::new(receiver));
-            // Per-transaction SoC stepping time (out-of-band, like
-            // `SymbolRun::run`): each independent run is one rearm
-            // simulating a single slot.
-            // lint:allow(D002): telemetry-gated span timing; off by
-            // default and never part of campaign bytes.
-            let stepping = ichannels_obs::enabled().then(std::time::Instant::now);
-            soc.run_until_idle(SimTime::from_ms(5.0));
-            if let Some(started) = stepping {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                ichannels_obs::observe("soc.step_ns", ns);
-                ichannels_obs::counter_add("soc.slots_simulated", 1);
-                ichannels_obs::counter_add("soc.rearms", 1);
-                ichannels_obs::counter_add("soc.steps", soc.steps());
-            }
-            out.push(rec.values()[0]);
-        }
-        out
+    /// Runs `digits` (alphabet indices) through `run`, one re-armed
+    /// SoC run per transaction, and returns the raw receiver
+    /// durations. Panics (index out of bounds) on a transaction the
+    /// receiver missed.
+    fn run_digits(run: &mut SymbolRun, digits: &[usize]) -> Vec<u64> {
+        digits
+            .iter()
+            .map(|&d| run.record(&[d as u8], |_| {})[0])
+            .collect()
     }
 
     /// Calibrates per-level mean durations: trains each alphabet digit
@@ -221,25 +161,23 @@ impl MultiLevelChannel {
     pub fn calibrate(&self, reps: usize) -> Vec<f64> {
         assert!(reps > 0, "calibration needs at least one repetition");
         ichannels_obs::counter_add("calibration.requests", 1);
+        let mut run = self.symbol_run();
         (0..self.alphabet.len())
             .map(|d| {
-                let durations = self.run_digits(&vec![d; reps]);
+                let durations = MultiLevelChannel::run_digits(&mut run, &vec![d; reps]);
                 durations.iter().map(|&x| x as f64).sum::<f64>() / reps as f64
             })
             .collect()
     }
 
-    /// Nearest-mean decoding.
+    /// Nearest-mean decoding (digit 0 for empty `means`).
     pub fn decode(&self, duration: u64, means: &[f64]) -> usize {
         let d = duration as f64;
         means
             .iter()
             .enumerate()
             .min_by(|a, b| (a.1 - d).abs().total_cmp(&(b.1 - d).abs()))
-            // lint:allow(R001): the alphabet is non-empty by
-            // construction, so `means` always has an entry.
-            .expect("non-empty means")
-            .0
+            .map_or(0, |(digit, _)| digit)
     }
 
     /// Evaluates the modulation over `n` random digits.
@@ -248,7 +186,7 @@ impl MultiLevelChannel {
         let digits: Vec<usize> = (0..n)
             .map(|_| rng.gen_range(0..self.alphabet.len()))
             .collect();
-        let durations = self.run_digits(&digits);
+        let durations = MultiLevelChannel::run_digits(&mut self.symbol_run(), &digits);
         let mut m = ConfusionMatrix::new(self.alphabet.len());
         for (d, dur) in digits.iter().zip(&durations) {
             m.record(*d, self.decode(*dur, means));

@@ -156,6 +156,53 @@ fn rerunning_a_scenario_trains_again() {
     assert_eq!(first, second, "(row, soc.rearms, soc.slots_simulated)");
 }
 
+/// The NetSpectre and TurboCC baselines step the SoC through the same
+/// driver as the IChannels, so their re-arms and slots are visible to
+/// telemetry: each trial re-arms three times (two calibration runs,
+/// then the payload) and counts every slot it simulated.
+#[test]
+fn baseline_trials_flush_soc_telemetry() {
+    use ichannels_repro::ichannels_lab::{
+        BaselineKind, ChannelSelect, NoiseSpec, PayloadSpec, PlatformId, ReceiverSpec, Scenario,
+    };
+
+    let _guard = ObsGuard::acquire();
+    let payload_symbols = 8;
+    // NetSpectre calibrates 3 reps of each bit; TurboCC calibrates 2
+    // reps of each bit and sends a fixed 5-bit payload.
+    for (kind, slots) in [
+        (BaselineKind::NetSpectre, 6 + payload_symbols as u64),
+        (BaselineKind::TurboCc, 9),
+    ] {
+        let scenario = Scenario {
+            platform: PlatformId::CannonLake,
+            channel: ChannelSelect::Baseline(kind),
+            noise: NoiseSpec::Quiet,
+            mitigations: vec![],
+            app: None,
+            knob: None,
+            receiver: ReceiverSpec::Calibrated,
+            payload: PayloadSpec::Random,
+            payload_symbols,
+            calib_reps: 2,
+            freq_ghz: None,
+            trial: 0,
+            seed: 7,
+        };
+        obs::set_enabled(true);
+        obs::reset();
+        Executor::new(1).run(std::slice::from_ref(&scenario));
+        obs::set_enabled(false);
+        let snap = obs::global().snapshot();
+        assert_eq!(snap.counter("soc.rearms"), 3, "{kind:?} soc.rearms");
+        assert_eq!(
+            snap.counter("soc.slots_simulated"),
+            slots,
+            "{kind:?} soc.slots_simulated"
+        );
+    }
+}
+
 /// SoC events (`soc.steps`) in one quick-catalog pass. The count is a
 /// pure function of the work set, so it must not depend on the worker
 /// count, and a change that only makes stepping cheaper must leave it
