@@ -66,8 +66,8 @@ impl BitTransmission {
 }
 
 /// The slot levels of a bit sequence: 1 for a set bit, 0 otherwise.
-fn bit_levels(bits: &[bool]) -> Vec<u8> {
-    bits.iter().map(|&b| u8::from(b)).collect()
+fn bit_levels(bits: &[bool]) -> impl Iterator<Item = u8> + '_ {
+    bits.iter().map(|&b| u8::from(b))
 }
 
 /// Calibrates the two duration levels: `run` transmits `reps` ones,

@@ -52,14 +52,14 @@ impl NetSpectreChannel {
 
     /// Runs a bit sequence, returning raw receiver durations.
     pub fn run_bits(&self, bits: &[bool]) -> Vec<u64> {
-        self.symbol_run().record(&bit_levels(bits), |_| {})
+        self.symbol_run().record(bit_levels(bits), |_| {})
     }
 
     /// Calibrates the two duration levels: returns `(mean_one, mean_zero)`
     /// in TSC cycles.
     pub fn calibrate(&self, reps: usize) -> (f64, f64) {
         let mut run = self.symbol_run();
-        two_level_means(reps, |bits| run.record(&bit_levels(bits), |_| {}))
+        two_level_means(reps, |bits| run.record(bit_levels(bits), |_| {}))
     }
 
     /// Transmits bits and decodes against the calibrated means.

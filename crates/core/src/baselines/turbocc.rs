@@ -86,7 +86,7 @@ impl TurboCcChannel {
             period: run.period,
             block_insts: 40_000,
         };
-        run.record(&bit_levels(bits), |soc| soc.spawn(0, 0, Box::new(sender)))
+        run.record(bit_levels(bits), |soc| soc.spawn(0, 0, Box::new(sender)))
     }
 
     /// Runs a bit sequence; returns the receiver probe durations.

@@ -148,7 +148,7 @@ impl MultiLevelChannel {
     fn run_digits(run: &mut SymbolRun, digits: &[usize]) -> Vec<u64> {
         digits
             .iter()
-            .map(|&d| run.record(&[d as u8], |_| {})[0])
+            .map(|&d| run.record([d as u8], |_| {})[0])
             .collect()
     }
 
