@@ -281,7 +281,12 @@ impl SymbolRun {
             ichannels_obs::observe("soc.step_ns", ns);
             ichannels_obs::counter_add("soc.slots_simulated", levels.len() as u64);
             ichannels_obs::counter_add("soc.rearms", 1);
-            ichannels_obs::counter_add("soc.steps", soc.steps());
+            let counts = soc.step_counts();
+            ichannels_obs::counter_add("soc.steps", counts.steps);
+            ichannels_obs::counter_add("soc.rail_history_reads", counts.rail_history_reads);
+            ichannels_obs::counter_add("soc.decay_queries", counts.decay_queries);
+            ichannels_obs::counter_add("soc.decay_scans", counts.decay_scans);
+            ichannels_obs::counter_add("soc.thermal_misses", counts.thermal_misses);
         }
         recorder.values()
     }

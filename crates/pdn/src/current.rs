@@ -46,6 +46,7 @@ impl CoreActivity {
     /// # Panics
     ///
     /// Panics if `activity` is outside [0, 1].
+    #[inline]
     pub fn partial(class: InstClass, activity: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&activity),
@@ -131,6 +132,7 @@ impl CurrentModel {
     }
 
     /// Leakage current (A) at the given voltage/temperature.
+    #[inline]
     pub fn leakage_a(&self, vcc_mv: f64, temp_c: f64) -> f64 {
         let v_scale = vcc_mv / Self::NOMINAL_VCC_MV;
         let t_scale = 1.0 + self.leak_temp_coeff_per_c * (temp_c - Self::NOMINAL_TEMP_C);
@@ -138,6 +140,7 @@ impl CurrentModel {
     }
 
     /// Dynamic current (A) of a single core.
+    #[inline]
     fn core_dynamic_a(&self, act: &CoreActivity, vcc_mv: f64, freq: Freq) -> f64 {
         if !act.clocks_on {
             return 0.0;
@@ -151,6 +154,7 @@ impl CurrentModel {
     }
 
     /// Total package current (A) for the given per-core activities.
+    #[inline]
     pub fn icc_a(&self, cores: &[CoreActivity], vcc_mv: f64, freq: Freq, temp_c: f64) -> f64 {
         let dynamic: f64 = cores
             .iter()
@@ -165,6 +169,7 @@ impl CurrentModel {
     }
 
     /// Package power (W) at the operating point.
+    #[inline]
     pub fn power_w(&self, cores: &[CoreActivity], vcc_mv: f64, freq: Freq, temp_c: f64) -> f64 {
         self.icc_a(cores, vcc_mv, freq, temp_c) * vcc_mv * 1e-3
     }

@@ -84,6 +84,7 @@ impl VrModel {
     /// # Panics
     ///
     /// Panics if `delta_mv` is negative or not finite.
+    #[inline]
     pub fn ramp_time(&self, delta_mv: f64) -> SimTime {
         assert!(
             delta_mv.is_finite() && delta_mv >= 0.0,

@@ -93,6 +93,7 @@ impl VfCurve {
 
     /// Operating voltage (mV) for `freq`, linearly interpolated and
     /// clamped at the curve endpoints.
+    #[inline]
     pub fn voltage_mv(&self, freq: Freq) -> f64 {
         let pts = &self.points;
         if freq <= pts[0].0 {

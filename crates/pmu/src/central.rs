@@ -34,6 +34,10 @@ struct Segment {
 /// retained ramp reads the oldest ramp's starting voltage.
 pub const MAX_SEGMENTS: usize = 4096;
 
+/// Ramps [`VrRail::voltage_at`] checks, newest first, before it
+/// bisects the whole history.
+const NEWEST_PROBES: usize = 4;
+
 /// A voltage rail: a VR plus its serializing command interface, with the
 /// last [`MAX_SEGMENTS`] voltage ramps it scheduled.
 ///
@@ -115,8 +119,18 @@ impl VrRail {
         if t >= self.free_at {
             return self.setpoint_mv;
         }
-        // Find the last segment whose ramp has begun by `t`.
-        let idx = self.segments.partition_point(|s| s.ramp_start <= t);
+        // Find the last segment whose ramp has begun by `t`. Ramps are
+        // scheduled in `ramp_start` order and a query below `free_at`
+        // almost always falls in one of the newest few, so scanning back
+        // from the newest gives `partition_point`'s index in a probe or
+        // two; past `NEWEST_PROBES` ramps, bisect.
+        let n = self.segments.len();
+        let mut newest = self.segments.iter().rev().take(NEWEST_PROBES);
+        let idx = match newest.position(|s| s.ramp_start <= t) {
+            Some(back) => n - back,
+            None if n <= NEWEST_PROBES => 0,
+            None => self.segments.partition_point(|s| s.ramp_start <= t),
+        };
         if idx == 0 {
             return match self.segments.front() {
                 // Before any retained ramp: the pre-history voltage.
@@ -207,9 +221,21 @@ pub struct CentralPmu {
     /// expiries, and `target_mv` depends only on those levels plus the
     /// operating point. Any mutation (execution, P-state change, reset)
     /// clears this to `SimTime::ZERO`; a completed decay scan advances it
-    /// to the earliest pending decay. Purely a skip memo for
-    /// [`Self::process_decays`] — it never alters results.
+    /// to the earliest pending decay (`SimTime::MAX` when none is).
+    /// Purely a skip memo for [`Self::process_decays`] and
+    /// [`Self::next_decay`] — it never alters results.
     targets_valid_until: SimTime,
+    /// The instant of the scan that set `targets_valid_until`. Between
+    /// the two no license level can change, so the earliest pending
+    /// decay is the scan's answer.
+    targets_valid_from: SimTime,
+    /// [`Self::next_decay`] requests plus the scans that
+    /// [`Self::process_decays`] and [`Self::set_operating_point`] make,
+    /// since construction or the last [`Self::reset`].
+    decay_queries: u64,
+    /// How many of `decay_queries` scanned the licenses instead of
+    /// being answered from the decay horizon.
+    decay_scans: u64,
 }
 
 impl CentralPmu {
@@ -230,6 +256,9 @@ impl CentralPmu {
             base_mv,
             freq,
             targets_valid_until: SimTime::ZERO,
+            targets_valid_from: SimTime::ZERO,
+            decay_queries: 0,
+            decay_scans: 0,
         };
         pmu.reset(freq, base_mv);
         pmu
@@ -256,6 +285,9 @@ impl CentralPmu {
         }
         self.licensed.clear();
         self.targets_valid_until = SimTime::ZERO;
+        self.targets_valid_from = SimTime::ZERO;
+        self.decay_queries = 0;
+        self.decay_scans = 0;
     }
 
     /// Current core clock frequency (shared clock domain).
@@ -272,21 +304,25 @@ impl CentralPmu {
     }
 
     /// The rail supplying `core` (read access, e.g. for tracing).
+    #[inline]
     pub fn rail(&self, core: usize) -> &VrRail {
         &self.rails[self.rail_index(core)]
     }
 
     /// Instantaneous supply voltage of `core` at `t`.
+    #[inline]
     pub fn core_voltage_mv(&self, core: usize, t: SimTime) -> f64 {
         self.rail(core).voltage_at(t)
     }
 
     /// Effective license level of `core` at `now`.
+    #[inline]
     pub fn effective_level(&self, core: usize, now: SimTime) -> u8 {
         self.licenses[core].effective_level(now)
     }
 
     /// Effective license of `core` at `now`, as an instruction class.
+    #[inline]
     pub fn effective_class(&self, core: usize, now: SimTime) -> InstClass {
         self.licenses[core].effective_class(now)
     }
@@ -369,11 +405,41 @@ impl CentralPmu {
     }
 
     /// The next instant at which any core's license decays, if any.
-    pub fn next_decay(&self, now: SimTime) -> Option<SimTime> {
+    ///
+    /// Inside the decay horizon of the last scan (see
+    /// `targets_valid_until`) no license level has changed, so the
+    /// answer is that scan's, without visiting the licenses again.
+    #[inline]
+    pub fn next_decay(&mut self, now: SimTime) -> Option<SimTime> {
+        if self.targets_valid_from <= now && now < self.targets_valid_until {
+            self.decay_queries += 1;
+            return (self.targets_valid_until != SimTime::MAX).then_some(self.targets_valid_until);
+        }
+        self.scan_decays(now)
+    }
+
+    /// [`Self::next_decay`] by a full scan of the licensed cores.
+    fn scan_decays(&mut self, now: SimTime) -> Option<SimTime> {
+        self.decay_queries += 1;
+        self.decay_scans += 1;
         self.licensed
             .iter()
             .filter_map(|&c| self.licenses[c].next_decay(now))
             .min()
+    }
+
+    /// Rescans the pending decays at `now` and restarts the horizon
+    /// there: every rail setpoint equals its target at `now`.
+    fn refresh_decay_horizon(&mut self, now: SimTime) {
+        self.targets_valid_until = self.scan_decays(now).unwrap_or(SimTime::MAX);
+        self.targets_valid_from = now;
+    }
+
+    /// `(queries, scans)`: how many next-decay answers were asked for
+    /// since construction or the last [`Self::reset`], and how many of
+    /// them scanned the licenses rather than reading the horizon.
+    pub fn decay_counts(&self) -> (u64, u64) {
+        (self.decay_queries, self.decay_scans)
     }
 
     /// Processes license decays at `now`: recomputes rail targets and
@@ -399,7 +465,7 @@ impl CentralPmu {
                 changed = true;
             }
         }
-        self.targets_valid_until = self.next_decay(now).unwrap_or(SimTime::MAX);
+        self.refresh_decay_horizon(now);
         changed
     }
 
@@ -415,7 +481,7 @@ impl CentralPmu {
         }
         // Every rail setpoint now equals its target at `now`, and targets
         // hold until the next license decay.
-        self.targets_valid_until = self.next_decay(now).unwrap_or(SimTime::MAX);
+        self.refresh_decay_horizon(now);
     }
 
     /// The final setpoint of the (first) rail — the package voltage once
@@ -445,6 +511,72 @@ mod tests {
         CentralPmu::new(cfg(), Freq::from_ghz(1.4), 760.0)
     }
 
+    /// One operation of a PMU schedule.
+    enum Op {
+        Exec(usize, InstClass),
+        Decays,
+        OperatingPoint(f64, f64),
+    }
+
+    /// The shared-rail, per-core-rail and secure-mode configurations on
+    /// `n_cores` cores.
+    fn rail_configs(n_cores: usize) -> impl Iterator<Item = PmuConfig> {
+        [(false, false), (true, false), (false, true)]
+            .into_iter()
+            .map(move |(per_core_vr, secure_mode)| PmuConfig {
+                n_cores,
+                per_core_vr,
+                secure_mode,
+                ..cfg()
+            })
+    }
+
+    /// Applies `op` at `t` and returns what the PMU answered: the grant
+    /// of an execution, or whether a decay pass retargeted a rail.
+    fn apply(pmu: &mut CentralPmu, t: SimTime, op: &Op) -> (Option<ExecGrant>, bool) {
+        match *op {
+            Op::Exec(core, class) => (Some(pmu.on_execute(core, class, t)), false),
+            Op::Decays => (None, pmu.process_decays(t)),
+            Op::OperatingPoint(ghz, mv) => {
+                pmu.set_operating_point(t, Freq::from_ghz(ghz), mv);
+                (None, false)
+            }
+        }
+    }
+
+    /// The earliest pending decay by a scan of every license.
+    fn scanned_decay(pmu: &CentralPmu, now: SimTime) -> Option<SimTime> {
+        pmu.licenses.iter().filter_map(|l| l.next_decay(now)).min()
+    }
+
+    /// A seeded schedule of `n` operations on `n_cores` cores at
+    /// non-decreasing instants (µs), 0–400 µs apart, so licenses both
+    /// overlap and expire between operations.
+    fn random_schedule(seed: u64, n: usize, n_cores: usize) -> Vec<(f64, Op)> {
+        let mut x = seed;
+        let mut t_us = 0.0;
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                t_us += (x >> 55) as f64 * 0.75;
+                let op = match (x >> 20) % 10 {
+                    0..=5 => Op::Exec(
+                        (x >> 30) as usize % n_cores,
+                        InstClass::ALL[(x >> 40) as usize % InstClass::ALL.len()],
+                    ),
+                    6..=8 => Op::Decays,
+                    _ => Op::OperatingPoint(
+                        [1.4, 1.8, 2.0, 2.2][(x >> 44) as usize % 4],
+                        760.0 + ((x >> 48) % 70) as f64,
+                    ),
+                };
+                (t_us, op)
+            })
+            .collect()
+    }
+
     /// A Scalar64 execution recorded on every core puts every core on
     /// the licensed list, so the PMU then visits all cores as a full
     /// scan would. Grants, rail setpoints, rail voltages and pending
@@ -452,11 +584,6 @@ mod tests {
     /// bit, on a shared rail, per-core rails and in secure mode.
     #[test]
     fn scalar_execution_on_every_core_changes_nothing() {
-        enum Op {
-            Exec(usize, InstClass),
-            Decays,
-            OperatingPoint(f64, f64),
-        }
         let schedule = [
             (0.5, Op::OperatingPoint(1.8, 800.0)),
             (1.0, Op::Exec(4, InstClass::Heavy512)),
@@ -471,13 +598,7 @@ mod tests {
             (1_400.0, Op::Decays),
             (2_000.0, Op::Decays),
         ];
-        for (per_core_vr, secure_mode) in [(false, false), (true, false), (false, true)] {
-            let cfg = PmuConfig {
-                n_cores: 6,
-                per_core_vr,
-                secure_mode,
-                ..cfg()
-            };
+        for cfg in rail_configs(6) {
             let mut sparse = CentralPmu::new(cfg, Freq::from_ghz(1.4), 760.0);
             let mut full = sparse.clone();
             for core in 0..6 {
@@ -485,20 +606,7 @@ mod tests {
             }
             for (t_us, op) in &schedule {
                 let t = SimTime::from_us(*t_us);
-                match *op {
-                    Op::Exec(core, class) => assert_eq!(
-                        sparse.on_execute(core, class, t),
-                        full.on_execute(core, class, t),
-                        "grant at {t}"
-                    ),
-                    Op::Decays => {
-                        assert_eq!(sparse.process_decays(t), full.process_decays(t));
-                    }
-                    Op::OperatingPoint(ghz, mv) => {
-                        sparse.set_operating_point(t, Freq::from_ghz(ghz), mv);
-                        full.set_operating_point(t, Freq::from_ghz(ghz), mv);
-                    }
-                }
+                assert_eq!(apply(&mut sparse, t, op), apply(&mut full, t, op), "{t}");
                 assert_eq!(sparse.next_decay(t), full.next_decay(t), "decay at {t}");
                 for core in 0..6 {
                     let (a, b) = (sparse.rail(core), full.rail(core));
@@ -508,6 +616,51 @@ mod tests {
                         let at = t + SimTime::from_us(dt);
                         assert_eq!(a.voltage_at(at).to_bits(), b.voltage_at(at).to_bits());
                     }
+                }
+            }
+        }
+    }
+
+    /// `next_decay` answers like a scan of every license before and
+    /// after each operation of seeded random schedules, at the
+    /// operation's instant, at later instants inside and past the
+    /// reset-time, and at an instant before the last scan. On the
+    /// shared rail and per-core rails the decay horizon must answer
+    /// some of those queries, or this would test nothing new.
+    #[test]
+    fn next_decay_answers_like_a_full_scan() {
+        for seed in 1..=8u64 {
+            let schedule = random_schedule(seed, 300, 6);
+            for cfg in rail_configs(6) {
+                let secure = cfg.secure_mode;
+                let mut pmu = CentralPmu::new(cfg, Freq::from_ghz(1.4), 760.0);
+                let check = |pmu: &mut CentralPmu, t: SimTime| {
+                    for at in [
+                        t.saturating_sub(SimTime::from_us(5.0)),
+                        t,
+                        t + SimTime::from_us(0.5),
+                        t + SimTime::from_us(120.0),
+                        t + SimTime::from_us(649.0),
+                        t + SimTime::from_us(651.0),
+                        t,
+                    ] {
+                        assert_eq!(
+                            pmu.next_decay(at),
+                            scanned_decay(pmu, at),
+                            "seed {seed}, decay at {at} after an op at {t}"
+                        );
+                    }
+                };
+                for (t_us, op) in &schedule {
+                    let t = SimTime::from_us(*t_us);
+                    check(&mut pmu, t);
+                    apply(&mut pmu, t, op);
+                    check(&mut pmu, t);
+                }
+                let (queries, scans) = pmu.decay_counts();
+                assert!(scans <= queries);
+                if !secure {
+                    assert!(scans < queries, "seed {seed}: the horizon never answered");
                 }
             }
         }
@@ -721,12 +874,15 @@ mod tests {
             segments: Vec::new(),
         };
         let mut scheduled = 0;
+        let mut x: u64 = 0x0DDB_1A5E_5BAD_5EED;
         drive_rail(&mut rail, 3 * MAX_SEGMENTS, |rail| {
             reference.push(*rail.segments.back().unwrap());
             scheduled += 1;
             assert!(rail.retained_ramps() <= MAX_SEGMENTS);
             assert!(rail.segments.capacity() <= MAX_SEGMENTS);
-            if scheduled % (MAX_SEGMENTS / 4) != 0 {
+            // Every short history (where the newest-first scan covers all
+            // or all but a few ramps), then every quarter ring.
+            if scheduled > 2 * NEWEST_PROBES && scheduled % (MAX_SEGMENTS / 4) != 0 {
                 return;
             }
             assert!(rail.segments.iter().eq(reference.segments.iter()));
@@ -735,6 +891,16 @@ mod tests {
                 probes.push(s.ramp_start);
                 probes.push(s.ramp_start + (s.end - s.ramp_start).scale(0.5));
                 probes.push(s.end);
+            }
+            // Seeded random instants over the whole history, and over
+            // the span before the oldest retained ramp (non-empty once
+            // the ring has wrapped).
+            let oldest = rail.segments.front().unwrap().ramp_start;
+            for k in 0..512u64 {
+                x = x.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(k | 1);
+                let frac = (x >> 11) as f64 / (1u64 << 53) as f64;
+                probes.push(rail.free_at().scale(frac));
+                probes.push(oldest.scale(frac));
             }
             for t in probes {
                 assert_eq!(

@@ -54,6 +54,7 @@ impl CoreLicense {
 
     /// The effective license level (intensity rank 0‥6) at `now`: the
     /// highest rank executed within the last `reset_time`.
+    #[inline]
     pub fn effective_level(&self, now: SimTime) -> u8 {
         for rank in (1..N_LEVELS).rev() {
             if let Some(t) = self.last_exec[rank] {
@@ -66,6 +67,7 @@ impl CoreLicense {
     }
 
     /// The effective license as an instruction class.
+    #[inline]
     pub fn effective_class(&self, now: SimTime) -> InstClass {
         // `effective_level` is always a valid rank; fall back to the
         // baseline class rather than panicking.
@@ -75,6 +77,7 @@ impl CoreLicense {
     /// The next instant at which the effective level will drop, if any.
     /// (The level drops when the hysteresis window of the currently
     /// dominant rank expires.)
+    #[inline]
     pub fn next_decay(&self, now: SimTime) -> Option<SimTime> {
         let level = self.effective_level(now);
         if level == 0 {

@@ -26,30 +26,64 @@ use ichannels_uarch::time::SimTime;
 /// th.advance(25.0, SimTime::from_secs(2.0));
 /// assert!(th.temp_c() > 40.0 && th.temp_c() < 100.0); // well below Tjmax
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     temp_c: f64,
     ambient_c: f64,
     r_th_c_per_w: f64,
     tau: SimTime,
     tjmax_c: f64,
-    /// One-entry memo for the relaxation factor `exp(-dt/τ)`:
-    /// event-driven stepping repeats the same `dt` constantly, and `exp`
-    /// over identical bits is deterministic, so replaying the cached
-    /// factor is exact. Never observable — excluded from equality.
-    alpha_memo: (SimTime, f64),
 }
 
-/// Equality over the physical state only; the `alpha_memo` cache is an
-/// internal accelerator and two models that differ only in it are the
-/// same model.
-impl PartialEq for ThermalModel {
-    fn eq(&self, other: &Self) -> bool {
-        self.temp_c == other.temp_c
-            && self.ambient_c == other.ambient_c
-            && self.r_th_c_per_w == other.r_th_c_per_w
-            && self.tau == other.tau
-            && self.tjmax_c == other.tjmax_c
+/// The relaxation factor `exp(-dt/τ)` of one step of length `dt`.
+fn relaxation(dt: SimTime, tau: SimTime) -> f64 {
+    (-(dt / tau)).exp()
+}
+
+/// Slots of a [`RelaxationTable`].
+const RELAXATION_SLOTS: usize = 256;
+
+/// A direct-mapped memo of the relaxation factor `exp(-dt/τ)` for one
+/// time constant `τ`, keyed by the step length `dt`.
+///
+/// Event-driven stepping repeats a small set of step lengths (slot
+/// periods, ramp and settle latencies), and `exp` over identical bits
+/// is deterministic, so a stored factor is exactly the one a fresh
+/// `exp` would return. Every slot starts as `dt = 0` with factor
+/// `exp(-0) = 1`, which is the true factor of that key, so the table
+/// needs no empty marker. It carries no model state: one table can
+/// serve every run of models sharing `τ`.
+#[derive(Debug, Clone)]
+pub struct RelaxationTable {
+    tau: SimTime,
+    dts: [SimTime; RELAXATION_SLOTS],
+    factors: [f64; RELAXATION_SLOTS],
+    misses: u64,
+}
+
+impl RelaxationTable {
+    /// The factor for a step of `dt`, computing and storing it on a miss.
+    #[inline]
+    fn factor(&mut self, dt: SimTime) -> f64 {
+        let slot = (dt.as_ps().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize;
+        if self.dts[slot] != dt {
+            self.misses += 1;
+            self.dts[slot] = dt;
+            self.factors[slot] = relaxation(dt, self.tau);
+        }
+        self.factors[slot]
+    }
+
+    /// How many [`ThermalModel::advance_memo`] calls since creation or
+    /// the last [`Self::clear_misses`] computed `exp` instead of reading
+    /// a stored factor.
+    pub fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    /// Zeroes the miss count, keeping the stored factors.
+    pub fn clear_misses(&mut self) {
+        self.misses = 0;
     }
 }
 
@@ -83,7 +117,16 @@ impl ThermalModel {
             r_th_c_per_w,
             tau,
             tjmax_c,
-            alpha_memo: (SimTime::MAX, 0.0),
+        }
+    }
+
+    /// An empty relaxation-factor memo for this model's time constant.
+    pub fn relaxation_table(&self) -> RelaxationTable {
+        RelaxationTable {
+            tau: self.tau,
+            dts: [SimTime::ZERO; RELAXATION_SLOTS],
+            factors: [1.0; RELAXATION_SLOTS],
+            misses: 0,
         }
     }
 
@@ -99,14 +142,24 @@ impl ThermalModel {
 
     /// Advances the model by `dt` with constant dissipated power `p_w`.
     pub fn advance(&mut self, p_w: f64, dt: SimTime) {
+        self.relax(p_w, relaxation(dt, self.tau));
+    }
+
+    /// [`Self::advance`], reading the relaxation factor from `memo`
+    /// (built by [`Self::relaxation_table`] for the same time constant).
+    /// Bit-identical to `advance`.
+    #[inline]
+    pub fn advance_memo(&mut self, p_w: f64, dt: SimTime, memo: &mut RelaxationTable) {
+        debug_assert_eq!(memo.tau, self.tau, "relaxation table of another τ");
+        let alpha = memo.factor(dt);
+        self.relax(p_w, alpha);
+    }
+
+    /// Relaxes the temperature toward the steady state under `p_w` by
+    /// the factor `alpha`.
+    #[inline]
+    fn relax(&mut self, p_w: f64, alpha: f64) {
         let target = self.steady_state_c(p_w);
-        let alpha = if self.alpha_memo.0 == dt {
-            self.alpha_memo.1
-        } else {
-            let a = (-(dt / self.tau)).exp();
-            self.alpha_memo = (dt, a);
-            a
-        };
         self.temp_c = target + (self.temp_c - target) * alpha;
     }
 }
@@ -149,6 +202,42 @@ mod tests {
             "T = {}",
             th.temp_c()
         );
+    }
+
+    /// Advancing through the table gives the same temperature, bit for
+    /// bit, as calling `exp` every step: on repeats, on colliding step
+    /// lengths that evict each other, and on the `dt = 0` key every slot
+    /// starts with.
+    #[test]
+    fn relaxation_table_advances_bit_for_bit() {
+        assert_eq!(relaxation(SimTime::ZERO, SimTime::from_secs(3.0)), 1.0);
+        let mut plain = ThermalModel::client_default();
+        let mut memo = plain;
+        let mut table = memo.relaxation_table();
+        let mut x: u64 = 0xC0FF_EE00_D15E_A5E5;
+        for i in 0..50_000u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let dt = match i % 4 {
+                0 => SimTime::ZERO,
+                1 => SimTime::from_ps((x >> 33) % 40 * 1_000_000),
+                2 => SimTime::from_ps(x >> 24),
+                _ => SimTime::from_us(40.0),
+            };
+            let p_w = 5.0 + (x >> 60) as f64;
+            plain.advance(p_w, dt);
+            memo.advance_memo(p_w, dt, &mut table);
+            assert_eq!(
+                plain.temp_c().to_bits(),
+                memo.temp_c().to_bits(),
+                "step {i}"
+            );
+        }
+        let misses = table.misses();
+        assert!(misses > 0 && misses < 25_000, "{misses} misses");
+        table.clear_misses();
+        assert_eq!(table.misses(), 0);
     }
 
     #[test]

@@ -201,6 +201,7 @@ impl TurboState {
     }
 
     /// Next instant the state could change on its own (grant or release).
+    #[inline]
     pub fn next_event(&self, table: &TurboTable) -> Option<SimTime> {
         let release = if self.current > TurboLicense::Lvl0 {
             Some(self.last_demand + table.release_latency())

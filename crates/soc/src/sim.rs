@@ -12,10 +12,11 @@
 //! (§6.3) tractable at picosecond resolution.
 
 use ichannels_pdn::current::{CoreActivity, CurrentModel};
+use ichannels_pdn::guardband::GuardbandModel;
 use ichannels_pdn::power_gate::PowerGate;
 use ichannels_pmu::central::{CentralPmu, PmuConfig};
 use ichannels_pmu::pstate::PStateEngine;
-use ichannels_pmu::thermal::ThermalModel;
+use ichannels_pmu::thermal::{RelaxationTable, ThermalModel};
 use ichannels_pmu::turbo::{TurboLicense, TurboState};
 use ichannels_uarch::idq::ThrottlePolicy;
 use ichannels_uarch::ipc::effective_ipc;
@@ -81,6 +82,27 @@ struct CoreState {
     avx_gate: PowerGate,
 }
 
+/// Work counts of one SoC run: the events, and how often each
+/// per-event shortcut had to fall back to the full computation. Each is
+/// a pure function of the work set, except that the thermal table
+/// outlives re-arms, so its misses also depend on the earlier runs of
+/// the same `Soc`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepCounts {
+    /// Events processed.
+    pub steps: u64,
+    /// Package-rail reads (one per event) before the rail's `free_at`,
+    /// which search the ramp history; the others read the setpoint.
+    pub rail_history_reads: u64,
+    /// Next-decay answers the PMU gave.
+    pub decay_queries: u64,
+    /// How many of those scanned every licensed core.
+    pub decay_scans: u64,
+    /// Thermal advances (one per event) that computed `exp` instead of
+    /// reading the table.
+    pub thermal_misses: u64,
+}
+
 /// Safety bound on program re-activations within a single instant.
 const MAX_ACTIVATION_LOOPS: usize = 1_000_000;
 
@@ -115,7 +137,13 @@ pub struct Soc {
     pstate: PStateEngine,
     turbo: TurboState,
     thermal: ThermalModel,
+    /// `exp(-dt/τ)` memo of the thermal model. `τ` is fixed by the
+    /// config, so the table outlives re-arms; only its miss count resets.
+    relaxation: RelaxationTable,
     current_model: CurrentModel,
+    /// The platform's guardband model, for the electrical-limit search
+    /// in `retarget_frequency`.
+    guardband: GuardbandModel,
     tsc: Tsc,
     now: SimTime,
     cores: Vec<CoreState>,
@@ -142,6 +170,9 @@ pub struct Soc {
     /// Events processed since construction or the last re-arm: one per
     /// `step` that advanced the clock. A pure function of the work set.
     steps: u64,
+    /// Of those events, how many read the package rail before its
+    /// `free_at`, where the rail searches its ramp history.
+    rail_history_reads: u64,
     /// Ascending indices of the cores `spawn` has placed a program on
     /// since construction or the last re-arm. Every other core is still
     /// as constructed: idle contexts with no program, no throttle, a
@@ -194,14 +225,18 @@ impl Soc {
             .collect();
         let next_sample = cfg.trace.sample_period.map(|p| SimTime::ZERO.max(p));
         let current_model = p.current_model();
+        let guardband = p.guardband();
         let thermal = cfg.thermal_model();
+        let relaxation = thermal.relaxation_table();
         let tsc = Tsc::new(p.tsc_freq);
         Soc {
             pmu,
             pstate: PStateEngine::new(initial_freq),
             turbo: TurboState::new(),
             thermal,
+            relaxation,
             current_model,
+            guardband,
             tsc,
             now: SimTime::ZERO,
             cores,
@@ -216,6 +251,7 @@ impl Soc {
             next_noise_due: SimTime::ZERO,
             live_programs: 0,
             steps: 0,
+            rail_history_reads: 0,
             engaged: Vec::new(),
         }
     }
@@ -239,8 +275,9 @@ impl Soc {
         self.pstate = PStateEngine::new(initial_freq);
         self.turbo = TurboState::new();
         self.thermal = self.cfg.thermal_model();
-        // `current_model` and `tsc` are pure functions of the platform
-        // spec and carry no run state — left untouched.
+        self.relaxation.clear_misses();
+        // `current_model`, `guardband` and `tsc` are pure functions of
+        // the platform spec and carry no run state — left untouched.
         self.now = SimTime::ZERO;
         self.rng = SmallRng::seed_from_u64(self.cfg.seed);
         for core in &mut self.cores {
@@ -267,6 +304,7 @@ impl Soc {
         self.next_noise_due = SimTime::ZERO;
         self.live_programs = 0;
         self.steps = 0;
+        self.rail_history_reads = 0;
         self.engaged.clear();
     }
 
@@ -329,9 +367,17 @@ impl Soc {
         self.cores[core].ctxs[smt].inst_retired
     }
 
-    /// Events processed since construction or the last re-arm.
-    pub fn steps(&self) -> u64 {
-        self.steps
+    /// Work counts of the per-event shortcuts since construction or the
+    /// last re-arm.
+    pub fn step_counts(&self) -> StepCounts {
+        let (decay_queries, decay_scans) = self.pmu.decay_counts();
+        StepCounts {
+            steps: self.steps,
+            rail_history_reads: self.rail_history_reads,
+            decay_queries,
+            decay_scans,
+            thermal_misses: self.relaxation.misses(),
+        }
     }
 
     /// True if every spawned program has halted.
@@ -411,9 +457,10 @@ impl Soc {
                 }
             }
         }
-        // lint:allow(R001): livelock backstop — a program issuing a
-        // million non-blocking actions at one instant violates the
-        // Program contract and has no recoverable state to surface.
+        // lint:allow(R001): livelock backstop. A program issuing a
+        // million non-blocking actions at one instant breaks the
+        // `Program` contract; `activate` runs inside `spawn` and `step`,
+        // which have no error channel, so the panic is its only report.
         panic!(
             "program on ({core},{smt}) livelocked at {now}",
             now = self.now
@@ -552,10 +599,12 @@ impl Soc {
         let mut candidate = desired.min(cap);
         // Electrical limit search: walk down the P-state table until the
         // projected operating point fits.
-        let gb = p.guardband();
         loop {
             let base = p.vf_curve.voltage_mv(candidate);
-            let vcc = base + gb.package_guardband_mv(&projected, base, candidate);
+            let vcc = base
+                + self
+                    .guardband
+                    .package_guardband_mv(&projected, base, candidate);
             let icc = self
                 .current_model
                 .icc_a(&acts, vcc, candidate, self.thermal.temp_c());
@@ -704,9 +753,12 @@ impl Soc {
 
         // --- 2. advance state analytically across [now, t_next] ---
         let dt = t_next - self.now;
+        if now < self.pmu.rail(0).free_at() {
+            self.rail_history_reads += 1;
+        }
         let power = self.current_model.power_w(
             &acts,
-            self.pmu.core_voltage_mv(0, self.now),
+            self.pmu.core_voltage_mv(0, now),
             self.freq(),
             self.thermal.temp_c(),
         );
@@ -730,7 +782,7 @@ impl Soc {
             }
         }
         self.rate_scratch = rates;
-        self.thermal.advance(power, dt);
+        self.thermal.advance_memo(power, dt, &mut self.relaxation);
         self.now = t_next;
 
         // --- 3. process everything due at the new instant ---

@@ -22,6 +22,22 @@ const PS_PER_MS: u64 = 1_000_000_000;
 /// Picoseconds per second.
 const PS_PER_S: u64 = 1_000_000_000_000;
 
+/// `x.round() as u64` for finite `x >= 0`, without the libm call.
+///
+/// From 2^52 up every `f64` is an integer, so the saturating cast is
+/// already exact. Below it, `x - trunc(x)` is computed exactly and
+/// rounding half away from zero adds one at a fraction of 0.5 or more.
+/// Unlike `(x + 0.5) as u64`, this keeps 0.49999999999999994 at 0.
+#[inline]
+fn round_ps(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x >= EXACT {
+        return x as u64;
+    }
+    let i = x as u64;
+    i + u64::from(x - i as f64 >= 0.5)
+}
+
 /// An instant or duration on the simulated timeline, in picoseconds.
 ///
 /// `SimTime` is used both as a point in time (measured from simulation
@@ -66,7 +82,7 @@ impl SimTime {
             ns.is_finite() && ns >= 0.0,
             "invalid nanosecond value: {ns}"
         );
-        SimTime((ns * PS_PER_NS as f64).round() as u64)
+        SimTime(round_ps(ns * PS_PER_NS as f64))
     }
 
     /// Creates a time from fractional microseconds (rounded to ps).
@@ -74,12 +90,13 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `us` is negative or not finite.
+    #[inline]
     pub fn from_us(us: f64) -> Self {
         assert!(
             us.is_finite() && us >= 0.0,
             "invalid microsecond value: {us}"
         );
-        SimTime((us * PS_PER_US as f64).round() as u64)
+        SimTime(round_ps(us * PS_PER_US as f64))
     }
 
     /// Creates a time from fractional milliseconds (rounded to ps).
@@ -92,7 +109,7 @@ impl SimTime {
             ms.is_finite() && ms >= 0.0,
             "invalid millisecond value: {ms}"
         );
-        SimTime((ms * PS_PER_MS as f64).round() as u64)
+        SimTime(round_ps(ms * PS_PER_MS as f64))
     }
 
     /// Creates a time from fractional seconds (rounded to ps).
@@ -100,9 +117,10 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid second value: {s}");
-        SimTime((s * PS_PER_S as f64).round() as u64)
+        SimTime(round_ps(s * PS_PER_S as f64))
     }
 
     /// Raw picosecond count.
@@ -150,18 +168,20 @@ impl SimTime {
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
         );
-        SimTime((self.0 as f64 * factor).round() as u64)
+        SimTime(round_ps(self.0 as f64 * factor))
     }
 }
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // lint:allow(R001): deliberate hard stop — saturating here
-                // would silently freeze the event timeline.
+                // lint:allow(R001): `Add` has no error channel, and
+                // reaching 2^64 ps (~213 simulated days) means a corrupt
+                // schedule; saturating would freeze the timeline silently.
                 .expect("SimTime addition overflow"),
         )
     }
@@ -175,12 +195,14 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // lint:allow(R001): deliberate hard stop — a negative
-                // duration means the schedule itself is corrupt.
+                // lint:allow(R001): `Sub` has no error channel, and a
+                // negative duration means the schedule itself is corrupt
+                // (pinned by `sub_underflow_panics`).
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -201,6 +223,7 @@ impl Sum for SimTime {
 impl Div<SimTime> for SimTime {
     type Output = f64;
     /// Ratio of two durations.
+    #[inline]
     fn div(self, rhs: SimTime) -> f64 {
         assert!(!rhs.is_zero(), "division by zero SimTime");
         self.0 as f64 / rhs.0 as f64
@@ -362,6 +385,46 @@ mod tests {
     fn freq_cycles() {
         let f = Freq::from_ghz(1.4);
         assert_eq!(f.as_hz(), 1_400_000_000);
+    }
+
+    /// `round_ps` is `x.round() as u64` bit for bit on every finite
+    /// `x >= 0`: ties, the largest double below one half, the edge at
+    /// 2^52 where every double becomes an integer, saturation past
+    /// 2^64, and a seeded sweep over many magnitudes.
+    #[test]
+    fn round_ps_matches_libm_round() {
+        let p52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1.0 - f64::EPSILON / 2.0,
+            p52 - 0.5,
+            p52 - 1.5,
+            p52 + 0.5,
+            p52,
+            p52 + 1.0,
+            (1u64 << 53) as f64 + 1.0,
+            (1u64 << 53) as f64 + 2.0,
+            u64::MAX as f64,
+            2.0 * u64::MAX as f64,
+            f64::MAX,
+        ];
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mantissa = (x >> 11) as f64 / (1u64 << 53) as f64;
+            let exponent = (x % 72) as i32 - 4;
+            xs.push(mantissa * 2f64.powi(exponent));
+            xs.push(((x >> 20) as f64).floor() + 0.5);
+        }
+        for x in xs {
+            assert_eq!(round_ps(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use ichannels_repro::ichannels_soc::config::{PlatformSpec, SocConfig};
 use ichannels_repro::ichannels_soc::noise::NoiseConfig;
 use ichannels_repro::ichannels_soc::program::{Action, FnProgram, ProgCtx, Script};
-use ichannels_repro::ichannels_soc::sim::Soc;
+use ichannels_repro::ichannels_soc::sim::{Soc, StepCounts};
 use ichannels_repro::ichannels_soc::trace::Sample;
 use ichannels_repro::ichannels_uarch::isa::InstClass;
 use ichannels_repro::ichannels_uarch::time::{Freq, SimTime};
@@ -44,7 +44,7 @@ fn sample_bits(s: &Sample) -> SampleBits {
 #[derive(Debug, PartialEq)]
 struct Observed {
     end: SimTime,
-    steps: u64,
+    counts: StepCounts,
     samples: Vec<SampleBits>,
     /// Retired instructions of every (core, SMT) hardware thread.
     retired: Vec<u64>,
@@ -156,7 +156,7 @@ fn drive(cfg: &SocConfig, engage_all: bool) -> Observed {
     let rx_tsc = rx_tsc.borrow().clone();
     Observed {
         end,
-        steps: soc.steps(),
+        counts: soc.step_counts(),
         samples: soc.trace().samples().iter().map(sample_bits).collect(),
         retired,
         rx_tsc,

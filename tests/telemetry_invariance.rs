@@ -210,8 +210,23 @@ fn baseline_trials_flush_soc_telemetry() {
 /// work.
 const QUICK_CATALOG_SOC_STEPS: u64 = 22_955;
 
+/// How often, in the same pass, each per-event shortcut ran and how
+/// often it fell back to the full computation: rail reads before
+/// `free_at` (the ramp-history search, out of one read per step),
+/// next-decay answers and the license scans among them, and the
+/// thermal advances (one per step) that called `exp`. Like
+/// `soc.steps`, each is a pure function of the work set: the thermal
+/// table is per `Soc`, and a trial's runs share one in a fixed order.
+const QUICK_CATALOG_SHORTCUT_COUNTS: [(&str, u64); 4] = [
+    ("soc.rail_history_reads", 12_064),
+    ("soc.decay_queries", 32_913),
+    ("soc.decay_scans", 16_847),
+    ("soc.thermal_misses", 4_448),
+];
+
 /// The quick catalog steps the SoC exactly `QUICK_CATALOG_SOC_STEPS`
-/// times on 1 and on 2 worker threads.
+/// times on 1 and on 2 worker threads, with the shortcut counts of
+/// `QUICK_CATALOG_SHORTCUT_COUNTS`.
 #[test]
 fn quick_catalog_soc_step_count_is_pinned() {
     let _guard = ObsGuard::acquire();
@@ -222,11 +237,14 @@ fn quick_catalog_soc_step_count_is_pinned() {
             Executor::new(threads).run(&grid.scenarios());
         }
         obs::set_enabled(false);
+        let snap = obs::global().snapshot();
         assert_eq!(
-            obs::global().snapshot().counter("soc.steps"),
+            snap.counter("soc.steps"),
             QUICK_CATALOG_SOC_STEPS,
             "{threads} threads"
         );
+        let counts = QUICK_CATALOG_SHORTCUT_COUNTS.map(|(name, _)| (name, snap.counter(name)));
+        assert_eq!(counts, QUICK_CATALOG_SHORTCUT_COUNTS, "{threads} threads");
     }
 }
 
