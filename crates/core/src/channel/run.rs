@@ -287,6 +287,11 @@ impl SymbolRun {
             ichannels_obs::counter_add("soc.decay_queries", counts.decay_queries);
             ichannels_obs::counter_add("soc.decay_scans", counts.decay_scans);
             ichannels_obs::counter_add("soc.thermal_misses", counts.thermal_misses);
+            ichannels_obs::counter_add("soc.retargets", counts.retargets);
+            ichannels_obs::counter_add("soc.limit_searches", counts.limit_searches);
+            ichannels_obs::counter_add("soc.target_misses", counts.target_misses);
+            ichannels_obs::counter_add("soc.ramp_misses", counts.ramp_misses);
+            ichannels_obs::counter_add("soc.completion_misses", counts.completion_misses);
         }
         recorder.values()
     }

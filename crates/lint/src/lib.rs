@@ -123,7 +123,7 @@ fn reference_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
                 .iter()
                 .any(|skip| member.file_name().and_then(|n| n.to_str()) == Some(skip));
             if !skipped {
-                dirs.extend([member.join("tests"), member.join("benches")]);
+                dirs.push(member.join("tests"));
             }
         }
     }
@@ -159,7 +159,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
 }
 
 /// Scans every file R003 reads for references only, under `root`:
-/// `crates/<member>/{tests,benches}/`, `tests/`, `examples/` and
+/// `crates/<member>/tests/`, `tests/`, `examples/` and
 /// `perfbench/src/`.
 ///
 /// # Errors
@@ -239,7 +239,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_walker_covers_tests_examples_benches_and_perfbench() {
+    fn reference_walker_covers_tests_examples_and_perfbench() {
         let root = repo_root();
         let rels: Vec<String> = reference_sources(&root)
             .expect("walk")
@@ -254,7 +254,6 @@ mod tests {
         for want in [
             "tests/golden_figures.rs",
             "examples/quickstart.rs",
-            "crates/bench/benches/channels.rs",
             "crates/lint/tests/self_scan.rs",
             "perfbench/src/main.rs",
         ] {

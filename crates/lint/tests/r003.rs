@@ -1,7 +1,7 @@
 //! R003, the one workspace-level rule: a `pub fn`/`pub const`/
 //! `pub static` that no other file names in code. Each case builds a
 //! tiny in-memory workspace of scanned files, so the reference roots
-//! (tests, examples, benches, the benchmark) are explicit per case.
+//! (tests, examples, the benchmark) are explicit per case.
 
 use ichannels_lint::rules::{run_rules, unreferenced_pub, Finding, RuleId};
 use ichannels_lint::scanner::{scan_str, SourceFile};
@@ -60,7 +60,6 @@ fn a_use_from_another_source_or_any_reference_root_keeps_it_quiet() {
     assert!(active(&from_source).is_empty(), "{from_source:#?}");
     for path in [
         "crates/pdn/tests/model.rs",
-        "crates/bench/benches/model.rs",
         "tests/model.rs",
         "examples/model.rs",
         "perfbench/src/main.rs",

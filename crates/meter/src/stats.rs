@@ -2,8 +2,8 @@
 //! sample summaries, confusion matrices and bit-error rates (Figure 14).
 //!
 //! [`summarize_samples`] is the one estimator every per-run distribution
-//! goes through: the `*_cells.csv` cell rows, the figure summaries,
-//! `analysis.jsonl` and the `criterion` stand-in's `Duration` stats.
+//! goes through: the `*_cells.csv` cell rows, the figure summaries and
+//! `analysis.jsonl`.
 //! Percentiles are **nearest-rank** (`rank(p) = ⌈p/100·n⌉`, 1-based) and
 //! the standard deviation is the sample (n−1) form. Bad input is a typed
 //! [`StatsError`], so streaming consumers can reject a poisoned series
@@ -343,8 +343,7 @@ mod tests {
     #[test]
     fn matches_the_historical_bench_convention() {
         // 1..=20: mean 10.5, nearest-rank median 10, p95 19, sample
-        // stddev √35 — the exact numbers the criterion stand-in's own
-        // unit test pins.
+        // stddev √35.
         let samples: Vec<f64> = (1..=20).map(f64::from).collect();
         let s = summarize_samples(&samples).unwrap();
         assert_eq!(s.mean, 10.5);

@@ -255,6 +255,38 @@ mod tests {
             prop_assert!(i2 >= i1);
         }
 
+        /// Icc never falls as the temperature rises, down to the next
+        /// representable temperature: leakage is linear in temperature
+        /// with a non-negative coefficient, and every IEEE-754 step on
+        /// that path is weakly monotone. The SoC's limit-search verdicts
+        /// rely on this to hold a pass at Tjmax for every cooler die.
+        #[test]
+        fn monotone_in_temperature(
+            classes in proptest::collection::vec(0usize..7, 0..6),
+            activity in 0.0f64..1.0,
+            vcc in 500.0f64..1500.0,
+            ghz in 0.4f64..5.5,
+            coeff in 0.0f64..0.05,
+            t1 in -60.0f64..160.0,
+            dt in 0.0f64..80.0,
+        ) {
+            let m = CurrentModel::new(CdynTable::default(), 2.0, 1.5, coeff);
+            let cores: Vec<CoreActivity> = classes
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| match i % 3 {
+                    0 => CoreActivity::IDLE,
+                    1 => CoreActivity::busy(InstClass::ALL[c]),
+                    _ => CoreActivity::partial(InstClass::ALL[c], activity),
+                })
+                .collect();
+            let f = Freq::from_ghz(ghz);
+            let ulp_up = f64::from_bits(t1.to_bits().wrapping_add(if t1 >= 0.0 { 1 } else { u64::MAX }));
+            for t2 in [t1 + dt, ulp_up.max(t1), t1] {
+                prop_assert!(m.icc_a(&cores, vcc, f, t1) <= m.icc_a(&cores, vcc, f, t2));
+            }
+        }
+
         /// Icc is monotone in frequency and voltage.
         #[test]
         fn monotone_in_freq(g1 in 0.8f64..4.0, d in 0.05f64..1.0) {

@@ -67,6 +67,7 @@ impl PowerGate {
 
     /// Requests the domain at `now`; returns the instant it is usable.
     /// Opening is idempotent while a wake is in flight.
+    #[inline]
     pub fn request_open(&mut self, now: SimTime) -> SimTime {
         match self.state {
             GateState::Open => now,
@@ -80,6 +81,7 @@ impl PowerGate {
     }
 
     /// Advances gate state to `now` (completes a finished wake).
+    #[inline]
     pub fn tick(&mut self, now: SimTime) {
         if let GateState::Opening { ready_at } = self.state {
             if now >= ready_at {
@@ -89,6 +91,7 @@ impl PowerGate {
     }
 
     /// Closes the gate (local PMU decision after an idle period).
+    #[inline]
     pub fn close(&mut self) {
         if self.wake_latency.is_zero() {
             // An always-open gate cannot be closed.

@@ -14,6 +14,7 @@
 //! happen.
 
 use crate::license::CoreLicense;
+use crate::memo::ExactMemo;
 use ichannels_pdn::guardband::GuardbandModel;
 use ichannels_pdn::regulator::VrModel;
 use ichannels_uarch::isa::InstClass;
@@ -92,11 +93,31 @@ impl VrRail {
     /// transition queues behind any in-flight transition (SVID
     /// serialization). Returns `(start, end)` of the transition window.
     pub fn schedule(&mut self, now: SimTime, target_mv: f64) -> (SimTime, SimTime) {
+        let ramp = self.model.ramp_time((target_mv - self.setpoint_mv).abs());
+        self.schedule_ramp(now, target_mv, ramp)
+    }
+
+    /// [`Self::schedule`], reading the ramp time from `memo` (which
+    /// holds `ramp_time` of this rail's model keyed by the delta's bits).
+    fn schedule_memo(
+        &mut self,
+        now: SimTime,
+        target_mv: f64,
+        memo: &mut RampMemo,
+    ) -> (SimTime, SimTime) {
+        let delta = (target_mv - self.setpoint_mv).abs();
+        let model = self.model;
+        let ramp = memo.get_or_insert_with(delta.to_bits(), || model.ramp_time(delta));
+        self.schedule_ramp(now, target_mv, ramp)
+    }
+
+    /// Appends the transition to `target_mv` that takes `ramp` after
+    /// its command latency.
+    fn schedule_ramp(&mut self, now: SimTime, target_mv: f64, ramp: SimTime) -> (SimTime, SimTime) {
         let start = now.max(self.free_at);
         let from = self.setpoint_mv;
-        let delta = (target_mv - from).abs();
         let ramp_start = start + self.model.cmd_latency;
-        let end = ramp_start + self.model.ramp_time(delta);
+        let end = ramp_start + ramp;
         if self.segments.len() == MAX_SEGMENTS {
             self.segments.pop_front();
         }
@@ -147,6 +168,16 @@ impl VrRail {
         }
     }
 }
+
+/// `VrModel::ramp_time` of one regulator, keyed by the delta's bits.
+type RampMemo = ExactMemo<u64, SimTime, 64>;
+
+/// Rail targets keyed by (licensed levels, `base_mv` bits, frequency in
+/// Hz); see [`CentralPmu::target_mv`].
+type TargetMemo = ExactMemo<(u128, u64, u64), f64, 64>;
+
+/// Bits per core of a [`TargetMemo`] level pattern (levels are 0‥6).
+const LEVEL_BITS: usize = 3;
 
 /// Configuration of the central PMU.
 #[derive(Debug, Clone)]
@@ -219,9 +250,10 @@ pub struct CentralPmu {
     /// Rail targets are provably unchanged before this instant: license
     /// levels are piecewise-constant between executions and decay
     /// expiries, and `target_mv` depends only on those levels plus the
-    /// operating point. Any mutation (execution, P-state change, reset)
-    /// clears this to `SimTime::ZERO`; a completed decay scan advances it
-    /// to the earliest pending decay (`SimTime::MAX` when none is).
+    /// operating point. A reset clears this to `SimTime::ZERO`; a
+    /// completed decay scan advances it to the earliest pending decay
+    /// (`SimTime::MAX` when none is), and an execution carries it (see
+    /// `carry_decay_horizon`).
     /// Purely a skip memo for [`Self::process_decays`] and
     /// [`Self::next_decay`] — it never alters results.
     targets_valid_until: SimTime,
@@ -230,12 +262,19 @@ pub struct CentralPmu {
     /// decay is the scan's answer.
     targets_valid_from: SimTime,
     /// [`Self::next_decay`] requests plus the scans that
-    /// [`Self::process_decays`] and [`Self::set_operating_point`] make,
-    /// since construction or the last [`Self::reset`].
+    /// [`Self::process_decays`], [`Self::set_operating_point`] and
+    /// [`Self::on_execute`] make, since construction or the last
+    /// [`Self::reset`].
     decay_queries: u64,
     /// How many of `decay_queries` scanned the licenses instead of
     /// being answered from the decay horizon.
     decay_scans: u64,
+    /// Non-secure rail targets already computed. A target is a pure
+    /// function of the key and the config, so the memo outlives
+    /// [`Self::reset`]; only its miss count resets.
+    targets: TargetMemo,
+    /// Ramp times of the config's regulator, kept like `targets`.
+    ramps: RampMemo,
 }
 
 impl CentralPmu {
@@ -248,6 +287,15 @@ impl CentralPmu {
     pub fn new(cfg: PmuConfig, freq: Freq, base_mv: f64) -> Self {
         assert!(cfg.n_cores > 0, "PMU needs at least one core");
         let n_rails = if cfg.per_core_vr { cfg.n_cores } else { 1 };
+        let no_levels = (0, base_mv.to_bits(), freq.as_hz());
+        let targets = TargetMemo::new(
+            no_levels,
+            base_mv
+                + cfg
+                    .guardband
+                    .package_guardband_iter_mv(std::iter::empty(), base_mv, freq),
+        );
+        let ramps = RampMemo::new(0.0f64.to_bits(), cfg.vr_model.ramp_time(0.0));
         let mut pmu = CentralPmu {
             rails: vec![VrRail::new(cfg.vr_model, base_mv); n_rails],
             licenses: vec![CoreLicense::new(cfg.reset_time); cfg.n_cores],
@@ -259,6 +307,8 @@ impl CentralPmu {
             targets_valid_from: SimTime::ZERO,
             decay_queries: 0,
             decay_scans: 0,
+            targets,
+            ramps,
         };
         pmu.reset(freq, base_mv);
         pmu
@@ -288,6 +338,8 @@ impl CentralPmu {
         self.targets_valid_from = SimTime::ZERO;
         self.decay_queries = 0;
         self.decay_scans = 0;
+        self.targets.clear_misses();
+        self.ramps.clear_misses();
     }
 
     /// Current core clock frequency (shared clock domain).
@@ -344,27 +396,50 @@ impl CentralPmu {
 
     /// The voltage target of the rail supplying `core`, given current
     /// licenses at `now`.
-    fn target_mv(&self, rail_core: usize, now: SimTime) -> f64 {
+    ///
+    /// Outside secure mode the target is a function of the operating
+    /// point and the licensed levels alone, so it is read from the
+    /// `targets` memo, keyed by those levels packed by core index
+    /// ([`LEVEL_BITS`] each), `base_mv`'s bits and the frequency. A
+    /// core at level 0 packs as zero and adds `+0.0` to the guardband,
+    /// so the pattern needs no core count. On a per-core rail the
+    /// pattern is the one core's level.
+    fn target_mv(&mut self, rail_core: usize, now: SimTime) -> f64 {
         if self.cfg.secure_mode {
             return self.secure_mode_mv();
         }
-        let gb = if self.cfg.per_core_vr {
-            let class = Some(self.licenses[rail_core].effective_class(now));
-            self.cfg.guardband.package_guardband_iter_mv(
-                std::iter::once(class),
-                self.base_mv,
-                self.freq,
-            )
+        let op = (self.base_mv.to_bits(), self.freq.as_hz());
+        let levels = if self.cfg.per_core_vr {
+            Some(u128::from(self.licenses[rail_core].effective_level(now)))
         } else {
-            let classes = self
-                .licensed
-                .iter()
-                .map(|&c| Some(self.licenses[c].effective_class(now)));
-            self.cfg
-                .guardband
-                .package_guardband_iter_mv(classes, self.base_mv, self.freq)
+            // `licensed` ascends, so its last core decides the width.
+            let keyed = self.licensed.last().is_none_or(|&c| c < 128 / LEVEL_BITS);
+            keyed.then(|| {
+                self.licensed.iter().fold(0u128, |acc, &c| {
+                    acc | u128::from(self.licenses[c].effective_level(now)) << (c * LEVEL_BITS)
+                })
+            })
         };
-        self.base_mv + gb
+        let (licenses, licensed, guardband) = (&self.licenses, &self.licensed, &self.cfg.guardband);
+        let (base_mv, freq, per_core_vr) = (self.base_mv, self.freq, self.cfg.per_core_vr);
+        let compute = || {
+            let gb = if per_core_vr {
+                let class = Some(licenses[rail_core].effective_class(now));
+                guardband.package_guardband_iter_mv(std::iter::once(class), base_mv, freq)
+            } else {
+                let classes = licensed
+                    .iter()
+                    .map(|&c| Some(licenses[c].effective_class(now)));
+                guardband.package_guardband_iter_mv(classes, base_mv, freq)
+            };
+            base_mv + gb
+        };
+        match levels {
+            Some(levels) => self
+                .targets
+                .get_or_insert_with((levels, op.0, op.1), compute),
+            None => compute(),
+        }
     }
 
     /// Notifies the PMU that `core` starts executing a loop of `class`
@@ -377,18 +452,17 @@ impl CentralPmu {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn on_execute(&mut self, core: usize, class: InstClass, now: SimTime) -> ExecGrant {
         assert!(core < self.cfg.n_cores, "core {core} out of range");
         let current = self.licenses[core].effective_level(now);
+        let decay_before = self.licenses[core].next_decay(now);
         let need = class.intensity_rank();
         self.licenses[core].record_execution(class, now);
         if let Err(at) = self.licensed.binary_search(&core) {
             self.licensed.insert(at, core);
         }
-        // Even a same-level execution extends the license window, which
-        // moves the pending decay — the cached decay-scan horizon is
-        // stale either way.
-        self.targets_valid_until = SimTime::ZERO;
+        self.carry_decay_horizon(core, decay_before, now);
         if self.cfg.secure_mode || need <= current {
             return ExecGrant {
                 ready_at: now,
@@ -397,11 +471,37 @@ impl CentralPmu {
         }
         let rail_idx = self.rail_index(core);
         let target = self.target_mv(core, now);
-        let (start, end) = self.rails[rail_idx].schedule(now, target);
+        let (start, end) = self.rails[rail_idx].schedule_memo(now, target, &mut self.ramps);
         ExecGrant {
             ready_at: end,
             transition: Some((start, end)),
         }
+    }
+
+    /// Moves the decay horizon across an execution on `core` at `now`,
+    /// whose pending decay was `decay_before`.
+    ///
+    /// If the horizon held at `now`, every rail setpoint equalled its
+    /// target there, and still does after the execution: one that does
+    /// not raise the core's level changes no level, and a raise
+    /// schedules its rail to the new target. So the horizon restarts at
+    /// `now`. Only this core's pending decay moved, to its new one; the
+    /// others' earliest is the old horizon unless this core's decay was
+    /// it, which takes a rescan. A horizon that did not hold is
+    /// dropped.
+    fn carry_decay_horizon(&mut self, core: usize, decay_before: Option<SimTime>, now: SimTime) {
+        if !(self.targets_valid_from <= now && now < self.targets_valid_until) {
+            self.targets_valid_until = SimTime::ZERO;
+            return;
+        }
+        let horizon = self.targets_valid_until;
+        if decay_before == Some(horizon) {
+            self.refresh_decay_horizon(now);
+            return;
+        }
+        let decay_after = self.licenses[core].next_decay(now).unwrap_or(SimTime::MAX);
+        self.targets_valid_until = horizon.min(decay_after);
+        self.targets_valid_from = now;
     }
 
     /// The next instant at which any core's license decays, if any.
@@ -442,9 +542,17 @@ impl CentralPmu {
         (self.decay_queries, self.decay_scans)
     }
 
+    /// `(target, ramp)`: how many rail targets and ramp times were
+    /// computed rather than read from their memos since construction or
+    /// the last [`Self::reset`].
+    pub fn memo_misses(&self) -> (u64, u64) {
+        (self.targets.misses(), self.ramps.misses())
+    }
+
     /// Processes license decays at `now`: recomputes rail targets and
     /// schedules the (non-throttling) ramp-downs. Returns `true` if any
     /// rail was retargeted.
+    #[inline]
     pub fn process_decays(&mut self, now: SimTime) -> bool {
         if self.cfg.secure_mode {
             return false;
@@ -461,7 +569,7 @@ impl CentralPmu {
         for rail_idx in 0..rail_count {
             let target = self.target_mv(rail_idx, now);
             if (target - self.rails[rail_idx].setpoint_mv()).abs() > 1e-9 {
-                self.rails[rail_idx].schedule(now, target);
+                self.rails[rail_idx].schedule_memo(now, target, &mut self.ramps);
                 changed = true;
             }
         }
@@ -477,7 +585,7 @@ impl CentralPmu {
         let rail_count = self.rails.len();
         for rail_idx in 0..rail_count {
             let target = self.target_mv(rail_idx, now);
-            self.rails[rail_idx].schedule(now, target);
+            self.rails[rail_idx].schedule_memo(now, target, &mut self.ramps);
         }
         // Every rail setpoint now equals its target at `now`, and targets
         // hold until the next license decay.
@@ -621,18 +729,29 @@ mod tests {
         }
     }
 
+    /// Whether the decay horizon holds at `t`.
+    fn horizon_holds(pmu: &CentralPmu, t: SimTime) -> bool {
+        pmu.targets_valid_from <= t && t < pmu.targets_valid_until
+    }
+
     /// `next_decay` answers like a scan of every license before and
     /// after each operation of seeded random schedules, at the
     /// operation's instant, at later instants inside and past the
     /// reset-time, and at an instant before the last scan. On the
     /// shared rail and per-core rails the decay horizon must answer
     /// some of those queries, or this would test nothing new.
+    ///
+    /// An execution at an instant the horizon holds must carry it:
+    /// afterwards it still holds there, and (outside secure mode) every
+    /// rail setpoint equals its freshly computed target, which is what
+    /// lets `process_decays` skip. Some executions must carry it.
     #[test]
     fn next_decay_answers_like_a_full_scan() {
         for seed in 1..=8u64 {
             let schedule = random_schedule(seed, 300, 6);
             for cfg in rail_configs(6) {
                 let secure = cfg.secure_mode;
+                let mut carried = 0;
                 let mut pmu = CentralPmu::new(cfg, Freq::from_ghz(1.4), 760.0);
                 let check = |pmu: &mut CentralPmu, t: SimTime| {
                     for at in [
@@ -654,15 +773,116 @@ mod tests {
                 for (t_us, op) in &schedule {
                     let t = SimTime::from_us(*t_us);
                     check(&mut pmu, t);
+                    let held = horizon_holds(&pmu, t);
                     apply(&mut pmu, t, op);
+                    if held && matches!(op, Op::Exec(..)) {
+                        assert!(horizon_holds(&pmu, t), "seed {seed}: dropped at {t}");
+                        carried += 1;
+                        for rail in (0..pmu.rails.len()).filter(|_| !secure) {
+                            let target = pmu.target_mv(rail, t);
+                            let setpoint = pmu.rails[rail].setpoint_mv();
+                            assert!((target - setpoint).abs() <= 1e-9, "seed {seed} at {t}");
+                        }
+                    }
                     check(&mut pmu, t);
                 }
                 let (queries, scans) = pmu.decay_counts();
                 assert!(scans <= queries);
+                assert!(carried > 0, "seed {seed}: no execution carried the horizon");
                 if !secure {
                     assert!(scans < queries, "seed {seed}: the horizon never answered");
                 }
             }
+        }
+    }
+
+    /// The rail target computed directly, visiting every core (not
+    /// just the licensed ones) with no memo.
+    fn direct_target(pmu: &CentralPmu, rail: usize, now: SimTime) -> f64 {
+        if pmu.cfg.secure_mode {
+            return pmu.secure_mode_mv();
+        }
+        let cores = if pmu.cfg.per_core_vr {
+            rail..rail + 1
+        } else {
+            0..pmu.cfg.n_cores
+        };
+        let classes = cores.map(|c| Some(pmu.licenses[c].effective_class(now)));
+        pmu.base_mv
+            + pmu
+                .cfg
+                .guardband
+                .package_guardband_iter_mv(classes, pmu.base_mv, pmu.freq)
+    }
+
+    /// Rail targets read from the memo equal the direct computation bit
+    /// for bit, before and after every operation of seeded schedules,
+    /// at the operation's instant and later, on a shared rail, per-core
+    /// rails and in secure mode; with 6 cores, and with 48, where cores
+    /// past the packed pattern's width are computed directly. The memo
+    /// must answer some of them.
+    #[test]
+    fn rail_targets_answer_like_the_direct_computation() {
+        for n_cores in [6, 48] {
+            for seed in 1..=4u64 {
+                let schedule = random_schedule(seed, 300, n_cores);
+                for cfg in rail_configs(n_cores) {
+                    let mut pmu = CentralPmu::new(cfg, Freq::from_ghz(1.4), 760.0);
+                    let mut asked = 0u64;
+                    for (t_us, op) in &schedule {
+                        let t = SimTime::from_us(*t_us);
+                        apply(&mut pmu, t, op);
+                        for at in [t, t + SimTime::from_us(300.0), t + SimTime::from_us(700.0)] {
+                            for rail in 0..pmu.rails.len() {
+                                let direct = direct_target(&pmu, rail, at);
+                                assert_eq!(
+                                    pmu.target_mv(rail, at).to_bits(),
+                                    direct.to_bits(),
+                                    "seed {seed}, {n_cores} cores, rail {rail} at {at}"
+                                );
+                                asked += 1;
+                            }
+                        }
+                    }
+                    let (misses, _) = pmu.memo_misses();
+                    assert!(misses < asked, "{misses} misses of {asked}");
+                }
+            }
+        }
+    }
+
+    /// A rail scheduled through the ramp memo keeps the same ramps, bit
+    /// for bit, as one scheduled directly, over deltas that repeat,
+    /// collide in the memo and vary by one ulp.
+    #[test]
+    fn ramp_memo_schedules_like_schedule() {
+        for model in [VrModel::mbvr(), VrModel::fivr(), VrModel::ldo()] {
+            let mut direct = VrRail::new(model, 730.0);
+            let mut memoized = direct.clone();
+            let mut memo = RampMemo::new(0.0f64.to_bits(), model.ramp_time(0.0));
+            let mut x: u64 = 0xAB5;
+            let mut now = SimTime::ZERO;
+            for i in 0..20_000u64 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let target = match i % 4 {
+                    0 => 700.0 + ((x >> 58) as f64) * 2.5,
+                    1 => f64::from_bits(direct.setpoint_mv().to_bits() + (x >> 62)),
+                    2 => 700.0 + (x >> 40) as f64 / (1u64 << 24) as f64 * 60.0,
+                    _ => direct.setpoint_mv(),
+                };
+                now += SimTime::from_ns_u64((x >> 50) % 20_000);
+                let a = direct.schedule(now, target);
+                let b = memoized.schedule_memo(now, target, &mut memo);
+                assert_eq!(a, b, "{model:?} step {i}");
+                assert_eq!(direct, memoized, "{model:?} step {i}");
+            }
+            assert!(
+                memo.misses() > 0 && memo.misses() < 15_000,
+                "{}",
+                memo.misses()
+            );
         }
     }
 

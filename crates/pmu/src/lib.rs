@@ -17,6 +17,9 @@
 //!   thermal).
 //! * [`governor`] — software frequency governors (§5.7: they do not
 //!   affect the hardware throttling mechanisms).
+//! * [`memo`] — the direct-mapped exact memo that answers repeated
+//!   per-event computations (relaxation factors, guardbands, ramp
+//!   times) from stored results.
 //!
 //! # Example
 //!
@@ -52,6 +55,7 @@
 pub mod central;
 pub mod governor;
 pub mod license;
+pub mod memo;
 pub mod pstate;
 pub mod thermal;
 pub mod turbo;

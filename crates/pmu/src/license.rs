@@ -17,6 +17,13 @@ const N_LEVELS: usize = 7;
 /// at least that rank, and derives the *effective license* — the highest
 /// rank still inside the hysteresis window.
 ///
+/// The level is a non-increasing step function of time that changes
+/// only when an execution is recorded, so each record precomputes it:
+/// `live_until[r]` is the latest window end among ranks `r` and above.
+/// Rank `r` or higher is live at `now` exactly when `now` lies before
+/// that end, so the effective level is the count of such ranks, found
+/// in a fixed number of comparisons at any instant.
+///
 /// # Examples
 ///
 /// ```
@@ -33,9 +40,13 @@ const N_LEVELS: usize = 7;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreLicense {
     reset_time: SimTime,
-    /// `last_exec[r]` = last instant the core executed rank-`r`
-    /// instructions; `None` if never.
-    last_exec: [Option<SimTime>; N_LEVELS],
+    /// `window_end[r]` = end of the hysteresis window of the last
+    /// rank-`r` execution (`last + reset_time`); `ZERO` if never, and
+    /// always `ZERO` with a zero reset-time, whose windows are empty.
+    window_end: [SimTime; N_LEVELS],
+    /// `live_until[r]` = the latest `window_end` of ranks `r‥6`: a
+    /// function of `window_end`, so it never changes equality.
+    live_until: [SimTime; N_LEVELS],
 }
 
 impl CoreLicense {
@@ -43,27 +54,37 @@ impl CoreLicense {
     pub fn new(reset_time: SimTime) -> Self {
         CoreLicense {
             reset_time,
-            last_exec: [None; N_LEVELS],
+            window_end: [SimTime::ZERO; N_LEVELS],
+            live_until: [SimTime::ZERO; N_LEVELS],
         }
     }
 
     /// Records that the core executed `class` instructions at `now`.
+    ///
+    /// A window is `[last, last + reset_time)`, and an instant before the
+    /// last execution counts as inside it, as
+    /// `now.saturating_sub(last) < reset_time` does.
+    #[inline]
     pub fn record_execution(&mut self, class: InstClass, now: SimTime) {
-        self.last_exec[class.intensity_rank() as usize] = Some(now);
+        if self.reset_time.is_zero() {
+            return;
+        }
+        self.window_end[class.intensity_rank() as usize] = now + self.reset_time;
+        let mut latest = SimTime::ZERO;
+        for rank in (0..N_LEVELS).rev() {
+            latest = latest.max(self.window_end[rank]);
+            self.live_until[rank] = latest;
+        }
     }
 
     /// The effective license level (intensity rank 0‥6) at `now`: the
     /// highest rank executed within the last `reset_time`.
     #[inline]
     pub fn effective_level(&self, now: SimTime) -> u8 {
-        for rank in (1..N_LEVELS).rev() {
-            if let Some(t) = self.last_exec[rank] {
-                if now.saturating_sub(t) < self.reset_time {
-                    return rank as u8;
-                }
-            }
-        }
-        0
+        self.live_until[1..]
+            .iter()
+            .map(|&until| u8::from(now < until))
+            .sum()
     }
 
     /// The effective license as an instruction class.
@@ -79,17 +100,18 @@ impl CoreLicense {
     /// dominant rank expires.)
     #[inline]
     pub fn next_decay(&self, now: SimTime) -> Option<SimTime> {
-        let level = self.effective_level(now);
-        if level == 0 {
-            return None;
+        match self.effective_level(now) {
+            0 => None,
+            // Every rank above the level has ended by `now`, so the
+            // latest end from the level up is the level's own.
+            level => Some(self.live_until[level as usize]),
         }
-        // A non-zero level implies a recorded execution at that rank.
-        self.last_exec[level as usize].map(|t| t + self.reset_time)
     }
 
     /// Clears all history (e.g., after a deep package sleep).
     pub fn reset(&mut self) {
-        self.last_exec = [None; N_LEVELS];
+        self.window_end = [SimTime::ZERO; N_LEVELS];
+        self.live_until = [SimTime::ZERO; N_LEVELS];
     }
 }
 
@@ -153,6 +175,117 @@ mod tests {
         let mut l = lic();
         l.record_execution(InstClass::Scalar64, SimTime::ZERO);
         assert_eq!(l.effective_level(SimTime::from_us(1.0)), 0);
+    }
+
+    /// The rank scan the license answered with before it precomputed
+    /// its levels: the highest rank whose last execution is within
+    /// `reset_time`, next decay at that execution plus `reset_time`.
+    struct RankScan {
+        reset_time: SimTime,
+        last_exec: [Option<SimTime>; N_LEVELS],
+    }
+
+    impl RankScan {
+        fn level(&self, now: SimTime) -> u8 {
+            (1..N_LEVELS)
+                .rev()
+                .find(|&r| {
+                    self.last_exec[r].is_some_and(|t| now.saturating_sub(t) < self.reset_time)
+                })
+                .map_or(0, |r| r as u8)
+        }
+
+        fn next_decay(&self, now: SimTime) -> Option<SimTime> {
+            match self.level(now) {
+                0 => None,
+                level => self.last_exec[level as usize].map(|t| t + self.reset_time),
+            }
+        }
+    }
+
+    /// Level, class and next decay answer like the rank scan before, at
+    /// and after every operation of seeded schedules: executions of
+    /// every class (same-level re-executions included), records at an
+    /// earlier instant than the last, and resets; probed at instants
+    /// before the last execution, inside the window, at its edges and
+    /// past it. Also with a zero reset-time, whose windows are empty.
+    #[test]
+    fn levels_answer_like_the_rank_scan() {
+        for reset_ns in [650_000u64, 30_000, 0] {
+            let reset_time = SimTime::from_ns_u64(reset_ns);
+            for seed in 1..=6u64 {
+                let mut lic = CoreLicense::new(reset_time);
+                let mut scan = RankScan {
+                    reset_time,
+                    last_exec: [None; N_LEVELS],
+                };
+                let mut x = seed;
+                let mut t = SimTime::ZERO;
+                for step in 0..2_000 {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    let check = |lic: &CoreLicense, scan: &RankScan, at: SimTime| {
+                        let mut probes = vec![at, at.saturating_sub(SimTime::from_ns_u64(1))];
+                        for d in [
+                            1u64, 5_000, 29_999, 30_000, 400_000, 649_999, 650_000, 650_001,
+                        ] {
+                            probes.push(at + SimTime::from_ns_u64(d));
+                        }
+                        for &e in scan.last_exec.iter().flatten() {
+                            probes.extend([e, e.saturating_sub(SimTime::from_ps(1))]);
+                            probes.extend([
+                                e + reset_time,
+                                (e + reset_time).saturating_sub(SimTime::from_ps(1)),
+                            ]);
+                        }
+                        for p in probes {
+                            assert_eq!(
+                                lic.effective_level(p),
+                                scan.level(p),
+                                "seed {seed} step {step} at {p}"
+                            );
+                            assert_eq!(
+                                lic.next_decay(p),
+                                scan.next_decay(p),
+                                "seed {seed} step {step} at {p}"
+                            );
+                            assert_eq!(
+                                lic.effective_class(p),
+                                InstClass::from_rank(scan.level(p)).unwrap()
+                            );
+                        }
+                    };
+                    check(&lic, &scan, t);
+                    match (x >> 40) % 16 {
+                        0 => {
+                            lic.reset();
+                            scan.last_exec = [None; N_LEVELS];
+                        }
+                        k => {
+                            // Mostly forward in time; sometimes a record
+                            // at an earlier instant than the last.
+                            t = if k == 1 {
+                                t.saturating_sub(SimTime::from_ns_u64((x >> 20) % 100_000))
+                            } else {
+                                t + SimTime::from_ns_u64((x >> 24) % 400_000)
+                            };
+                            // Repeat the last class now and then, a
+                            // same-level re-execution.
+                            let rank = if k < 5 {
+                                (x >> 8) % 2 + 4
+                            } else {
+                                (x >> 8) % 7
+                            };
+                            let class = InstClass::ALL[rank as usize];
+                            lic.record_execution(class, t);
+                            scan.last_exec[rank as usize] = Some(t);
+                        }
+                    }
+                    check(&lic, &scan, t);
+                }
+            }
+        }
     }
 
     #[test]

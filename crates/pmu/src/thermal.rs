@@ -8,6 +8,7 @@
 //! seconds to develop". A single-pole RC model captures exactly that
 //! separation of time scales.
 
+use crate::memo::ExactMemo;
 use ichannels_uarch::time::SimTime;
 
 /// A first-order (single RC pole) junction thermal model.
@@ -43,47 +44,39 @@ fn relaxation(dt: SimTime, tau: SimTime) -> f64 {
 /// Slots of a [`RelaxationTable`].
 const RELAXATION_SLOTS: usize = 256;
 
-/// A direct-mapped memo of the relaxation factor `exp(-dt/τ)` for one
-/// time constant `τ`, keyed by the step length `dt`.
+/// A memo of the relaxation factor `exp(-dt/τ)` for one time constant
+/// `τ`, keyed by the step length `dt`.
 ///
 /// Event-driven stepping repeats a small set of step lengths (slot
 /// periods, ramp and settle latencies), and `exp` over identical bits
 /// is deterministic, so a stored factor is exactly the one a fresh
 /// `exp` would return. Every slot starts as `dt = 0` with factor
-/// `exp(-0) = 1`, which is the true factor of that key, so the table
-/// needs no empty marker. It carries no model state: one table can
-/// serve every run of models sharing `τ`.
+/// `exp(-0) = 1`, the true factor of that key. It carries no model
+/// state: one table can serve every run of models sharing `τ`.
 #[derive(Debug, Clone)]
 pub struct RelaxationTable {
     tau: SimTime,
-    dts: [SimTime; RELAXATION_SLOTS],
-    factors: [f64; RELAXATION_SLOTS],
-    misses: u64,
+    memo: ExactMemo<SimTime, f64, RELAXATION_SLOTS>,
 }
 
 impl RelaxationTable {
     /// The factor for a step of `dt`, computing and storing it on a miss.
     #[inline]
     fn factor(&mut self, dt: SimTime) -> f64 {
-        let slot = (dt.as_ps().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize;
-        if self.dts[slot] != dt {
-            self.misses += 1;
-            self.dts[slot] = dt;
-            self.factors[slot] = relaxation(dt, self.tau);
-        }
-        self.factors[slot]
+        let tau = self.tau;
+        self.memo.get_or_insert_with(dt, || relaxation(dt, tau))
     }
 
     /// How many [`ThermalModel::advance_memo`] calls since creation or
     /// the last [`Self::clear_misses`] computed `exp` instead of reading
     /// a stored factor.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.memo.misses()
     }
 
     /// Zeroes the miss count, keeping the stored factors.
     pub fn clear_misses(&mut self) {
-        self.misses = 0;
+        self.memo.clear_misses();
     }
 }
 
@@ -124,15 +117,20 @@ impl ThermalModel {
     pub fn relaxation_table(&self) -> RelaxationTable {
         RelaxationTable {
             tau: self.tau,
-            dts: [SimTime::ZERO; RELAXATION_SLOTS],
-            factors: [1.0; RELAXATION_SLOTS],
-            misses: 0,
+            memo: ExactMemo::new(SimTime::ZERO, relaxation(SimTime::ZERO, self.tau)),
         }
     }
 
     /// Current junction temperature (°C).
+    #[inline]
     pub fn temp_c(&self) -> f64 {
         self.temp_c
+    }
+
+    /// The maximum allowed junction temperature, Tjmax (°C).
+    #[inline]
+    pub fn tjmax_c(&self) -> f64 {
+        self.tjmax_c
     }
 
     /// Steady-state temperature under sustained power `p_w`.

@@ -115,6 +115,7 @@ impl TurboTable {
     /// # Panics
     ///
     /// Panics if `active_cores` is zero.
+    #[inline]
     pub fn max_freq(&self, license: TurboLicense, active_cores: usize) -> Freq {
         assert!(active_cores > 0, "need at least one active core");
         let row = &self.max_freq[license.index()];
@@ -165,6 +166,7 @@ impl TurboState {
     }
 
     /// Current license.
+    #[inline]
     pub fn current(&self) -> TurboLicense {
         self.current
     }
@@ -173,6 +175,7 @@ impl TurboState {
     /// license is granted only after the table's grant latency: it stays
     /// pending until [`TurboState::advance`] reaches its effective
     /// instant, which [`TurboState::next_event`] reports.
+    #[inline]
     pub fn on_execute(&mut self, class: InstClass, now: SimTime, table: &TurboTable) {
         let needed = TurboLicense::for_class(class);
         if needed > self.current {
@@ -185,6 +188,7 @@ impl TurboState {
 
     /// Advances the state to `now`: applies due grants and releases the
     /// license if nothing demanded it for the release latency.
+    #[inline]
     pub fn advance(&mut self, now: SimTime, table: &TurboTable) {
         if let Some((lic, at)) = self.pending {
             if now >= at {

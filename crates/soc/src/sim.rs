@@ -15,6 +15,7 @@ use ichannels_pdn::current::{CoreActivity, CurrentModel};
 use ichannels_pdn::guardband::GuardbandModel;
 use ichannels_pdn::power_gate::PowerGate;
 use ichannels_pmu::central::{CentralPmu, PmuConfig};
+use ichannels_pmu::memo::ExactMemo;
 use ichannels_pmu::pstate::PStateEngine;
 use ichannels_pmu::thermal::{RelaxationTable, ThermalModel};
 use ichannels_pmu::turbo::{TurboLicense, TurboState};
@@ -82,6 +83,20 @@ struct CoreState {
     avx_gate: PowerGate,
 }
 
+impl CoreState {
+    /// The most intense class any of the core's threads is running.
+    #[inline]
+    fn running_class(&self) -> Option<InstClass> {
+        self.ctxs
+            .iter()
+            .filter_map(|ctx| match ctx.state {
+                CtxState::Running { class, .. } => Some(class),
+                _ => None,
+            })
+            .max()
+    }
+}
+
 /// Work counts of one SoC run: the events, and how often each
 /// per-event shortcut had to fall back to the full computation. Each is
 /// a pure function of the work set, except that the thermal table
@@ -101,6 +116,66 @@ pub struct StepCounts {
     /// Thermal advances (one per event) that computed `exp` instead of
     /// reading the table.
     pub thermal_misses: u64,
+    /// Frequency retargets (block starts and turbo-license changes).
+    pub retargets: u64,
+    /// How many of those ran the electrical-limit search instead of
+    /// reading a verdict memo.
+    pub limit_searches: u64,
+    /// Rail targets the PMU computed instead of reading its memo.
+    pub target_misses: u64,
+    /// Rail ramp times computed instead of read from the PMU's memo.
+    pub ramp_misses: u64,
+    /// Block completion times (event search) computed instead of read
+    /// from the memo.
+    pub completion_misses: u64,
+}
+
+/// Verdicts of the electrical-limit search: `true` for a (core pattern,
+/// first candidate in Hz) key whose first candidate passes at Tjmax;
+/// see `Soc::retarget_frequency`.
+type VerdictMemo = ExactMemo<(u128, u64), bool, 64>;
+
+/// Block completion times `SimTime::from_secs(remaining / rate)`, keyed
+/// by the bits of `remaining` and `rate`.
+type CompletionMemo = ExactMemo<(u64, u64), SimTime, 64>;
+
+/// Bits per core of a [`VerdictMemo`] core pattern: the projected
+/// license rank (0‥6) and a running flag.
+const PATTERN_BITS: usize = 4;
+
+/// `SimTime::from_secs(remaining / rate)`: how long a block with
+/// `remaining` instructions runs at `rate` instructions per second.
+fn completion_time(remaining: f64, rate: f64) -> SimTime {
+    SimTime::from_secs(remaining / rate)
+}
+
+/// What a running thread's retirement rate reads beyond its own core,
+/// fixed for one event.
+struct RateInputs {
+    now: SimTime,
+    /// A P-state transition is in flight.
+    in_transition: bool,
+    freq_hz: f64,
+    policy: ThrottlePolicy,
+}
+
+impl RateInputs {
+    /// The rate of thread `smt` of `core`, running `class` and not
+    /// paused, with `running` of the core's threads running.
+    #[inline]
+    fn rate(&self, core: &CoreState, smt: usize, class: InstClass, running: usize) -> f64 {
+        let gated = self.now < core.throttled_until;
+        // P-state transitions throttle the whole core regardless of
+        // policy (clock relock, Figure 9(c)).
+        let throttled = self.in_transition
+            || match self.policy {
+                ThrottlePolicy::BlockEntireCore => gated,
+                ThrottlePolicy::PerThreadPhiOnly => {
+                    gated && core.throttle_cause == smt && class.is_phi()
+                }
+            };
+        effective_ipc(class, throttled, running > 1) * self.freq_hz
+    }
 }
 
 /// Safety bound on program re-activations within a single instant.
@@ -140,6 +215,14 @@ pub struct Soc {
     /// `exp(-dt/τ)` memo of the thermal model. `τ` is fixed by the
     /// config, so the table outlives re-arms; only its miss count resets.
     relaxation: RelaxationTable,
+    /// Limit-search verdicts, a pure function of the platform; kept
+    /// like `relaxation`.
+    verdicts: VerdictMemo,
+    /// Block completion times, a pure function; kept like `relaxation`.
+    completions: CompletionMemo,
+    /// The governor's request `[idle, busy]`, indexed by whether any
+    /// core runs: fixed by the config, so asked once.
+    desired: [Freq; 2],
     current_model: CurrentModel,
     /// The platform's guardband model, for the electrical-limit search
     /// in `retarget_frequency`.
@@ -173,6 +256,10 @@ pub struct Soc {
     /// Of those events, how many read the package rail before its
     /// `free_at`, where the rail searches its ramp history.
     rail_history_reads: u64,
+    /// Frequency retargets since construction or the last re-arm.
+    retargets: u64,
+    /// How many of those ran the full electrical-limit search.
+    limit_searches: u64,
     /// Ascending indices of the cores `spawn` has placed a program on
     /// since construction or the last re-arm. Every other core is still
     /// as constructed: idle contexts with no program, no throttle, a
@@ -228,6 +315,7 @@ impl Soc {
         let guardband = p.guardband();
         let thermal = cfg.thermal_model();
         let relaxation = thermal.relaxation_table();
+        let desired = [0.0, 1.0].map(|load| cfg.governor.requested_freq(&p.pstates, load));
         let tsc = Tsc::new(p.tsc_freq);
         Soc {
             pmu,
@@ -235,6 +323,12 @@ impl Soc {
             turbo: TurboState::new(),
             thermal,
             relaxation,
+            verdicts: VerdictMemo::new((0, 0), false),
+            completions: CompletionMemo::new(
+                (0.0f64.to_bits(), 1.0f64.to_bits()),
+                completion_time(0.0, 1.0),
+            ),
+            desired,
             current_model,
             guardband,
             tsc,
@@ -252,6 +346,8 @@ impl Soc {
             live_programs: 0,
             steps: 0,
             rail_history_reads: 0,
+            retargets: 0,
+            limit_searches: 0,
             engaged: Vec::new(),
         }
     }
@@ -276,8 +372,11 @@ impl Soc {
         self.turbo = TurboState::new();
         self.thermal = self.cfg.thermal_model();
         self.relaxation.clear_misses();
-        // `current_model`, `guardband` and `tsc` are pure functions of
-        // the platform spec and carry no run state — left untouched.
+        self.verdicts.clear_misses();
+        self.completions.clear_misses();
+        // `current_model`, `guardband`, `tsc` and `desired` are pure
+        // functions of the config and carry no run state — left
+        // untouched.
         self.now = SimTime::ZERO;
         self.rng = SmallRng::seed_from_u64(self.cfg.seed);
         for core in &mut self.cores {
@@ -305,6 +404,8 @@ impl Soc {
         self.live_programs = 0;
         self.steps = 0;
         self.rail_history_reads = 0;
+        self.retargets = 0;
+        self.limit_searches = 0;
         self.engaged.clear();
     }
 
@@ -371,12 +472,18 @@ impl Soc {
     /// last re-arm.
     pub fn step_counts(&self) -> StepCounts {
         let (decay_queries, decay_scans) = self.pmu.decay_counts();
+        let (target_misses, ramp_misses) = self.pmu.memo_misses();
         StepCounts {
             steps: self.steps,
             rail_history_reads: self.rail_history_reads,
             decay_queries,
             decay_scans,
             thermal_misses: self.relaxation.misses(),
+            retargets: self.retargets,
+            limit_searches: self.limit_searches,
+            target_misses,
+            ramp_misses,
+            completion_misses: self.completions.misses(),
         }
     }
 
@@ -525,16 +632,7 @@ impl Soc {
         out.clear();
         out.extend(self.engaged.iter().map(|&ci| {
             let core = &self.cores[ci];
-            let mut best: Option<InstClass> = None;
-            for ctx in &core.ctxs {
-                if let CtxState::Running { class, .. } = ctx.state {
-                    best = Some(match best {
-                        Some(b) if b >= class => b,
-                        _ => class,
-                    });
-                }
-            }
-            match best {
+            match core.running_class() {
                 Some(class) => {
                     let act =
                         if self.now < core.throttled_until || self.pstate.in_transition(self.now) {
@@ -551,112 +649,167 @@ impl Soc {
 
     /// Picks the highest frequency satisfying governor, turbo license,
     /// and electrical limits; requests a P-state change if needed.
+    ///
+    /// The limit search is a function of its first candidate, the
+    /// projected rank and running flag of every core, and the junction
+    /// temperature. `icc_a` is non-decreasing in temperature (leakage
+    /// grows linearly with a non-negative coefficient, and every IEEE-754
+    /// step on that path is weakly monotone), so a first candidate that
+    /// passes at Tjmax passes at every temperature up to it. Such
+    /// verdicts are kept in `verdicts`, keyed by the candidate and the
+    /// per-core pattern packed by core index ([`PATTERN_BITS`] each; an
+    /// idle Scalar64 core packs as zero and adds `+0.0` to every sum, so
+    /// the pattern needs no core count), and answer later calls at or
+    /// below Tjmax without the search. A first candidate that fails is
+    /// never stored.
     fn retarget_frequency(&mut self) {
-        let mut projected = std::mem::take(&mut self.proj_scratch);
-        let mut acts = std::mem::take(&mut self.proj_acts_scratch);
-        let p = &self.cfg.platform;
-        // One pass over the engaged cores gathers everything the search
-        // needs: the demanded turbo license, the active-core count, and
-        // the worst-case projection (Key Conclusion 2) — unthrottled
-        // activity, and the license each core is *about* to hold (its
-        // current effective license or the class it is running,
-        // whichever is higher). A core never spawned on would add only
-        // a Scalar64 projection (guardband `+0.0`) and an `IDLE`
-        // activity (current `+0.0`).
-        projected.clear();
-        acts.clear();
+        self.retargets += 1;
+        let (first, key) = self.first_candidate();
+        let candidate = if self.verdict_holds(key) {
+            first
+        } else {
+            self.limit_searches += 1;
+            let mut projected = std::mem::take(&mut self.proj_scratch);
+            let mut acts = std::mem::take(&mut self.proj_acts_scratch);
+            self.projection_into(&mut projected, &mut acts);
+            let (candidate, first_fits_hot) = self.limit_search(first, &projected, &acts);
+            if let Some(key) = key.filter(|_| first_fits_hot) {
+                self.verdicts.insert(key, true);
+            }
+            self.proj_scratch = projected;
+            self.proj_acts_scratch = acts;
+            candidate
+        };
+        if candidate != self.pstate.target() {
+            self.pstate
+                .request(self.now, candidate, &self.cfg.platform.pstates);
+        }
+    }
+
+    /// The first candidate of the limit search, and the key of its
+    /// verdict (`None` past the pattern's width).
+    ///
+    /// One pass over the engaged cores gathers the demanded turbo
+    /// license, the active-core count, and per core the worst-case
+    /// projection (Key Conclusion 2): the license the core is *about* to
+    /// hold (its current effective license or the class it is running,
+    /// whichever is higher) and whether it runs at all.
+    fn first_candidate(&self) -> (Freq, Option<(u128, u64)>) {
         let mut lic = self.turbo.current();
         let mut active = 0usize;
+        // `engaged` ascends, so its last core decides the pattern's width.
+        let keyed = self.engaged.last().is_none_or(|&i| i < 128 / PATTERN_BITS);
+        let mut pattern = 0u128;
         for &i in &self.engaged {
-            let core = &self.cores[i];
-            let licensed = self.pmu.effective_class(i, self.now);
-            let mut running: Option<InstClass> = None;
-            for x in &core.ctxs {
-                if let CtxState::Running { class, .. } = x.state {
-                    running = Some(match running {
-                        Some(r) if r >= class => r,
-                        _ => class,
-                    });
-                    lic = lic.max(TurboLicense::for_class(class));
-                }
-            }
-            if running.is_some() {
+            let running = self.cores[i].running_class();
+            let licensed = self.pmu.effective_level(i, self.now);
+            if let Some(r) = running {
                 active += 1;
+                lic = lic.max(TurboLicense::for_class(r));
             }
-            let proj = Some(match running {
-                Some(r) if r > licensed => r,
-                _ => licensed,
-            });
-            projected.push(proj);
-            acts.push(match (running.is_some(), proj) {
-                (true, Some(class)) => CoreActivity::busy(class),
-                _ => CoreActivity::IDLE,
+            let proj = running.map_or(licensed, |r| r.intensity_rank().max(licensed));
+            if keyed {
+                let bits = u128::from(proj) | u128::from(running.is_some()) << 3;
+                pattern |= bits << (i * PATTERN_BITS);
+            }
+        }
+        let p = &self.cfg.platform;
+        let desired = self.desired[usize::from(active > 0)];
+        let first = desired.min(p.turbo.max_freq(lic, active.max(1)));
+        (first, keyed.then_some((pattern, first.as_hz())))
+    }
+
+    /// Whether `key` holds a verdict that answers at the current
+    /// temperature: its first candidate fits at Tjmax, and the die is
+    /// no hotter than that.
+    fn verdict_holds(&self, key: Option<(u128, u64)>) -> bool {
+        self.thermal.temp_c() <= self.thermal.tjmax_c()
+            && key.is_some_and(|key| self.verdicts.get(key) == Some(true))
+    }
+
+    /// Fills the limit search's per-core projections and activities
+    /// from the engaged cores. A core never spawned on would add only a
+    /// Scalar64 projection (guardband `+0.0`) and an `IDLE` activity
+    /// (current `+0.0`).
+    fn projection_into(
+        &self,
+        projected: &mut Vec<Option<InstClass>>,
+        acts: &mut Vec<CoreActivity>,
+    ) {
+        projected.clear();
+        acts.clear();
+        for &i in &self.engaged {
+            let running = self.cores[i].running_class();
+            let licensed = self.pmu.effective_class(i, self.now);
+            let proj = running.map_or(licensed, |r| r.max(licensed));
+            projected.push(Some(proj));
+            acts.push(match running {
+                Some(_) => CoreActivity::busy(proj),
+                None => CoreActivity::IDLE,
             });
         }
-        let load = if active > 0 { 1.0 } else { 0.0 };
-        let desired = self.cfg.governor.requested_freq(&p.pstates, load);
-        let cap = p.turbo.max_freq(lic, active.max(1));
-        let mut candidate = desired.min(cap);
-        // Electrical limit search: walk down the P-state table until the
-        // projected operating point fits.
+    }
+
+    /// The electrical-limit search: walks down the P-state table from
+    /// `first` until the projected operating point fits. Returns the
+    /// frequency found and whether `first` itself fits at Tjmax.
+    fn limit_search(
+        &self,
+        first: Freq,
+        projected: &[Option<InstClass>],
+        acts: &[CoreActivity],
+    ) -> (Freq, bool) {
+        let p = &self.cfg.platform;
+        let mut candidate = first;
         loop {
             let base = p.vf_curve.voltage_mv(candidate);
             let vcc = base
                 + self
                     .guardband
-                    .package_guardband_mv(&projected, base, candidate);
+                    .package_guardband_mv(projected, base, candidate);
             let icc = self
                 .current_model
-                .icc_a(&acts, vcc, candidate, self.thermal.temp_c());
+                .icc_a(acts, vcc, candidate, self.thermal.temp_c());
             if p.limits.check(vcc, icc).is_none() {
-                break;
+                let fits_hot = candidate == first && {
+                    let tjmax_c = self.thermal.tjmax_c();
+                    let icc_hot = self.current_model.icc_a(acts, vcc, candidate, tjmax_c);
+                    p.limits.check(vcc, icc_hot).is_none()
+                };
+                return (candidate, fits_hot);
             }
             match p.pstates.next_below(candidate) {
                 Some(f) => candidate = f,
-                None => break,
+                None => return (candidate, false),
             }
         }
-        if candidate != self.pstate.target() {
-            self.pstate.request(self.now, candidate, &p.pstates);
-        }
-        self.proj_scratch = projected;
-        self.proj_acts_scratch = acts;
     }
 
     // ----- rates -------------------------------------------------------
 
-    /// Whether the IDQ gate throttles (`core`,`smt`) running `class`.
-    fn ctx_throttled(&self, core: usize, smt: usize, class: InstClass) -> bool {
-        // P-state transitions throttle the whole core regardless of
-        // policy (clock relock, Figure 9(c)).
-        if self.pstate.in_transition(self.now) {
-            return true;
-        }
-        let c = &self.cores[core];
-        let gated = self.now < c.throttled_until;
-        match self.cfg.throttle_policy {
-            ThrottlePolicy::BlockEntireCore => gated,
-            ThrottlePolicy::PerThreadPhiOnly => gated && c.throttle_cause == smt && class.is_phi(),
-        }
-    }
-
     /// Retirement rate (instructions/second) of a hardware thread, valid
     /// until the next event.
     fn ctx_rate(&self, core: usize, smt: usize) -> f64 {
-        let ctx = &self.cores[core].ctxs[smt];
+        let c = &self.cores[core];
+        let ctx = &c.ctxs[smt];
         let CtxState::Running { class, .. } = ctx.state else {
             return 0.0;
         };
         if self.now < ctx.paused_until {
             return 0.0;
         }
-        let sibling_active = self.cores[core]
+        let running = c
             .ctxs
             .iter()
-            .enumerate()
-            .any(|(i, x)| i != smt && matches!(x.state, CtxState::Running { .. }));
-        let throttled = self.ctx_throttled(core, smt, class);
-        effective_ipc(class, throttled, sibling_active) * self.freq().as_hz() as f64
+            .filter(|x| matches!(x.state, CtxState::Running { .. }))
+            .count();
+        let inputs = RateInputs {
+            now: self.now,
+            in_transition: self.pstate.in_transition(self.now),
+            freq_hz: self.freq().as_hz() as f64,
+            policy: self.cfg.throttle_policy,
+        };
+        inputs.rate(c, smt, class, running)
     }
 
     // ----- the event loop ----------------------------------------------
@@ -681,6 +834,15 @@ impl Soc {
         let mut noise_min = SimTime::MAX;
         let now = self.now;
         let in_transition = self.pstate.in_transition(now);
+        // The rate inputs `ctx_rate` reads, gathered once per event
+        // (frequency, transition) or per core (running threads).
+        let inputs = RateInputs {
+            now,
+            in_transition,
+            freq_hz: self.freq().as_hz() as f64,
+            policy: self.cfg.throttle_policy,
+        };
+        let completions = &mut self.completions;
         let mut consider = |t: SimTime| {
             if t > now && t < t_next {
                 t_next = t;
@@ -691,6 +853,11 @@ impl Soc {
             if core.throttled_until > now {
                 consider(core.throttled_until);
             }
+            let running = core
+                .ctxs
+                .iter()
+                .filter(|x| matches!(x.state, CtxState::Running { .. }))
+                .count();
             // The per-core activity descriptor for the phase-2 power
             // computation is accumulated in the same pass (it reads the
             // same pre-event state this search does).
@@ -706,9 +873,12 @@ impl Soc {
                         if ctx.paused_until > now {
                             consider(ctx.paused_until);
                         } else {
-                            rate = self.ctx_rate(ci, si);
+                            rate = inputs.rate(core, si, class, running);
                             if rate > 0.0 {
-                                let dt = SimTime::from_secs(remaining.max(0.0) / rate)
+                                let remaining = remaining.max(0.0);
+                                let key = (remaining.to_bits(), rate.to_bits());
+                                let dt = completions
+                                    .get_or_insert_with(key, || completion_time(remaining, rate))
                                     .max(SimTime::from_ps(1));
                                 consider(now + dt);
                             }
@@ -737,7 +907,7 @@ impl Soc {
                 None => CoreActivity::IDLE,
             });
         }
-        if self.pstate.in_transition(now) {
+        if in_transition {
             consider(self.pstate.settle_at());
         }
         if let Some(d) = self.pmu.next_decay(now) {
@@ -1216,6 +1386,140 @@ mod tests {
             soc.run_until_idle(SimTime::from_ms(10.0))
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// A seeded script: bursts of random classes and lengths between
+    /// random sleeps, so licenses rise, overlap and decay.
+    fn random_script(x: &mut u64, blocks: usize) -> Script {
+        let mut next = || {
+            *x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            *x >> 33
+        };
+        let mut actions = Vec::new();
+        for _ in 0..blocks {
+            actions.push(Action::Run {
+                class: InstClass::ALL[next() as usize % InstClass::ALL.len()],
+                instructions: 1_000 + next() % 60_000,
+            });
+            if next() % 3 == 0 {
+                actions.push(Action::SleepFor(SimTime::from_us((next() % 900) as f64)));
+            }
+        }
+        Script::new(actions, "random blocks")
+    }
+
+    /// Every verdict the memo would answer with matches the full limit
+    /// search, at every event of seeded schedules on all four
+    /// platforms, under the performance governor (turbo) and pinned.
+    /// Figure 7(b)'s AVX-512 load on Cannon Lake is limit-bound: its
+    /// first candidate fails, so it must never answer from the memo.
+    /// Two seeds also heat the die every 16 events, one past Tjmax and
+    /// one far past it (where leakage breaks limits that held at
+    /// Tjmax), so verdicts stored cool are checked hot.
+    #[test]
+    fn retarget_verdicts_answer_like_the_limit_search() {
+        let platforms = [
+            PlatformSpec::cannon_lake(),
+            PlatformSpec::coffee_lake(),
+            PlatformSpec::haswell(),
+            PlatformSpec::skylake_server(),
+        ];
+        let (mut answered, mut first_failed, mut hot) = (0u64, 0u64, 0u64);
+        for platform in platforms {
+            for turbo in [true, false] {
+                for seed in 1..=5u64 {
+                    let cfg = if turbo {
+                        SocConfig::quiet(platform.clone())
+                    } else {
+                        SocConfig::pinned(platform.clone(), Freq::from_ghz(2.0))
+                    };
+                    let mut soc = Soc::new(cfg);
+                    let mut x = seed;
+                    let cores = platform.n_cores.min(5);
+                    for core in 0..cores {
+                        for smt in 0..platform.threads_per_core().min(2) {
+                            let avx512_thread = seed == 1 && (core, smt) == (cores - 1, 0);
+                            if !(core + smt + seed as usize).is_multiple_of(3) && !avx512_thread {
+                                soc.spawn(core, smt, Box::new(random_script(&mut x, 24)));
+                            }
+                        }
+                    }
+                    if seed == 1 {
+                        soc.spawn(
+                            cores - 1,
+                            0,
+                            Box::new(Script::run_loop(InstClass::Heavy512, 3_000_000)),
+                        );
+                    }
+                    let mut projected = Vec::new();
+                    let mut acts = Vec::new();
+                    while soc.step(SimTime::from_ms(10.0)) {
+                        if seed >= 4 && soc.step_counts().steps.is_multiple_of(16) {
+                            let watts = if seed == 4 { 80.0 } else { 10_000.0 };
+                            soc.thermal.advance(watts, SimTime::from_ms(500.0));
+                        }
+                        if soc.temp_c() > soc.thermal.tjmax_c() {
+                            hot += 1;
+                        }
+                        let (first, key) = soc.first_candidate();
+                        soc.projection_into(&mut projected, &mut acts);
+                        let (searched, _) = soc.limit_search(first, &projected, &acts);
+                        if searched != first {
+                            first_failed += 1;
+                        }
+                        if soc.verdict_holds(key) {
+                            answered += 1;
+                            assert_eq!(searched, first, "{} at {}", platform.name, soc.now());
+                        }
+                    }
+                    let counts = soc.step_counts();
+                    assert!(
+                        counts.limit_searches < counts.retargets,
+                        "{}",
+                        platform.name
+                    );
+                }
+            }
+        }
+        assert!(answered > 2_000, "{answered} answered");
+        assert!(first_failed > 100, "{first_failed} limit-bound events");
+        assert!(hot > 100, "{hot} events above Tjmax");
+    }
+
+    /// Block completion times read from the memo equal the direct
+    /// quotient, bit for bit, over realistic block sizes and rates and
+    /// over colliding keys.
+    #[test]
+    fn completion_memo_answers_bit_for_bit() {
+        let mut memo = CompletionMemo::new(
+            (0.0f64.to_bits(), 1.0f64.to_bits()),
+            completion_time(0.0, 1.0),
+        );
+        let mut x: u64 = 0xB10C;
+        for i in 0..50_000u64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let remaining = match i % 3 {
+                0 => (1_000 + (x >> 40) % 64 * 500) as f64,
+                1 => (x >> 11) as f64 / (1u64 << 40) as f64,
+                _ => 0.0,
+            };
+            let class = InstClass::ALL[(x >> 20) as usize % InstClass::ALL.len()];
+            let ghz = [1.4, 2.2, 3.1][(x >> 30) as usize % 3];
+            let rate =
+                effective_ipc(class, x & 1 == 1, x & 2 == 2) * Freq::from_ghz(ghz).as_hz() as f64;
+            let key = (remaining.to_bits(), rate.to_bits());
+            let got = memo.get_or_insert_with(key, || completion_time(remaining, rate));
+            assert_eq!(
+                got,
+                completion_time(remaining, rate),
+                "{remaining} / {rate}"
+            );
+        }
+        assert!(memo.misses() > 0 && memo.misses() < 50_000);
     }
 
     #[test]

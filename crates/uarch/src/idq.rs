@@ -86,17 +86,14 @@ impl DeliveryResult {
 /// # Examples
 ///
 /// ```
-/// use ichannels_uarch::idq::{Idq, ThreadDemand};
+/// use ichannels_uarch::idq::{Idq, SmtId, ThreadDemand};
 ///
 /// let mut idq = Idq::new();
 /// idq.set_throttled(true);
-/// let mut delivered = 0;
-/// for _ in 0..400 {
-///     let r = idq.cycle(ThreadDemand::busy(), ThreadDemand::IDLE);
-///     delivered += r.total();
-/// }
-/// // Throttled: only ~1 in 4 cycles delivers → ~25% of 400*4 slots.
-/// assert_eq!(delivered, 400);
+/// let unused =
+///     idq.run_normalized_undelivered(ThreadDemand::busy(), ThreadDemand::IDLE, 400, SmtId::T0);
+/// // Throttled: only 1 in 4 cycles delivers, so 3/4 of the slots go unused.
+/// assert_eq!(unused, 0.75);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Idq {
@@ -147,7 +144,7 @@ impl Idq {
     /// Applies the throttle gate, arbitrates the `ISSUE_WIDTH` slots
     /// between active threads, and updates `CPU_CLK_UNHALTED` /
     /// `IDQ_UOPS_NOT_DELIVERED` style counters.
-    pub fn cycle(&mut self, t0: ThreadDemand, t1: ThreadDemand) -> DeliveryResult {
+    fn cycle(&mut self, t0: ThreadDemand, t1: ThreadDemand) -> DeliveryResult {
         let demands = [t0, t1];
         for (i, d) in demands.iter().enumerate() {
             if d.active {

@@ -213,15 +213,22 @@ const QUICK_CATALOG_SOC_STEPS: u64 = 22_955;
 /// How often, in the same pass, each per-event shortcut ran and how
 /// often it fell back to the full computation: rail reads before
 /// `free_at` (the ramp-history search, out of one read per step),
-/// next-decay answers and the license scans among them, and the
-/// thermal advances (one per step) that called `exp`. Like
-/// `soc.steps`, each is a pure function of the work set: the thermal
-/// table is per `Soc`, and a trial's runs share one in a fixed order.
-const QUICK_CATALOG_SHORTCUT_COUNTS: [(&str, u64); 4] = [
+/// next-decay answers and the license scans among them, the thermal
+/// advances (one per step) that called `exp`, frequency retargets and
+/// the electrical-limit searches among them, and the misses of the
+/// rail-target, ramp-time and completion-time memos. Like
+/// `soc.steps`, each is a pure function of the work set: the memos are
+/// per `Soc`, and a trial's runs share one in a fixed order.
+const QUICK_CATALOG_SHORTCUT_COUNTS: [(&str, u64); 9] = [
     ("soc.rail_history_reads", 12_064),
-    ("soc.decay_queries", 32_913),
-    ("soc.decay_scans", 16_847),
+    ("soc.decay_queries", 28_669),
+    ("soc.decay_scans", 7_338),
     ("soc.thermal_misses", 4_448),
+    ("soc.retargets", 7_004),
+    ("soc.limit_searches", 1_177),
+    ("soc.target_misses", 1_541),
+    ("soc.ramp_misses", 1_043),
+    ("soc.completion_misses", 2_526),
 ];
 
 /// The quick catalog steps the SoC exactly `QUICK_CATALOG_SOC_STEPS`
